@@ -27,42 +27,38 @@
 
 use std::sync::Arc;
 
+use crate::merge::{splice_merge_arc, splice_merge_vec};
 use crate::rmi::{Rmi, RmiConfig};
 use crate::run::SortedRun;
 use li_index::{KeyStore, RangeIndex};
 
-/// Linear two-pointer merge of two sorted sequences into one sorted
-/// vector (stable: ties take the left side first).
-fn merge_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+/// The base's keys, then every run's (oldest first), then `delta`: the
+/// tiers as the merge primitive takes them.
+fn tier_slices<'a>(
+    base: &'a [u64],
+    runs: &'a [Arc<SortedRun>],
+    delta: &'a [u64],
+) -> Vec<&'a [u64]> {
+    let mut slices = Vec::with_capacity(runs.len() + 2);
+    slices.push(base);
+    slices.extend(runs.iter().map(|r| r.as_slice()));
+    slices.push(delta);
+    slices
 }
 
-/// Fold-merge of many sorted disjoint slices into one sorted vector.
-/// The slice count is bounded by the run stack (small), so a fold of
-/// two-way merges is within a constant of a heap-based k-way merge.
-fn merge_many(slices: &[&[u64]]) -> Vec<u64> {
-    let mut acc: Vec<u64> = Vec::new();
-    for s in slices {
-        if acc.is_empty() {
-            acc = s.to_vec();
-        } else if !s.is_empty() {
-            acc = merge_sorted(&acc, s);
-        }
-    }
-    acc
+/// One merged key array for a new base, written once into the
+/// allocation the returned store owns.
+fn merged_store(base: &[u64], runs: &[Arc<SortedRun>], delta: &[u64]) -> KeyStore {
+    let merged = splice_merge_arc(&tier_slices(base, runs, delta));
+    // All tiers must be mutually disjoint (the insert-path duplicate
+    // probe checks upper tiers first — see `DeltaIndex::insert`); any
+    // overlap would double-count in `len`/`rank` and show up here as an
+    // equal adjacent pair.
+    debug_assert!(
+        merged.windows(2).all(|w| w[0] < w[1]),
+        "tiers must be mutually disjoint"
+    );
+    merged.into()
 }
 
 /// An updatable learned index: RMI base + sorted delta buffer, plus (in
@@ -272,7 +268,7 @@ impl DeltaIndex {
             }
         }
         if !fresh.is_empty() {
-            self.delta = merge_sorted(&self.delta, &fresh);
+            self.delta = splice_merge_vec(&[&self.delta, &fresh]);
             if self.delta.len() >= self.merge_threshold {
                 self.overflow();
             }
@@ -502,15 +498,7 @@ impl DeltaIndex {
         if self.delta.is_empty() && self.runs.is_empty() {
             return;
         }
-        let merged = self.export_keys();
-        // All tiers must be mutually disjoint (the insert-path duplicate
-        // probe checks upper tiers first — see `insert`); any overlap
-        // would double-count in `len`/`rank` and show up here as an
-        // equal adjacent pair.
-        debug_assert!(
-            merged.windows(2).all(|w| w[0] < w[1]),
-            "tiers must be mutually disjoint"
-        );
+        let merged = merged_store(self.base.data(), &self.runs, &self.delta);
         // Retrain BEFORE touching any field: `Rmi::build` is the one
         // call here that can panic (allocation, model fitting), and at
         // that point the index must still be exactly its pre-merge self
@@ -536,13 +524,7 @@ impl DeltaIndex {
     /// splits and gives half its keys to a sibling, or when two cold
     /// shards merge.
     pub fn export_keys(&self) -> Vec<u64> {
-        let mut slices: Vec<&[u64]> = Vec::with_capacity(self.runs.len() + 2);
-        slices.push(self.base.data());
-        for r in &self.runs {
-            slices.push(r.as_slice());
-        }
-        slices.push(&self.delta);
-        merge_many(&slices)
+        splice_merge_vec(&tier_slices(self.base.data(), &self.runs, &self.delta))
     }
 
     /// Split the full merged keyset at `pivot`: `(keys < pivot,
@@ -628,20 +610,19 @@ impl DeltaIndex {
                 "runs must be sorted unique"
             );
         }
-        // Mutual disjointness across ALL tiers: the merged view of
-        // disjoint sorted-unique sets is strictly sorted; any overlap
-        // (base∩run, run∩run, run∩pending, base∩pending) surfaces as an
-        // equal adjacent pair.
+        // Mutual disjointness across ALL tiers, without touching more of
+        // the (possibly file-mapped) base than the probes read: the
+        // upper tiers are disjoint sorted-unique sets iff their merge is
+        // strictly sorted (run∩run, run∩pending show up as an equal
+        // adjacent pair), and disjoint from the base iff no upper key is
+        // found there.
         {
-            let mut slices: Vec<&[u64]> = Vec::with_capacity(runs.len() + 2);
-            slices.push(base.data());
-            for r in &runs {
-                slices.push(r);
-            }
+            let mut slices: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
             slices.push(&pending);
-            let merged = merge_many(&slices);
+            let upper = splice_merge_vec(&slices);
             assert!(
-                merged.windows(2).all(|w| w[0] < w[1]),
+                upper.windows(2).all(|w| w[0] < w[1])
+                    && upper.iter().all(|&k| base.lookup(k).is_none()),
                 "tiers must be mutually disjoint"
             );
         }
@@ -740,16 +721,12 @@ impl DeltaSnapshot {
 
     /// The keys a compaction of this snapshot would fold into the new
     /// base: base keys plus every captured run, merged sorted unique
-    /// (the pending buffer stays live and is excluded). This is what a
-    /// serving layer re-runs backend selection over before deciding how
-    /// to train the compacted base.
-    pub fn merged_keys(&self) -> Vec<u64> {
-        let mut slices: Vec<&[u64]> = Vec::with_capacity(self.runs.len() + 1);
-        slices.push(self.base.data());
-        for r in &self.runs {
-            slices.push(r.as_slice());
-        }
-        merge_many(&slices)
+    /// (the pending buffer stays live and is excluded), in a store of
+    /// their own that the new base can be trained over as is. This is
+    /// what a serving layer re-runs backend selection over before
+    /// deciding how to train the compacted base.
+    pub fn merged_keys(&self) -> KeyStore {
+        merged_store(self.base.data(), &self.runs, &[])
     }
 
     /// Train the compacted base this snapshot implies: base keys plus
@@ -762,17 +739,7 @@ impl DeltaSnapshot {
         if self.runs.is_empty() {
             return None;
         }
-        let mut slices: Vec<&[u64]> = Vec::with_capacity(self.runs.len() + 1);
-        slices.push(self.base.data());
-        for r in &self.runs {
-            slices.push(r.as_slice());
-        }
-        let merged = merge_many(&slices);
-        debug_assert!(
-            merged.windows(2).all(|w| w[0] < w[1]),
-            "tiers must be mutually disjoint"
-        );
-        Some(Rmi::build(merged, config))
+        Some(Rmi::build(self.merged_keys(), config))
     }
 }
 
@@ -787,7 +754,7 @@ fn range_keys_of(base: &Rmi, runs: &[Arc<SortedRun>], delta: &[u64], lo: u64, hi
         slices.push(r.range(lo, hi));
     }
     slices.push(&delta[d_lo..d_hi]);
-    merge_many(&slices)
+    splice_merge_vec(&slices)
 }
 
 #[cfg(test)]

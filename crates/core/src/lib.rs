@@ -26,6 +26,9 @@
 //!   merge-and-retrain, plus an LSM-style tiered mode where full buffers
 //!   seal into immutable [`SortedRun`]s (per-run linear mini-models) and
 //!   background compaction folds them into the base with one retrain.
+//! * [`merge`] — the one splice-merge every tier operation (compaction,
+//!   export, split, range scan) goes through: small sorted slices into a
+//!   large one, written once.
 //! * [`learned_sort`] (§7 "Beyond Indexing") — CDF-model distribution
 //!   sort with insertion-sort fixup.
 
@@ -34,6 +37,7 @@
 
 pub mod delta;
 pub mod lif;
+pub mod merge;
 pub mod multidim;
 pub mod paging;
 pub mod rmi;

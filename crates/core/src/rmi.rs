@@ -27,7 +27,7 @@ use crate::search::{search_with_widening, SearchStrategy};
 use li_btree::BTreeIndex;
 use li_index::{KeyStore, Prediction, RangeIndex};
 use li_models::{
-    clamp_position, FeatureMap, LinearModel, Mlp, MlpConfig, Model, MultivariateLinear,
+    clamp_position, FeatureMap, LinearFit, LinearModel, Mlp, MlpConfig, Model, MultivariateLinear,
 };
 
 /// Stage-0 model family (§3.3's model zoo).
@@ -51,19 +51,25 @@ pub enum TopModel {
 }
 
 impl TopModel {
-    fn fit(&self, keys: &[f64]) -> TrainedTop {
+    /// Train the stage-0 model on every `(key, position)` pair. The
+    /// linear top is fitted straight off the `u64` slice; the other
+    /// families take their keys as one `f64` array.
+    fn fit(&self, keys: &[u64]) -> TrainedTop {
+        let as_f64 = || -> Vec<f64> { keys.iter().map(|&k| k as f64).collect() };
         match *self {
-            TopModel::Linear => TrainedTop::Linear(LinearModel::fit_keys(keys)),
+            TopModel::Linear => TrainedTop::Linear(LinearModel::fit(
+                keys.iter().enumerate().map(|(i, &k)| (k as f64, i as f64)),
+            )),
             TopModel::Multivariate(fm) => {
-                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_keys(fm, keys)))
+                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_keys(fm, &as_f64())))
             }
             TopModel::MultivariateAuto => {
                 let ys: Vec<f64> = (0..keys.len()).map(|i| i as f64).collect();
-                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_select(keys, &ys)))
+                TrainedTop::Multivariate(Box::new(MultivariateLinear::fit_select(&as_f64(), &ys)))
             }
             TopModel::Mlp { hidden, width } => {
                 let cfg = MlpConfig::new(hidden, width);
-                TrainedTop::Mlp(Box::new(Mlp::fit_keys(&cfg, keys)))
+                TrainedTop::Mlp(Box::new(Mlp::fit_keys(&cfg, &as_f64())))
             }
         }
     }
@@ -203,18 +209,6 @@ pub struct Leaf {
     pub n_keys: usize,
 }
 
-impl Leaf {
-    fn empty() -> Self {
-        Self {
-            kind: LeafKind::Linear(LinearModel::constant(0.0)),
-            min_err: 0,
-            max_err: 0,
-            std_err: 0.0,
-            n_keys: 0,
-        }
-    }
-}
-
 /// Summary statistics of a trained RMI.
 #[derive(Debug, Clone)]
 pub struct RmiStats {
@@ -224,7 +218,14 @@ pub struct RmiStats {
     pub leaves: usize,
     /// Leaves replaced by B-Trees (hybrid mode).
     pub btree_leaves: usize,
-    /// Mean absolute prediction error over all keys.
+    /// Key-weighted mean of the leaves' root-mean-square prediction
+    /// errors: `Σ_leaf std_err · n_keys / keys`, with `std_err =
+    /// √(Σe² / n_keys)` over the leaf's own keys. Despite the field's
+    /// name this is an RMS figure, not a mean of `|e|`: it is never
+    /// below the mean absolute error and equals it only when every key
+    /// of a leaf misses by the same distance. `RetunePolicy`'s and the
+    /// rebalancer's error thresholds in `li-serve` are tuned against
+    /// the value as computed here.
     pub mean_abs_err: f64,
     /// Largest absolute prediction error over all keys.
     pub max_abs_err: u64,
@@ -331,117 +332,123 @@ impl Rmi {
     /// Accepts anything convertible to a [`KeyStore`]; pass a `KeyStore`
     /// clone to train over an array shared with other indexes at zero
     /// copy.
+    ///
+    /// Training streams over the key array and allocates nothing of its
+    /// size: one pass fits the stage-0 model (line 6, i = 1), one pass
+    /// per later stage routes every key through the trained prefix and
+    /// feeds it to that stage's member fit (lines 4–10; the "training
+    /// subsets" are never materialised — a member's running sums are its
+    /// subset), and a last pass over the leaf stage's runs records each
+    /// leaf's error envelope (lines 11–12) and applies the hybrid rule
+    /// (lines 13–14). With a linear stage 0 and two stages that is three
+    /// reads of the array. The result is bit-identical to fitting each
+    /// member with [`LinearModel::fit`] over its keys in position order.
     pub fn build(data: impl Into<KeyStore>, config: &RmiConfig) -> Self {
         TRAIN_EVENTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let data: KeyStore = data.into();
-        assert!(
-            !config.stages.is_empty(),
-            "need at least one stage after stage 0"
-        );
+        let (&leaf_count, inner_stages) = config
+            .stages
+            .split_last()
+            .expect("need at least one stage after stage 0");
         assert!(config.stages.iter().all(|&m| m > 0));
         debug_assert!(
             data.windows(2).all(|w| w[0] < w[1]),
             "data must be sorted unique"
         );
-
         let n = data.len();
-        let keys_f64: Vec<f64> = data.iter().map(|&k| k as f64).collect();
 
-        // Stage 0 (Algorithm 1 line 6, i = 1): train on everything.
-        let top = config.top.fit(&keys_f64);
-
-        // Inner stages: route with the trained prefix, then fit linear
-        // models per member (lines 4-10).
-        let mut mids: Vec<Vec<LinearModel>> = Vec::new();
-        let inner_stage_count = config.stages.len() - 1;
-        for s in 0..inner_stage_count {
-            let m = config.stages[s];
-            let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); m];
-            for (i, &x) in keys_f64.iter().enumerate() {
-                let pred = predict_through(&top, &mids, x, n);
-                buckets[route(pred, m, n)].push((x, i as f64));
-            }
-            let stage: Vec<LinearModel> = buckets
-                .into_iter()
-                .map(|b| LinearModel::fit(b.into_iter()))
-                .collect();
-            mids.push(stage);
+        let top = config.top.fit(&data);
+        let mut mids: Vec<Vec<LinearModel>> = Vec::with_capacity(inner_stages.len());
+        for &m in inner_stages {
+            let (members, _) = fit_stage(&data, m, |x| predict_through(&top, &mids, x, n));
+            mids.push(members.iter().map(|member| member.fit.finish()).collect());
         }
+        let (members, runs) = fit_stage(&data, leaf_count, |x| predict_through(&top, &mids, x, n));
 
-        // Leaf stage: fit, then compute error envelopes (lines 11-12).
-        let leaf_count = *config.stages.last().expect("non-empty stages");
-        let mut buckets: Vec<Vec<(f64, usize)>> = vec![Vec::new(); leaf_count];
-        for (i, &x) in keys_f64.iter().enumerate() {
-            let pred = predict_through(&top, &mids, x, n);
-            buckets[route(pred, leaf_count, n)].push((x, i));
-        }
-
-        let mut leaves = Vec::with_capacity(leaf_count);
-        for bucket in &buckets {
-            if bucket.is_empty() {
-                leaves.push(Leaf::empty());
-                continue;
-            }
-            let model = LinearModel::fit(bucket.iter().map(|&(x, y)| (x, y as f64)));
-            let mut min_err = i64::MAX;
-            let mut max_err = i64::MIN;
-            let mut sum_sq = 0.0f64;
-            for &(x, y) in bucket {
-                let p = clamp_position(model.predict(x), n) as i64;
-                let e = y as i64 - p;
+        // The error envelope of each leaf model over its own keys. The
+        // run list replays the routing of the pass above, so no key is
+        // routed twice; a leaf's keys are visited in position order, as
+        // they were fitted.
+        let models: Vec<LinearModel> = members.iter().map(|member| member.fit.finish()).collect();
+        let mut envelopes = vec![(i64::MAX, i64::MIN, 0.0f64); leaf_count];
+        let mut start = 0usize;
+        for &(leaf, end) in &runs {
+            let model = models[leaf];
+            let (mut min_err, mut max_err, mut sum_sq) = envelopes[leaf];
+            for (i, &k) in (start..end).zip(&data[start..end]) {
+                let p = clamp_position(model.predict(k as f64), n) as i64;
+                let e = i as i64 - p;
                 min_err = min_err.min(e);
                 max_err = max_err.max(e);
                 sum_sq += (e as f64) * (e as f64);
             }
-            let std_err = (sum_sq / bucket.len() as f64).sqrt();
+            envelopes[leaf] = (min_err, max_err, sum_sq);
+            start = end;
+        }
 
+        let mut leaves = Vec::with_capacity(leaf_count);
+        // Empty leaves predict the boundary position of the nearest
+        // preceding non-empty leaf, so predictions stay roughly monotone
+        // across leaves and mis-routed queries widen minimally.
+        let mut boundary = 0usize;
+        for ((member, model), (min_err, max_err, sum_sq)) in
+            members.iter().zip(models).zip(envelopes)
+        {
+            let n_keys = member.fit.len();
+            if n_keys == 0 {
+                leaves.push(Leaf {
+                    kind: LeafKind::Linear(LinearModel::constant(boundary as f64)),
+                    min_err: 0,
+                    max_err: 0,
+                    std_err: 0.0,
+                    n_keys: 0,
+                });
+                continue;
+            }
+            boundary = member.last + 1;
             // Hybrid replacement (lines 13-14).
             let abs_err = min_err.unsigned_abs().max(max_err.unsigned_abs());
             let kind = match config.hybrid_threshold {
-                Some(t) if abs_err > t as u64 => {
-                    let first = bucket.iter().map(|&(_, y)| y).min().expect("non-empty");
-                    let last = bucket.iter().map(|&(_, y)| y).max().expect("non-empty");
-                    // Zero-copy: the leaf B-Tree indexes a slice *view*
-                    // of the shared key array, not a copy of it.
-                    let tree =
-                        BTreeIndex::new(data.slice(first..last + 1), config.hybrid_page_size);
-                    LeafKind::BTree {
-                        offset: first,
-                        tree: Box::new(tree),
-                    }
-                }
+                // Zero-copy: the leaf B-Tree indexes a slice *view* of
+                // the shared key array, not a copy of it.
+                Some(t) if abs_err > t as u64 => LeafKind::BTree {
+                    offset: member.first,
+                    tree: Box::new(BTreeIndex::new(
+                        data.slice(member.first..boundary),
+                        config.hybrid_page_size,
+                    )),
+                },
                 _ => LeafKind::Linear(model),
             };
             leaves.push(Leaf {
                 kind,
                 min_err,
                 max_err,
-                std_err,
-                n_keys: bucket.len(),
+                std_err: (sum_sq / n_keys as f64).sqrt(),
+                n_keys,
             });
         }
 
-        // Empty leaves predict the boundary position of the nearest
-        // preceding non-empty leaf, so predictions stay roughly monotone
-        // across leaves and mis-routed queries widen minimally.
-        let mut boundary = 0usize;
-        for (leaf, bucket) in leaves.iter_mut().zip(&buckets) {
-            if bucket.is_empty() {
-                leaf.kind = LeafKind::Linear(LinearModel::constant(boundary as f64));
-            } else {
-                boundary = bucket.iter().map(|&(_, y)| y).max().expect("non-empty") + 1;
-            }
-        }
+        Self::assemble(data, top, mids, leaves, config.search)
+    }
 
+    /// Put trained parts together and compute the summary statistics.
+    fn assemble(
+        data: KeyStore,
+        top: TrainedTop,
+        mids: Vec<Vec<LinearModel>>,
+        leaves: Vec<Leaf>,
+        search: SearchStrategy,
+    ) -> Self {
         let mut rmi = Self {
             data,
             top,
             mids,
             leaves,
-            search: config.search,
+            search,
             stats_cache: RmiStats {
                 keys: 0,
-                leaves: leaf_count,
+                leaves: 0,
                 btree_leaves: 0,
                 mean_abs_err: 0.0,
                 max_abs_err: 0,
@@ -631,29 +638,70 @@ impl Rmi {
                 n_keys: usize::try_from(lp.n_keys).ok()?,
             });
         }
-        let mut rmi = Self {
-            data,
-            top: TrainedTop::Linear(LinearModel::new(params.top.0, params.top.1)),
-            mids: params
-                .mids
-                .iter()
-                .map(|stage| stage.iter().map(|&(s, i)| LinearModel::new(s, i)).collect())
-                .collect(),
-            leaves,
-            search: params.search,
-            stats_cache: RmiStats {
-                keys: 0,
-                leaves: 0,
-                btree_leaves: 0,
-                mean_abs_err: 0.0,
-                max_abs_err: 0,
-                size_bytes: 0,
-                op_count: 0,
-            },
-        };
-        rmi.stats_cache = rmi.compute_stats();
-        Some(rmi)
+        let mids = params
+            .mids
+            .iter()
+            .map(|stage| stage.iter().map(|&(s, i)| LinearModel::new(s, i)).collect())
+            .collect();
+        let top = TrainedTop::Linear(LinearModel::new(params.top.0, params.top.1));
+        Some(Self::assemble(data, top, mids, leaves, params.search))
     }
+}
+
+/// What one pass of [`fit_stage`] knows about one member of a stage:
+/// the running least-squares sums over the keys routed to it, and the
+/// first and last position among them.
+#[derive(Clone, Copy, Default)]
+struct StageMember {
+    fit: LinearFit,
+    first: usize,
+    last: usize,
+}
+
+/// One streaming pass of Algorithm 1's inner loop for a stage of `m`
+/// members: route every key with `cascade` (the trained prefix of
+/// stages) and add `(key, position)` to the fit of the member it lands
+/// on. The sums of the member being fed ride in registers for as long as
+/// consecutive keys route to it and are parked in the member table when
+/// the route changes — once per member under a monotone prefix, more
+/// often under a non-monotone one, by the same code.
+///
+/// Also returns those runs as `(member, end position)`, in order, so a
+/// later pass can revisit each member's keys without routing again.
+fn fit_stage(
+    keys: &[u64],
+    m: usize,
+    cascade: impl Fn(f64) -> f64,
+) -> (Vec<StageMember>, Vec<(usize, usize)>) {
+    let n = keys.len();
+    let mut members = vec![StageMember::default(); m];
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let Some(&first_key) = keys.first() else {
+        return (members, runs);
+    };
+    let mut park = |members: &mut [StageMember], at: usize, fit: LinearFit, run: (usize, usize)| {
+        let member = &mut members[at];
+        if member.fit.is_empty() {
+            member.first = run.0;
+        }
+        member.fit = fit;
+        member.last = run.1 - 1;
+        runs.push((at, run.1));
+    };
+    let mut at = route(cascade(first_key as f64), m, n);
+    let mut fit = LinearFit::new();
+    let mut start = 0usize;
+    for (i, &k) in keys.iter().enumerate() {
+        let x = k as f64;
+        let to = route(cascade(x), m, n);
+        if to != at {
+            park(&mut members, at, fit, (start, i));
+            (at, fit, start) = (to, members[to].fit, i);
+        }
+        fit.push(x, i as f64);
+    }
+    park(&mut members, at, fit, (start, n));
+    (members, runs)
 }
 
 /// Run the trained model cascade down to (but excluding) the leaf stage.
@@ -755,6 +803,9 @@ impl RangeIndex for Rmi {
         Some(self)
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

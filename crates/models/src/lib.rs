@@ -50,7 +50,7 @@ pub use cdf::EmpiricalCdf;
 pub use gru::{GruClassifier, GruConfig};
 pub use isotonic::IsotonicModel;
 pub use linalg::Matrix;
-pub use linear::LinearModel;
+pub use linear::{LinearFit, LinearModel};
 pub use mlp::{Mlp, MlpConfig};
 pub use multivariate::{FeatureMap, MultivariateLinear};
 pub use ngram::NgramLogReg;

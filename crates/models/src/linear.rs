@@ -5,8 +5,27 @@
 //! over the sorted data", and §3.7.1 finds that "for the second stage,
 //! simple, linear models had the best performance". This module is that
 //! model: `predict(x) = slope · x + intercept`, fitted by ordinary least
-//! squares with mean-shifted accumulators for numerical stability (keys
-//! can be as large as 2⁶⁴, so naive Σx² overflows the mantissa).
+//! squares in one pass of four running sums — no division per point.
+//!
+//! # Why the sums are shifted
+//!
+//! The textbook one-pass form `slope = (nΣxy − ΣxΣy) / (nΣx² − (Σx)²)`
+//! subtracts two numbers of size `n·x²` to get one of size `n·range²`.
+//! Keys reach 2⁶⁴ while a leaf spans perhaps 2¹² of them, so the
+//! difference sits 2·(64 − 12) = 104 bits below its operands and an
+//! `f64` keeps 53: naive Σx² returns noise. [`LinearFit`] instead sums
+//! `dx = x − x₀` and `dy = y − y₀`, with `(x₀, y₀)` the **first point
+//! pushed**. The same subtraction is still there
+//! (`Σdx² − (Σdx)²/n`), but because x₀ is itself one of the samples,
+//! `Σdx² = var + n·(x̄ − x₀)²` and `var ≥ (x̄ − x₀)²`, so
+//! `Σdx² ≤ (n + 1)·var`: the operands are at most `n + 1` times the
+//! result and the cancellation costs at most log₂(n + 1) bits — 12 for a
+//! leaf, 20 for a million-key shard — whatever the key magnitude. On
+//! sorted keys (the only input the index gives it) the ratio is about 4,
+//! i.e. two bits. `dx` itself is exact whenever the two keys are within
+//! a factor of two of each other (Sterbenz), which is every leaf of a
+//! large-key set; further apart, it is rounded once at the magnitude of
+//! the spread — the scale of the answer — not at that of the keys.
 
 use crate::Model;
 
@@ -33,37 +52,15 @@ impl LinearModel {
 
     /// Fit by OLS over `(x, y)` pairs produced by the iterator.
     ///
-    /// One pass, O(1) memory. For zero points the model predicts 0; for
-    /// one point, a constant; for degenerate x-variance (all x equal),
-    /// the mean of y.
+    /// One pass, O(1) memory: every pair goes through one [`LinearFit`].
+    /// For zero points the model predicts 0; for one point, a constant;
+    /// for degenerate x-variance (all x equal), the mean of y.
     pub fn fit(pairs: impl Iterator<Item = (f64, f64)>) -> Self {
-        // Welford-style mean-shifted accumulation: numerically stable for
-        // huge key magnitudes.
-        let mut n = 0.0f64;
-        let mut mean_x = 0.0f64;
-        let mut mean_y = 0.0f64;
-        let mut cov_xy = 0.0f64; // Σ (x - mean_x)(y - mean_y)
-        let mut var_x = 0.0f64; // Σ (x - mean_x)²
+        let mut acc = LinearFit::new();
         for (x, y) in pairs {
-            n += 1.0;
-            let dx = x - mean_x;
-            mean_x += dx / n;
-            mean_y += (y - mean_y) / n;
-            cov_xy += dx * (y - mean_y);
-            var_x += dx * (x - mean_x);
+            acc.push(x, y);
         }
-        if n == 0.0 {
-            return Self::constant(0.0);
-        }
-        if var_x <= 0.0 || !var_x.is_finite() {
-            return Self::constant(mean_y);
-        }
-        let slope = cov_xy / var_x;
-        let intercept = mean_y - slope * mean_x;
-        if !slope.is_finite() || !intercept.is_finite() {
-            return Self::constant(mean_y);
-        }
-        Self { slope, intercept }
+        acc.finish()
     }
 
     /// Fit over a sorted key slice where `y` is the index: the exact
@@ -80,6 +77,94 @@ impl LinearModel {
     /// Intercept coefficient.
     pub fn intercept(&self) -> f64 {
         self.intercept
+    }
+}
+
+/// The running sums of a one-pass least-squares fit, shifted to the
+/// first point pushed (see the module documentation for why).
+///
+/// [`LinearModel::fit`], `SortedRun::seal` and the RMI's stage fits all
+/// feed their points through this type in the same order, which is what
+/// keeps their coefficients bit-identical to one another. It is `Copy`
+/// and seven words, so a caller that interleaves several fits (one per
+/// RMI leaf) can keep the active one in registers and park the rest in
+/// an array.
+///
+/// # Examples
+/// ```
+/// use li_models::{LinearFit, Model};
+///
+/// let mut acc = LinearFit::new();
+/// for (i, key) in [10.0, 20.0, 30.0].into_iter().enumerate() {
+///     acc.push(key, i as f64);
+/// }
+/// assert_eq!(acc.len(), 3);
+/// assert!((acc.finish().predict(20.0) - 1.0).abs() < 1e-12);
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LinearFit {
+    n: usize,
+    x0: f64,
+    y0: f64,
+    sum_dx: f64,
+    sum_dy: f64,
+    sum_dxdy: f64,
+    sum_dxdx: f64,
+}
+
+impl LinearFit {
+    /// An accumulator holding no points.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add one `(x, y)` point: four multiply-adds, no division.
+    #[inline(always)]
+    pub fn push(&mut self, x: f64, y: f64) {
+        if self.n == 0 {
+            self.x0 = x;
+            self.y0 = y;
+        }
+        let dx = x - self.x0;
+        let dy = y - self.y0;
+        self.n += 1;
+        self.sum_dx += dx;
+        self.sum_dy += dy;
+        self.sum_dxdy += dx * dy;
+        self.sum_dxdx += dx * dx;
+    }
+
+    /// Number of points pushed so far.
+    pub fn len(&self) -> usize {
+        self.n
+    }
+
+    /// Whether no point has been pushed.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// The least-squares line through the points pushed so far, with the
+    /// degenerate cases of [`LinearModel::fit`].
+    pub fn finish(&self) -> LinearModel {
+        if self.n == 0 {
+            return LinearModel::constant(0.0);
+        }
+        let n = self.n as f64;
+        let mean_dx = self.sum_dx / n;
+        let mean_dy = self.sum_dy / n;
+        let mean_y = self.y0 + mean_dy;
+        let var_x = self.sum_dxdx - self.sum_dx * mean_dx; // Σ (x - mean_x)²
+        let cov_xy = self.sum_dxdy - self.sum_dx * mean_dy; // Σ (x - mean_x)(y - mean_y)
+        if var_x <= 0.0 || !var_x.is_finite() {
+            return LinearModel::constant(mean_y);
+        }
+        let slope = cov_xy / var_x;
+        let intercept = mean_y - slope * (self.x0 + mean_dx);
+        if !slope.is_finite() || !intercept.is_finite() {
+            return LinearModel::constant(mean_y);
+        }
+        LinearModel { slope, intercept }
     }
 }
 

@@ -31,7 +31,7 @@ pub trait ShardBuilder: Send + Sync {
 /// ```
 /// use li_serve::{RetunePolicy, RmiShardBuilder, ShardBuilder};
 ///
-/// // Densify any shard whose mean absolute error exceeds 8 positions,
+/// // Densify any shard whose mean (RMS) error exceeds 8 positions,
 /// // doubling the leaf count up to 4 times.
 /// let builder = RmiShardBuilder::new().with_retune(RetunePolicy {
 ///     max_mean_err: 8.0,
@@ -43,7 +43,11 @@ pub trait ShardBuilder: Send + Sync {
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct RetunePolicy {
-    /// Retrain while the shard's mean absolute error exceeds this.
+    /// Retrain while the shard's `RmiStats::mean_abs_err` exceeds this.
+    /// That statistic is the key-weighted mean of the leaves' RMS
+    /// errors (see its documentation), so the threshold is in RMS
+    /// positions — somewhat above the mean absolute error of the same
+    /// model.
     pub max_mean_err: f64,
     /// Retrain while the shard's max absolute error exceeds this
     /// (`u64::MAX` disables the max-error trigger).

@@ -52,7 +52,8 @@ pub struct RebalanceConfig {
     /// merges cannot oscillate (see the module docs).
     pub merge_max_len: usize,
     /// Split a shard (regardless of length, but see the error-split
-    /// floor) when its base RMI's mean absolute error exceeds this.
+    /// floor) when its base RMI's `RmiStats::mean_abs_err` — a
+    /// key-weighted RMS error, despite the name — exceeds this.
     /// `None` disables error-triggered splits.
     pub max_mean_err: Option<f64>,
     /// Hard cap on the shard count; splits stop proposing at the cap.

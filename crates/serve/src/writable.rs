@@ -211,7 +211,7 @@ impl WritableShard {
         };
         let obs = self.obs.get();
         let t_train = Instant::now();
-        let keys = KeyStore::new(cut.merged_keys());
+        let keys = cut.merged_keys();
         let (rebuilt, cfg, choice) = train_selected(&keys, leaf_fraction, retune);
         if let Some(obs) = obs {
             obs.compact_train_ns.record_since(t_train);

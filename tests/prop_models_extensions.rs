@@ -2,6 +2,7 @@
 //! (string RMI, Z-order index, delta index, paging, quantization,
 //! isotonic calibration).
 
+use learned_indexes::models::rng::SplitMix64;
 use learned_indexes::models::{Codebook, IsotonicModel, LinearModel, Model, QuantizedLinear};
 use learned_indexes::rmi::multidim::{morton_decode, morton_encode, ZOrderRmi};
 use learned_indexes::rmi::{
@@ -9,6 +10,77 @@ use learned_indexes::rmi::{
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+/// Sorted keys ending just below 2⁶³ or 2⁶⁴, each gap drawn from
+/// `[spacing, 2·spacing)` — the magnitudes at which a naive Σx² has no
+/// correct bit left.
+fn huge_keys(n: usize, log_spacing: u32, below_2_64: bool, seed: u64) -> Vec<u64> {
+    let mut rng = SplitMix64::new(seed);
+    let spacing = 1u64 << log_spacing;
+    let gaps: Vec<u64> = (0..n).map(|_| spacing + rng.next_u64() % spacing).collect();
+    let ceiling = if below_2_64 { u64::MAX } else { 1u64 << 63 };
+    let mut key = ceiling - gaps.iter().sum::<u64>();
+    gaps.iter()
+        .map(|gap| {
+            key += gap;
+            key
+        })
+        .collect()
+}
+
+/// `LinearModel::fit` over `(key, position)` against the textbook
+/// two-pass form with EXACT centring: the keys are integers, so
+/// `n·xᵢ − Σx` is computed in `i128` without rounding and only the
+/// products are accumulated in `f64`.
+fn assert_fit_matches_centred_oracle(keys: &[u64]) -> Result<(), TestCaseError> {
+    let xs: Vec<f64> = keys.iter().map(|&k| k as f64).collect();
+    let m = LinearModel::fit(xs.iter().enumerate().map(|(i, &x)| (x, i as f64)));
+
+    let n = xs.len() as i128;
+    let sum_x: i128 = xs.iter().map(|&x| x as i128).sum();
+    let sum_y: i128 = n * (n - 1) / 2;
+    let (mut cov, mut var) = (0.0f64, 0.0f64);
+    for (i, &x) in xs.iter().enumerate() {
+        let cx = (n * x as i128 - sum_x) as f64 / n as f64;
+        let cy = (n * i as i128 - sum_y) as f64 / n as f64;
+        cov += cx * cy;
+        var += cx * cx;
+    }
+    prop_assume!(var > 0.0);
+    let slope = cov / var;
+    let intercept = sum_y as f64 / n as f64 - slope * (sum_x as f64 / n as f64);
+
+    let rel = |got: f64, want: f64| (got - want).abs() / want.abs();
+    prop_assert!(
+        rel(m.slope(), slope) <= 1e-9,
+        "slope {} vs {}",
+        m.slope(),
+        slope
+    );
+    prop_assert!(
+        rel(m.intercept(), intercept) <= 1e-9,
+        "intercept {} vs {}",
+        m.intercept(),
+        intercept
+    );
+    // Positions agree to ±1, plus what evaluating `slope·x + intercept`
+    // in f64 costs either model at this magnitude (nothing once the
+    // keys are 2¹⁵ apart; below that the product itself is rounded to
+    // more than a position).
+    let x_max = xs[xs.len() - 1];
+    let tolerance = 1.0 + 4.0 * (slope * x_max).abs() * f64::EPSILON;
+    for &x in xs.iter().step_by((xs.len() / 512).max(1)) {
+        let (got, want) = (m.predict(x), slope * x + intercept);
+        prop_assert!(
+            (got - want).abs() <= tolerance,
+            "x {}: {} vs {}",
+            x,
+            got,
+            want
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -27,6 +99,16 @@ proptest! {
             let tol = 1e-6 * (1.0 + y.abs());
             prop_assert!(err <= tol, "err {} at x {}", err, x);
         }
+    }
+
+    #[test]
+    fn ols_matches_a_centred_oracle_on_huge_keys_at_leaf_size(
+        n in 2usize..4097,
+        log_spacing in 0u32..41,
+        below_2_64 in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        assert_fit_matches_centred_oracle(&huge_keys(n, log_spacing, below_2_64, seed))?;
     }
 
     #[test]
@@ -162,5 +244,19 @@ proptest! {
             let expect = data.partition_point(|s| s.as_str() < q);
             prop_assert_eq!(rmi.lower_bound(q), expect, "q={}", q);
         }
+    }
+}
+
+proptest! {
+    // A million keys per case: few cases.
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn ols_matches_a_centred_oracle_on_huge_keys_at_shard_size(
+        log_spacing in 0u32..41,
+        below_2_64 in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        assert_fit_matches_centred_oracle(&huge_keys(1_000_000, log_spacing, below_2_64, seed))?;
     }
 }
