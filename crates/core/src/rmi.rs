@@ -301,17 +301,22 @@ pub struct RmiParams {
 /// "2nd stage models: 10k → 0.15MB" row.)
 const LEAF_DEPLOY_BYTES: usize = 4 + 4 + 2 + 2 + 4;
 
-/// Process-wide count of RMI training runs ([`Rmi::build`] calls).
-/// Exists so persistence tests can *prove* that a warm load rebuilds
-/// structure without retraining: take the count, load, take it again,
-/// assert equal.
-static TRAIN_EVENTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count of RMI training runs ([`Rmi::build`] calls).
+    /// Exists so persistence tests can *prove* that a warm load rebuilds
+    /// structure without retraining: take the count, load, take it
+    /// again, assert equal. Per thread, so a build on another thread
+    /// (a sibling test, a rebalance worker) cannot move the reading.
+    static TRAIN_EVENTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
-/// The number of RMI training runs ([`Rmi::build`] calls) this process
-/// has executed so far. [`Rmi::from_params`] does not bump it — that is
-/// the warm-restart guarantee the persistence suite asserts.
+/// The number of RMI training runs ([`Rmi::build`] calls) the
+/// **calling thread** has executed so far; builds on other threads are
+/// not counted. [`Rmi::from_params`] does not bump it — that is the
+/// warm-restart guarantee the persistence suite asserts, on the thread
+/// that runs the load.
 pub fn train_count() -> u64 {
-    TRAIN_EVENTS.load(std::sync::atomic::Ordering::Relaxed)
+    TRAIN_EVENTS.with(std::cell::Cell::get)
 }
 
 /// The Recursive Model Index over a sorted `u64` array.
@@ -344,7 +349,7 @@ impl Rmi {
     /// reads of the array. The result is bit-identical to fitting each
     /// member with [`LinearModel::fit`] over its keys in position order.
     pub fn build(data: impl Into<KeyStore>, config: &RmiConfig) -> Self {
-        TRAIN_EVENTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        TRAIN_EVENTS.with(|n| n.set(n.get() + 1));
         let data: KeyStore = data.into();
         let (&leaf_count, inner_stages) = config
             .stages
@@ -593,7 +598,7 @@ impl Rmi {
 
     /// Reassemble a trained index from its serialized parameters and
     /// the key array it was trained over — the warm-restart path. No
-    /// model is fitted (the process [`train_count`] does not move);
+    /// model is fitted (the calling thread's [`train_count`] does not move);
     /// hybrid B-Tree leaves are rebuilt *structurally* over zero-copy
     /// slices of `data`, exactly as training left them.
     ///

@@ -18,6 +18,10 @@
 //!   — a consistent router + snapshot-vector *pair* from a single
 //!   topology. All subsequent reads on the [`ShardedSnapshot`] are
 //!   lock-free.
+//! * **Live scans and ranks** ([`ShardedWritable::range_keys`],
+//!   [`ShardedWritable::rank`]) take no snapshot: under the same read
+//!   guard they read-lock only the shards the answer needs, all at once
+//!   and in ascending shard order, and answer from them in place.
 //! * **Rebalancing** takes the topology *write* lock: with all inserts
 //!   excluded, a hot shard is split at its balanced
 //!   [`li_index::partition::split_point`] (handing the upper half of
@@ -64,7 +68,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use li_core::delta::{DeltaIndex, DeltaSnapshot};
@@ -375,7 +379,7 @@ impl ShardedWritable {
             // rebalance from exporting this shard's keys and publishing
             // a replacement topology while the key lands in the old,
             // about-to-be-discarded shard — a silently lost insert.
-            let guard = self.topo.read().unwrap_or_else(|e| e.into_inner());
+            let guard = self.topo_guard();
             let s = guard.router.route_owner(key);
             guard.shards[s].insert_observed(key)
             // Guard drops here, before any inline rebalance or
@@ -482,7 +486,7 @@ impl ShardedWritable {
             // Same guard discipline as `insert`: hold the read lock
             // across every shard handoff so no rebalance can swap the
             // topology mid-batch.
-            let guard = self.topo.read().unwrap_or_else(|e| e.into_inner());
+            let guard = self.topo_guard();
             let n = guard.shards.len();
             let mut newly = 0usize;
             let mut max_owner_len = 0usize;
@@ -580,8 +584,9 @@ impl ShardedWritable {
     pub(crate) fn compact_pending(&self) -> (usize, usize) {
         // The Arc (not the guard) suffices: compaction never touches
         // the topology, and a shard orphaned by a concurrent rebalance
-        // is merely wasted work, never lost keys.
-        let topo = self.read_topo();
+        // is merely wasted work, never lost keys. Holding the guard
+        // across the retrains would stall every rebalance behind them.
+        let topo = Arc::clone(&self.topo_guard());
         let mut compacted = 0usize;
         let mut folded = 0usize;
         for shard in topo.shards.iter() {
@@ -650,7 +655,7 @@ impl ShardedWritable {
 
     /// Whether `key` currently exists (owner-shard probe).
     pub fn contains(&self, key: u64) -> bool {
-        let topo = self.read_topo();
+        let topo = self.topo_guard();
         let s = topo.router.route_owner(key);
         topo.shards[s].contains(key)
     }
@@ -660,7 +665,7 @@ impl ShardedWritable {
     /// approximation — take a [`ShardedWritable::snapshot`] for a
     /// single-topology consistent view.
     pub fn len(&self) -> usize {
-        self.read_topo().shards.iter().map(|s| s.len()).sum()
+        self.topo_guard().shards.iter().map(|s| s.len()).sum()
     }
 
     /// Whether the structure holds no keys.
@@ -668,35 +673,72 @@ impl ShardedWritable {
         self.len() == 0
     }
 
-    /// Number of keys `< key` (consistent snapshot rank).
+    /// Number of keys `< key`: the lengths of the shards below the
+    /// owner of `key` plus the owner's own rank. Those shards are
+    /// read-locked together (see [`ShardedWritable::range_keys`]), so
+    /// the answer describes one instant; nothing is copied, and only
+    /// writers to shards `0..=owner` wait on it.
     pub fn rank(&self, key: u64) -> usize {
-        self.snapshot().rank(key)
+        let topo = self.topo_guard();
+        let owner = topo.router.route_owner(key);
+        let mut rank = 0;
+        let mut s = 0;
+        read_locked(&topo.shards[..=owner], &mut |shard| {
+            rank += if s == owner {
+                shard.rank(key)
+            } else {
+                shard.len()
+            };
+            s += 1;
+        });
+        rank
     }
 
-    /// All keys in `[lo, hi)`, sorted (consistent snapshot scan).
+    /// All keys in `[lo, hi)`, sorted, read in place from the shards
+    /// that own the range: under the topology read guard, the owners of
+    /// `lo` and of `hi - 1` and every shard between them are read-locked
+    /// together, in ascending shard order, and their scans concatenated
+    /// (globally sorted by the ownership invariant). No snapshot is
+    /// taken and no buffer copied; only writers to those shards wait on
+    /// the scan. The answer describes one instant of the store.
     pub fn range_keys(&self, lo: u64, hi: u64) -> Vec<u64> {
-        self.snapshot().range_keys(lo, hi)
+        if hi <= lo {
+            return Vec::new();
+        }
+        let topo = self.topo_guard();
+        let first = topo.router.route_owner(lo);
+        let last = topo.router.route_owner(hi - 1);
+        let mut out = Vec::new();
+        read_locked(&topo.shards[first..=last], &mut |shard| {
+            let keys = shard.range_keys(lo, hi);
+            if out.is_empty() {
+                out = keys;
+            } else {
+                out.extend(keys);
+            }
+        });
+        out
     }
 
     /// Current shard count.
     pub fn shard_count(&self) -> usize {
-        self.read_topo().shards.len()
+        self.topo_guard().shards.len()
     }
 
     /// Current per-shard key counts (diagnostics and tests).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.read_topo().shards.iter().map(|s| s.len()).collect()
+        self.topo_guard().shards.iter().map(|s| s.len()).collect()
     }
 
     /// Current ownership boundary keys (one per shard beyond the
     /// first).
     pub fn bounds(&self) -> Vec<u64> {
-        self.read_topo().bounds.clone()
+        self.topo_guard().bounds.clone()
     }
 
     /// Topology generation: bumped on every published rebalance.
     pub fn generation(&self) -> u64 {
-        self.read_topo().generation
+        self.topo_guard().generation
     }
 
     /// The structure's observability bundle — shared (by `Arc` clone)
@@ -729,7 +771,7 @@ impl ShardedWritable {
     /// assert!(snap.render_text().contains("li_shard_len{shard=\"0\"}"));
     /// ```
     pub fn metrics(&self) -> MetricsSnapshot {
-        let guard = self.topo.read().unwrap_or_else(|e| e.into_inner());
+        let guard = self.topo_guard();
         let lens: Vec<u64> = guard.shards.iter().map(|s| s.len() as u64).collect();
         let runs: Vec<u64> = guard.shards.iter().map(|s| s.run_count() as u64).collect();
         let pending: Vec<u64> = guard.shards.iter().map(|s| s.pending() as u64).collect();
@@ -794,7 +836,7 @@ impl ShardedWritable {
     /// the structural ground truth the selection counters are checked
     /// against in the stress suite.
     pub fn hybrid_shards(&self) -> usize {
-        self.read_topo()
+        self.topo_guard()
             .shards
             .iter()
             .filter(|s| s.is_hybrid())
@@ -804,13 +846,13 @@ impl ShardedWritable {
     /// Sealed runs currently stacked across all shards, awaiting
     /// compaction.
     pub fn run_count(&self) -> usize {
-        self.read_topo().shards.iter().map(|s| s.run_count()).sum()
+        self.topo_guard().shards.iter().map(|s| s.run_count()).sum()
     }
 
     /// Keys held in sealed runs across all shards (between the mutable
     /// buffers and the learned bases).
     pub fn sealed_keys(&self) -> usize {
-        self.read_topo()
+        self.topo_guard()
             .shards
             .iter()
             .map(|s| s.sealed_keys())
@@ -819,27 +861,30 @@ impl ShardedWritable {
 
     /// Keys waiting in delta buffers across all shards.
     pub fn pending(&self) -> usize {
-        self.read_topo().shards.iter().map(|s| s.pending()).sum()
+        self.topo_guard().shards.iter().map(|s| s.pending()).sum()
     }
 
     /// Force a delta merge + retrain on every shard now.
     pub fn merge_all(&self) {
-        for shard in self.read_topo().shards.iter() {
+        for shard in self.topo_guard().shards.iter() {
             shard.merge();
         }
     }
 
-    /// A consistent point-in-time view: the router and one
-    /// [`DeltaSnapshot`] per shard, captured from a *single* topology
-    /// (the topology read lock is held across the capture, so a
-    /// concurrent rebalance can never hand this snapshot shards from
-    /// two generations). All reads on the returned snapshot are
-    /// lock-free.
+    /// A consistent view: the router and one [`DeltaSnapshot`] per
+    /// shard, captured from a *single* topology (the topology read lock
+    /// is held across the capture, so a concurrent rebalance can never
+    /// hand this snapshot shards from two generations). All reads on
+    /// the returned snapshot are lock-free. Each shard's view is one
+    /// instant of that shard, but the shards are captured one after
+    /// another, so a writer can land between two of them; the live
+    /// [`ShardedWritable::range_keys`] and [`ShardedWritable::rank`]
+    /// read one instant of every shard they span.
     pub fn snapshot(&self) -> ShardedSnapshot {
         // Hold the read guard (not just the Arc) across the capture:
         // it excludes a concurrent rebalance, so the shard views below
         // all come from the topology the router describes.
-        let topo = self.topo.read().unwrap_or_else(|e| e.into_inner());
+        let topo = self.topo_guard();
         let snaps: Vec<DeltaSnapshot> = topo.shards.iter().map(|s| s.snapshot()).collect();
         let mut prefix = Vec::with_capacity(snaps.len() + 1);
         let mut at = 0usize;
@@ -925,7 +970,8 @@ impl ShardedWritable {
 
         // Phase 1 — observe (read lock, released immediately).
         let t_observe = Instant::now();
-        let topo = self.read_topo();
+        // The Arc, not the guard: phase 3 takes the write lock.
+        let topo = Arc::clone(&self.topo_guard());
         let (lens, err_hot) = self.observe(&topo);
         self.obs.pass_observe_ns.record_since(t_observe);
         let t_plan = Instant::now();
@@ -1135,8 +1181,13 @@ impl ShardedWritable {
     // `into_inner` keeps readers and writers alive instead of turning
     // one panicking thread into a process-wide outage. (The `worker`
     // slot makes the same argument for its plain `Option` pointer.)
-    fn read_topo(&self) -> Arc<Topology> {
-        Arc::clone(&self.topo.read().unwrap_or_else(|e| e.into_inner()))
+    //
+    // Lock order: WAL mutex → topology → shards in ascending index.
+    // Nothing that holds a shard lock ever waits on the topology, and a
+    // thread holding this guard must never take it again: `std`'s
+    // RwLock queues new readers behind a waiting rebalance writer.
+    fn topo_guard(&self) -> RwLockReadGuard<'_, Arc<Topology>> {
+        self.topo.read().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Everything the persistence layer needs, captured under one read
@@ -1144,7 +1195,7 @@ impl ShardedWritable {
     /// bounds plus each shard's (snapshot, retrain config, merge
     /// threshold) triple.
     pub(crate) fn persist_parts(&self) -> (Vec<u64>, Vec<(DeltaSnapshot, RmiConfig, usize)>) {
-        let guard = self.topo.read().unwrap_or_else(|e| e.into_inner());
+        let guard = self.topo_guard();
         let states = guard.shards.iter().map(|s| s.persist_state()).collect();
         (guard.bounds.clone(), states)
     }
@@ -1407,6 +1458,21 @@ pub(crate) enum BackgroundStep {
     Raced,
     /// The policy proposes nothing: the topology is stable.
     Stable,
+}
+
+/// Call `visit` on each of `shards` in ascending order, taking each
+/// shard's read lock before its visit and releasing none until the last
+/// visit returns. Every guard is held at the moment the last one is
+/// taken, and no shard can change while its guard is held, so the
+/// visits together read one instant of all the shards: no writer lands
+/// between two of them. Recursion instead of a vector of guards keeps
+/// the read allocation-free; its depth is the shard count.
+fn read_locked(shards: &[Arc<WritableShard>], visit: &mut impl FnMut(&DeltaIndex)) {
+    if let Some((first, rest)) = shards.split_first() {
+        let guard = first.read_lock();
+        visit(&guard);
+        read_locked(rest, visit);
+    }
 }
 
 /// Keys in `now` but not in `then` — the writes that raced into a shard
@@ -1914,7 +1980,7 @@ mod tests {
         // mutation — exactly the state every real panic site leaves
         // behind (the only write under this lock is the final
         // fully-built `Arc` swap; see the poison-recovery note on
-        // `read_topo`).
+        // `topo_guard`).
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = sw.topo.write().unwrap();
             panic!("rebalancer dies mid-critical-section");

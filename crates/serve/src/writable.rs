@@ -3,10 +3,14 @@
 //!
 //! [`WritableShard`] wraps a [`DeltaIndex`] (Appendix D.1's
 //! buffer-and-retrain insert path) behind an `RwLock`. Writers take the
-//! write lock per insert; readers take the read lock only long enough
-//! to clone a [`DeltaSnapshot`] — an `Arc` bump for the trained base
-//! plus a copy of the (threshold-bounded) pending buffer — and then run
-//! as many queries as they like against it with **no** lock held.
+//! write lock per insert. Point reads (`contains`, `len`) answer under
+//! the read lock. The sharded store's live `rank` and `range_keys` also
+//! answer under it, in place: they hold the read locks of the shards
+//! they need for the length of one query and copy nothing. A reader
+//! that wants many queries against one frozen state clones a
+//! [`DeltaSnapshot`] instead — an `Arc` bump for the trained base plus
+//! a copy of the (threshold-bounded) pending buffer — and then runs
+//! them with **no** lock held.
 //!
 //! Merge+retrain inside the `DeltaIndex` is a whole-base swap (the base
 //! RMI lives behind an `Arc`), so a snapshot taken before a merge keeps
@@ -384,7 +388,11 @@ impl WritableShard {
     // panicking writer must not condemn every later reader and writer:
     // recover the guard with `into_inner` and keep serving.
 
-    fn read_lock(&self) -> std::sync::RwLockReadGuard<'_, DeltaIndex> {
+    /// The shard's read guard, for queries the sharded store answers in
+    /// place across several shards (its callers hold at most the
+    /// topology read guard and other shards' read guards, taken in
+    /// ascending shard order; see `ShardedWritable::range_keys`).
+    pub(crate) fn read_lock(&self) -> std::sync::RwLockReadGuard<'_, DeltaIndex> {
         self.inner.read().unwrap_or_else(|e| e.into_inner())
     }
 

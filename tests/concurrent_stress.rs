@@ -41,6 +41,15 @@
 //!    rebuild must *switch* a shard's backend family, and the final
 //!    topology must prove it structurally (a mix of RMI and
 //!    tree-family shards).
+//! 7. **Live scans and ranks** — `ShardedWritable::range_keys` and
+//!    `rank` read the owning shards in place under their read locks
+//!    (topology guard first, then shards in ascending order). The
+//!    readers of cases 3, 4 and 6 call them too, racing writers, splits,
+//!    merges, compactions and the worker's publishes: every scan must
+//!    come back sorted, unique and inside `[lo, hi)`, and the
+//!    worker-attached cases must finish (a lock-order cycle would hang
+//!    them). A two-shard case witnesses that one live scan reads one
+//!    instant of both shards.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,6 +64,36 @@ use learned_indexes::{KeyStore, RangeIndex};
 
 fn cfg() -> RmiConfig {
     RmiConfig::two_stage(TopModel::Linear, 64)
+}
+
+/// One round of live reads racing the storm: `rank(lo)`, then the scan
+/// of `[lo, hi)`, then `rank(hi)`. The scan must be strictly sorted
+/// (so unique), inside the window, and hold every initial key in it.
+/// Keys are only ever added, so counts taken in that order cannot
+/// shrink: `rank(lo) + scan.len() <= rank(hi)`.
+fn check_live_reads(sw: &ShardedWritable, initial: &[u64], lo: u64, hi: u64, t: usize) {
+    let rank_lo = sw.rank(lo);
+    let scan = sw.range_keys(lo, hi);
+    let rank_hi = sw.rank(hi);
+    assert!(
+        scan.windows(2).all(|w| w[0] < w[1]),
+        "t={t}: live scan unsorted or duplicated"
+    );
+    assert!(
+        scan.iter().all(|k| (lo..hi).contains(k)),
+        "t={t}: live scan outside [{lo}, {hi})"
+    );
+    for k in initial.iter().filter(|k| (lo..hi).contains(k)) {
+        assert!(
+            scan.binary_search(k).is_ok(),
+            "t={t}: live scan lost initial key {k}"
+        );
+    }
+    assert!(
+        rank_lo + scan.len() <= rank_hi,
+        "t={t}: rank({lo}) {rank_lo} + scan {} > rank({hi}) {rank_hi}",
+        scan.len()
+    );
 }
 
 #[test]
@@ -316,6 +355,8 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
                     assert!(scan.windows(2).all(|w| w[0] < w[1]), "t={t}: bad scan");
                     assert!(scan.iter().all(|&k| (1000..20_000).contains(&k)));
                     assert_eq!(scan.len(), snap.rank(20_000) - snap.rank(1000));
+                    // The same window read live, in place.
+                    check_live_reads(sw_ref, initial_ref, 1000, 20_000, t);
 
                     checked_ref.fetch_add(1, Ordering::Relaxed);
                     if finished {
@@ -365,6 +406,90 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
     assert!(dump.iter().eq(expect.iter()), "final contents diverged");
     // The generation trail accounts for every topology publication.
     assert_eq!(sw.generation(), (sw.splits() + sw.shard_merges()) as u64);
+}
+
+/// Case 7's witness that one live scan reads one instant of every shard
+/// it spans. A writer inserts `a_i` into shard 0 and then `b_i` into
+/// shard 1, for `i = 0, 1, 2, …`, so at any instant the `b`s present
+/// are a prefix no longer than the prefix of `a`s present. Readers scan
+/// both shards whole, live, meanwhile: a scan holding `b_i` without
+/// `a_i` read shard 1 at a later instant than shard 0. A
+/// per-shard-sequential scan (lock shard 0, read, unlock, lock shard 1,
+/// read) shows that tear here within a few scans, because reading shard
+/// 0's keys gives the writer time to land pairs in between. This is a
+/// witness, not a proof: the proof is the lock-order argument in
+/// ARCHITECTURE.md ("Snapshot-consistency invariants", invariant 4).
+#[test]
+fn live_scans_read_one_instant_of_every_shard_they_span() {
+    let per_shard = 40_000u64;
+    let pairs = 20_000u64;
+    let bound = 1u64 << 40;
+    let mut initial: Vec<u64> = (0..per_shard).map(|i| i * 4).collect();
+    initial.extend((0..per_shard).map(|i| bound + i * 4));
+    let config = ShardedWritableConfig {
+        merge_threshold: 256,
+        max_runs: 2,
+        check_interval: 0,
+        rebalance: RebalanceConfig {
+            max_shard_len: 1_000_000,
+            merge_max_len: 0,
+            max_mean_err: None,
+            max_shards: 8,
+        },
+        ..ShardedWritableConfig::default()
+    };
+    let sw = ShardedWritable::new(initial, 2, config);
+    assert_eq!(sw.bounds(), vec![bound], "a_i in shard 0, b_i in shard 1");
+    let a = |i: u64| i * 4 + 1;
+    let b = |i: u64| bound + i * 4 + 1;
+
+    let done = AtomicBool::new(false);
+    let scans = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let (sw, done, scans) = (&sw, &done, &scans);
+        for t in 0..2 {
+            scope.spawn(move || loop {
+                let finished = done.load(Ordering::Acquire);
+                let scan = sw.range_keys(0, u64::MAX);
+                let (mut na, mut nb) = (0u64, 0u64);
+                for &k in &scan {
+                    if k < bound && k % 4 == 1 {
+                        assert_eq!(k, a(na), "t={t}: a keys are not a prefix");
+                        na += 1;
+                    } else if k >= bound && (k - bound) % 4 == 1 {
+                        assert_eq!(k, b(nb), "t={t}: b keys are not a prefix");
+                        nb += 1;
+                    }
+                }
+                assert!(
+                    nb <= na,
+                    "t={t}: torn scan: holds b_{} but only {na} a keys",
+                    nb - 1
+                );
+                scans.fetch_add(1, Ordering::Relaxed);
+                if finished {
+                    break;
+                }
+            });
+        }
+        scope.spawn(move || {
+            for i in 0..pairs {
+                assert!(sw.insert(a(i)));
+                assert!(sw.insert(b(i)));
+            }
+            done.store(true, Ordering::Release);
+        });
+    });
+    assert!(
+        scans.load(Ordering::Relaxed) > 2,
+        "readers must have scanned"
+    );
+    assert_eq!(sw.len() as u64, 2 * (per_shard + pairs));
+    assert_eq!(
+        sw.splits() + sw.shard_merges(),
+        0,
+        "the two shards stayed put"
+    );
 }
 
 /// The writer-storm scenario for **background** rebalancing: with a
@@ -459,6 +584,10 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
                     for &k in initial_ref.iter().step_by(7) {
                         assert!(snap.contains(k), "t={t}: lost initial key {k}");
                     }
+
+                    // Live reads over several shards, racing the
+                    // worker's off-lock rebuilds and publishes.
+                    check_live_reads(sw_ref, initial_ref, 1000, 60_000, t);
 
                     checked_ref.fetch_add(1, Ordering::Relaxed);
                     if finished {
@@ -630,6 +759,10 @@ fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
                     let scan = snap.range_keys(5_000, 40_000);
                     assert!(scan.windows(2).all(|w| w[0] < w[1]), "t={t}: bad scan");
                     assert_eq!(scan.len(), snap.rank(40_000) - snap.rank(5_000));
+                    // Live, racing the worker's compaction installs;
+                    // the second window spans all four shards.
+                    check_live_reads(sw_ref, initial_ref, 5_000, 40_000, t);
+                    check_live_reads(sw_ref, initial_ref, 0, u64::MAX, t);
 
                     checked_ref.fetch_add(1, Ordering::Relaxed);
                     if finished {
@@ -924,6 +1057,8 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
                     let scan = snap.range_keys(1_000, 60_000);
                     assert!(scan.windows(2).all(|w| w[0] < w[1]), "t={t}: bad scan");
                     assert_eq!(scan.len(), snap.rank(60_000) - snap.rank(1_000));
+                    // Live, across shard 0's splits and re-selections.
+                    check_live_reads(sw_ref, initial_ref, 1_000, 60_000, t);
 
                     checked_ref.fetch_add(1, Ordering::Relaxed);
                     if finished {

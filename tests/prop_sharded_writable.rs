@@ -55,13 +55,15 @@ fn assert_oracle_equivalence(
     prop_assert_eq!(sw.len(), oracle.len());
     prop_assert_eq!(snap.len(), oracle.len());
 
-    // The full dump must be exactly the oracle's sorted contents.
+    // The full dump must be exactly the oracle's sorted contents, read
+    // from the snapshot and in place from the live shards.
     let dump = snap.range_keys(0, u64::MAX);
     let mut want: Vec<u64> = oracle.iter().copied().collect();
     let max_present = want.last() == Some(&u64::MAX);
     if max_present {
         want.pop(); // range_keys' hi bound is exclusive
     }
+    prop_assert_eq!(sw.range_keys(0, u64::MAX), want.clone());
     prop_assert_eq!(dump, want);
     prop_assert_eq!(snap.contains(u64::MAX), max_present);
 
@@ -79,8 +81,11 @@ fn assert_oracle_equivalence(
             "snap contains q={}",
             q
         );
-        prop_assert_eq!(snap.rank(q), oracle.range(..q).count(), "snap rank q={}", q);
+        let rank = oracle.range(..q).count();
+        prop_assert_eq!(sw.rank(q), rank, "live rank q={}", q);
+        prop_assert_eq!(snap.rank(q), rank, "snap rank q={}", q);
     }
+    assert_bound_windows(sw, &snap, oracle)?;
     assert_snapshot_internally_consistent(&snap)?;
     Ok(())
 }
@@ -129,6 +134,7 @@ fn apply_ops(
             }
             2 => {
                 prop_assert_eq!(sw.contains(a), oracle.contains(&a), "contains {}", a);
+                prop_assert_eq!(sw.rank(a), oracle.range(..a).count(), "rank {}", a);
             }
             _ => {
                 let (lo, hi) = (a.min(b), a.max(b));
@@ -257,10 +263,11 @@ proptest! {
 
 // ---- range_keys boundary semantics: live vs snapshot vs oracle ----
 
-/// One window checked on the live structure AND a snapshot against the
-/// oracle, including the degenerate shapes: `lo == hi` and `lo > hi`
-/// are empty (the bound is `[lo, hi)`, hi-exclusive), never a panic
-/// and never a wrapped-around scan.
+/// One window checked on the live structure (which reads the owning
+/// shards in place) AND a snapshot against the oracle, including the
+/// degenerate shapes: `lo == hi` and `lo > hi` are empty (the bound is
+/// `[lo, hi)`, hi-exclusive), never a panic and never a wrapped-around
+/// scan. The ranks of both ends are checked the same three ways.
 fn assert_window(
     sw: &ShardedWritable,
     snap: &ShardedSnapshot,
@@ -275,6 +282,43 @@ fn assert_window(
     };
     prop_assert_eq!(sw.range_keys(lo, hi), want.clone(), "live [{}, {})", lo, hi);
     prop_assert_eq!(snap.range_keys(lo, hi), want, "snap [{}, {})", lo, hi);
+    for q in [lo, hi] {
+        let rank = oracle.range(..q).count();
+        prop_assert_eq!(sw.rank(q), rank, "live rank {}", q);
+        prop_assert_eq!(snap.rank(q), rank, "snap rank {}", q);
+    }
+    Ok(())
+}
+
+/// Windows laid on a topology's actual ownership bounds: every
+/// `[bounds[i], bounds[j])` for `i <= j` (empty, exactly one shard,
+/// two shards, three and more, starting and ending exactly on a bound),
+/// the same windows widened by one key on each side, and a window
+/// strictly inside each shard.
+fn assert_bound_windows(
+    sw: &ShardedWritable,
+    snap: &ShardedSnapshot,
+    oracle: &BTreeSet<u64>,
+) -> Result<(), TestCaseError> {
+    let bounds = sw.bounds();
+    for (i, &b) in bounds.iter().enumerate() {
+        for &c in &bounds[i..] {
+            assert_window(sw, snap, oracle, b, c)?;
+            assert_window(sw, snap, oracle, b.saturating_sub(1), c.saturating_add(1))?;
+        }
+        assert_window(sw, snap, oracle, 0, b)?;
+        assert_window(sw, snap, oracle, b, u64::MAX)?;
+    }
+    let mut starts = vec![0u64];
+    starts.extend(&bounds);
+    for (s, &start) in starts.iter().enumerate() {
+        let end = bounds.get(s).copied().unwrap_or(u64::MAX);
+        let inside = (
+            start.saturating_add(1),
+            start.saturating_add(1 + (end - start) / 2),
+        );
+        assert_window(sw, snap, oracle, inside.0, inside.1)?;
+    }
     Ok(())
 }
 
@@ -304,6 +348,7 @@ proptest! {
                 assert_window(&sw, &snap, &oracle, 0, a)?;
                 assert_window(&sw, &snap, &oracle, a, u64::MAX)?;
             }
+            assert_bound_windows(&sw, &snap, &oracle)?;
         }
     }
 }
@@ -319,7 +364,7 @@ fn range_keys_straddling_live_shard_boundaries() {
     let sw = ShardedWritable::new(init.clone(), 5, aggressive_cfg());
     let mut oracle: BTreeSet<u64> = init.iter().copied().collect();
     let bounds = sw.bounds();
-    assert!(!bounds.is_empty(), "need a multi-shard topology");
+    assert!(bounds.len() >= 3, "need windows spanning three shards");
     // Make every boundary key present, twice (the duplicate is a no-op).
     for &b in &bounds {
         let newly = oracle.insert(b);
@@ -344,6 +389,8 @@ fn range_keys_straddling_live_shard_boundaries() {
             "hi must stay exclusive at the shard seam"
         );
     }
+    // Windows inside one shard and spanning two, three and four.
+    assert_bound_windows(&sw, &snap, &oracle).unwrap();
 }
 
 /// The top of the domain: `hi == u64::MAX` is still exclusive, so
@@ -424,6 +471,8 @@ fn one_big_batch_drives_splits_and_matches_the_oracle() {
     assert_oracle_equivalence(&sw, &oracle).unwrap();
 }
 
+/// An empty store is one empty shard: live scans and ranks over it, and
+/// the snapshot's, must match the empty oracle before any insert.
 #[test]
 fn empty_initial_keyset() {
     let sw = ShardedWritable::new(Vec::<u64>::new(), 4, aggressive_cfg());
