@@ -83,10 +83,11 @@ pub struct WalRecoveryRow {
     pub replays_per_sec: f64,
     /// Keys verified present after recovery (base + every logged key).
     pub verified: usize,
-    /// Models trained during recovery. The snapshot load trains zero;
-    /// replay goes through the normal routed insert path, so delta
-    /// merges train exactly as the live writes they reproduce did — at
-    /// small scales (below the merge threshold per shard) this is 0.
+    /// Models trained during recovery ([`li_serve::RecoveryReport`]'s
+    /// `trained`). The snapshot load trains zero; the replayed tail is
+    /// applied as one batch, so each shard whose buffer it overflows
+    /// retrains once (plus any rebalance the batch triggers) — at small
+    /// scales (below the merge threshold per shard) this is 0.
     pub trained: u64,
 }
 
@@ -176,7 +177,6 @@ fn run_recovery(base: &[u64], fresh: &[u64]) -> WalRecoveryRow {
     cold.save(&snap_path).expect("save snapshot");
     drop(cold);
 
-    let trained_before = li_core::train_count();
     let t0 = Instant::now();
     let (rec, report) = ShardedWritable::recover_with_config(
         &snap_path,
@@ -186,7 +186,6 @@ fn run_recovery(base: &[u64], fresh: &[u64]) -> WalRecoveryRow {
     )
     .expect("recover");
     let recover_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let trained = li_core::train_count() - trained_before;
 
     assert_eq!(rec.len(), expected, "recovery lost or invented keys");
     let mut verified = 0usize;
@@ -199,7 +198,7 @@ fn run_recovery(base: &[u64], fresh: &[u64]) -> WalRecoveryRow {
         recover_ms,
         replays_per_sec: report.replayed as f64 / (recover_ms / 1e3).max(1e-9),
         verified,
-        trained,
+        trained: report.trained,
     };
     let _ = std::fs::remove_file(&wal_path);
     let _ = std::fs::remove_file(&snap_path);
@@ -307,7 +306,7 @@ pub fn print(results: &(Vec<WalRow>, WalRecoveryRow), keys: usize) {
         rec.verified.to_string(),
         rec.trained.to_string(),
     ]);
-    t.note("recovery = load the snapshot (zero training) + scan the log + replay every record with lsn > snapshot lsn through the routed unlogged insert path");
+    t.note("recovery = load the snapshot (zero training) + scan the log + replay the keys of every record with lsn > snapshot lsn as one routed unlogged batch: each shard whose buffer it overflows retrains once, plus any rebalance it triggers");
     t.note("verified sweeps every base and every logged key through contains() on the recovered structure");
     t.print();
     println!();

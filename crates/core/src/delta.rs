@@ -290,6 +290,10 @@ impl DeltaIndex {
         } else {
             self.seal();
         }
+        // A batch can overfill the buffer far past the threshold (a
+        // recovery replays its whole WAL tail as one); keep only the
+        // capacity the next fill needs.
+        self.delta.shrink_to(self.merge_threshold);
     }
 
     /// Whether `key` exists in any tier. Probes the small sorted buffer

@@ -57,6 +57,7 @@ use std::time::{Duration, Instant};
 
 use crate::rebalance::RebalanceAction;
 use crate::sharded_writable::{BackgroundStep, ShardedWritable};
+use crate::writable::WritableShard;
 
 /// Wake-channel message from inserters (or the handle) to the worker.
 enum Wake {
@@ -533,7 +534,7 @@ fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, sta
         // compact while we are attached (they only signal); the folds
         // land in the structure's metrics registry, which the handle's
         // accessors read back.
-        let _ = sw.compact_pending();
+        let _ = sw.compact_pending(WritableShard::needs_compaction);
         // Run steps until the topology is stable. The per-round budget
         // is the same backstop as the inline loop; a round that
         // exhausts it with work remaining (a giant backlog, or a storm

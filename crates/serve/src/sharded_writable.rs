@@ -370,8 +370,7 @@ impl ShardedWritable {
         Ok(self.insert_unlogged(key))
     }
 
-    /// The WAL-free insert body shared by every write path (and used
-    /// directly by recovery replay, which must not re-log records).
+    /// The WAL-free insert body shared by the scalar write paths.
     fn insert_unlogged(&self, key: u64) -> bool {
         let obs = {
             // The read *guard* (not just the topology Arc) must live
@@ -564,24 +563,26 @@ impl ShardedWritable {
             return;
         }
         if compaction_due {
-            self.compact_pending();
+            self.compact_pending(WritableShard::needs_compaction);
         }
         if owner_hot || periodic {
             self.rebalance();
         }
     }
 
-    /// Compact every shard whose run stack is at its tiering bound:
-    /// each one's base is retrained ONCE over base + runs with no
-    /// topology lock held (only the shard's own brief read/write locks
-    /// — see [`WritableShard::compact`]), so concurrent inserts and
+    /// Compact every shard `due` selects that has sealed runs: each
+    /// one's base is retrained ONCE over base + runs with no topology
+    /// lock held (only the shard's own brief read/write locks — see
+    /// [`WritableShard::compact`]), so concurrent inserts and
     /// snapshots keep flowing. Returns `(shards compacted, runs
-    /// folded)`. This is the single compaction entry point for both
-    /// modes — the attached [`crate::RebalanceWorker`] calls it on its
-    /// passes, the insert path calls it inline when no worker is
-    /// attached — so the global [`ShardedWritable::compactions`]
-    /// counter accounts every compaction exactly once.
-    pub(crate) fn compact_pending(&self) -> (usize, usize) {
+    /// folded)`. This is the single compaction entry point — the
+    /// attached [`crate::RebalanceWorker`] and the inline insert path
+    /// pass [`WritableShard::needs_compaction`] (run stack at its
+    /// tiering bound), recovery passes the shards its replay sealed —
+    /// so the global [`ShardedWritable::compactions`] counter and
+    /// `Backend::Auto` re-selection account every compaction exactly
+    /// once.
+    pub(crate) fn compact_pending(&self, due: impl Fn(&WritableShard) -> bool) -> (usize, usize) {
         // The Arc (not the guard) suffices: compaction never touches
         // the topology, and a shard orphaned by a concurrent rebalance
         // is merely wasted work, never lost keys. Holding the guard
@@ -590,7 +591,7 @@ impl ShardedWritable {
         let mut compacted = 0usize;
         let mut folded = 0usize;
         for shard in topo.shards.iter() {
-            if shard.needs_compaction() {
+            if due(shard) {
                 // Under Backend::Auto a compaction is also a
                 // re-decision point: the fold retrains the base anyway,
                 // so the selector gets to change the shard's backend
@@ -1360,12 +1361,20 @@ impl ShardedWritable {
     /// 2. **Scan the WAL** at `wal_path`: decode records up to the
     ///    first torn or checksum-failing one and truncate the invalid
     ///    tail (a missing file scans as an empty log).
-    /// 3. **Replay** every record with `lsn > snapshot_lsn` through
-    ///    the normal routed insert path (unlogged — replay must not
-    ///    re-append). Inserts are idempotent, so records the snapshot
-    ///    already covers (impossible by the LSN bound) or a previous
-    ///    half-finished recovery already applied (possible — replay
-    ///    mutates only memory) are harmless duplicates.
+    /// 3. **Replay** the keys of every record with `lsn > snapshot_lsn`
+    ///    as ONE unlogged batch (replay must not re-append) through the
+    ///    routed per-shard batch path: one `insert_batch` per owner
+    ///    shard, so each shard seals or merges at most once. Then every
+    ///    shard whose replayed keys overflowed its buffer — it sealed
+    ///    during replay — folds its whole run stack into its base with
+    ///    one retrain through the ordinary compaction entry point. No
+    ///    shard folds twice; a shard that got less than a buffer keeps
+    ///    the keys buffered and trains nothing. The log holds only
+    ///    inserts, so replay is a set union: batching cannot change the
+    ///    result, and records the snapshot already covers (impossible
+    ///    by the LSN bound) or a previous half-finished recovery
+    ///    already applied (possible — replay mutates only memory) are
+    ///    harmless duplicates.
     /// 4. **Re-attach** the WAL for appending, positioned after the
     ///    valid prefix, with LSNs continuing from the last valid one.
     ///
@@ -1380,6 +1389,7 @@ impl ShardedWritable {
         policy: WalSyncPolicy,
         config: ShardedWritableConfig,
     ) -> Result<(Self, RecoveryReport), PersistError> {
+        let trains = li_core::train_count();
         let snapshot_path = snapshot_path.as_ref();
         let (sw, snapshot_lsn, snapshot_loaded) = if snapshot_path.exists() {
             let (sw, lsn) = Self::load_with_lsn(snapshot_path)?;
@@ -1389,25 +1399,29 @@ impl ShardedWritable {
             (Self::new(Vec::new(), 1, config), 0, false)
         };
 
-        let found = wal::scan(wal_path.as_ref())?;
+        let mut found = wal::scan(wal_path.as_ref())?;
         let truncated_bytes = found.torn_bytes();
+        let mut keys = Vec::new();
         let mut replayed = 0usize;
         let mut skipped = 0usize;
-        for record in &found.records {
+        for record in std::mem::take(&mut found.records) {
             if record.lsn <= snapshot_lsn {
                 skipped += 1;
                 continue;
             }
-            match &record.op {
-                WalOp::Insert(key) => {
-                    sw.insert_unlogged(*key);
-                }
-                WalOp::InsertBatch(keys) => {
-                    sw.insert_batch_unlogged(keys);
-                }
+            match record.op {
+                WalOp::Insert(key) => keys.push(key),
+                WalOp::InsertBatch(batch) => keys.extend(batch),
             }
             replayed += 1;
         }
+        sw.insert_batch_unlogged(&keys);
+        // A loaded or freshly built shard starts with a seal count of
+        // 0, so a non-zero count marks exactly the shards whose
+        // replayed keys overflowed the buffer. Those the batch path
+        // already compacted (stack at `max_runs`) have no runs left and
+        // are skipped.
+        sw.compact_pending(|shard| shard.seals() > 0);
 
         let mut wal = Wal::open_after_recovery(wal_path.as_ref(), policy, &found, snapshot_lsn)?;
         wal.set_obs(Arc::clone(&sw.obs));
@@ -1421,6 +1435,7 @@ impl ShardedWritable {
             skipped,
             truncated_bytes,
             last_lsn: found.last_lsn.max(snapshot_lsn),
+            trained: li_core::train_count() - trains,
         };
         *sw.wal.lock().unwrap_or_else(|e| e.into_inner()) = Some(wal);
         sw.durable.store(true, Ordering::Release);
@@ -1445,6 +1460,13 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// The LSN the re-attached log continues from.
     pub last_lsn: u64,
+    /// Base models the recovery trained ([`li_core::train_count`]
+    /// across it — exact, because recovery runs on the caller's
+    /// thread). 0 when a snapshot loaded and every shard's replayed
+    /// keys fit in its buffer; otherwise the retrains of the shards
+    /// that merged or folded, of any rebalance the replayed keys
+    /// triggered, and a first boot's empty base.
+    pub trained: u64,
 }
 
 /// Outcome of one [`ShardedWritable::rebalance_step_background`] call.

@@ -73,8 +73,11 @@ const MIN_PAYLOAD: usize = 9;
 /// gets a chance to reject it.
 const MAX_PAYLOAD: usize = 64 << 20;
 
-/// FNV-1a (64-bit) — the same integrity check the snapshot header
-/// uses: tiny, dependency-free, catches truncation and bit-rot.
+/// FNV-1a (64-bit): tiny, dependency-free, catches truncation and
+/// bit-rot. The record checksum stays FNV-1a although snapshots moved
+/// to XXH64 in format v4: a log written by an earlier build must still
+/// scan, or an upgrade would drop its acknowledged tail. (v3 snapshots
+/// are checked with it too.)
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

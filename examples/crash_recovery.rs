@@ -116,16 +116,23 @@ fn verify_recovery(
     )
     .expect("recover");
     println!(
-        "recovered in {:.1} ms: snapshot(lsn={}) + {} replayed records ({} torn bytes truncated)",
+        "recovered in {:.1} ms: snapshot(lsn={}) + {} replayed records ({} torn bytes truncated, {} models trained)",
         t0.elapsed().as_secs_f64() * 1e3,
         report.snapshot_lsn,
         report.replayed,
         report.truncated_bytes,
+        report.trained,
     );
     assert!(report.snapshot_loaded, "the child saved a snapshot");
     assert_eq!(
         report.skipped, 0,
         "the checkpoint truncation left covered records in the log"
+    );
+    // Each shard's buffer holds its share of both bursts (about 250
+    // keys of 1 024), so the replay seals nothing and trains nothing.
+    assert_eq!(
+        report.trained, 0,
+        "a tail under one buffer per shard must not train"
     );
 
     let expected: BTreeSet<u64> = base

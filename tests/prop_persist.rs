@@ -423,16 +423,81 @@ fn mixed_backend_topologies_round_trip_backend_for_backend() {
     }
 }
 
-/// FNV-1a (64-bit), bit-identical to the snapshot format's checksum —
-/// used below to re-seal a file after a *semantic* corruption, so the
-/// load failure proves the typed validation path, not the checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// XXH64 (seed 0), the format-v4 snapshot checksum — this suite's own
+/// copy, pinned by the published vectors in
+/// `xxh64_copy_matches_the_published_vectors`. Used below to re-seal a
+/// file after a *semantic* corruption, so the load failure proves the
+/// typed validation path, not the checksum.
+fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    let round = |acc: u64, lane: u64| {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
+    };
+    let le64 = |b: &[u8]| u64::from_le_bytes(b[..8].try_into().unwrap());
+    let mut rest = bytes;
+    let mut h = if bytes.len() >= 32 {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        while rest.len() >= 32 {
+            for (i, acc) in v.iter_mut().enumerate() {
+                *acc = round(*acc, le64(&rest[8 * i..]));
+            }
+            rest = &rest[32..];
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for acc in v {
+            h = (h ^ round(0, acc)).wrapping_mul(P1).wrapping_add(P4);
+        }
+        h
+    } else {
+        P5
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    while rest.len() >= 8 {
+        h = (h ^ round(0, le64(rest)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+        rest = &rest[8..];
     }
-    h
+    if rest.len() >= 4 {
+        let word = u32::from_le_bytes(rest[..4].try_into().unwrap());
+        h = (h ^ u64::from(word).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = &rest[4..];
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
+}
+
+#[test]
+fn xxh64_copy_matches_the_published_vectors() {
+    assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+    assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+    assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+    assert_eq!(
+        xxh64(b"Nobody inspects the spammish repetition"),
+        0xFBCE_A83C_8A37_8BF1
+    );
 }
 
 /// A corrupted backend-tag byte — re-sealed with valid checksums so it
@@ -461,9 +526,9 @@ fn corrupt_backend_tag_is_a_typed_format_error() {
 
     // Re-seal: manifest checksum (header bytes 40..48), then the
     // header checksum over bytes 0..56 (bytes 56..64).
-    let manifest_sum = fnv1a(&bytes[keys_end..]);
+    let manifest_sum = xxh64(&bytes[keys_end..]);
     bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
-    let header_sum = fnv1a(&bytes[0..56]);
+    let header_sum = xxh64(&bytes[0..56]);
     bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
@@ -473,5 +538,103 @@ fn corrupt_backend_tag_is_a_typed_format_error() {
         }
         Err(e) => panic!("expected a Format error, got {e}"),
         Ok(_) => panic!("a corrupt backend tag must not load"),
+    }
+}
+
+/// The store behind `tests/fixtures/snapshot_v3_tiered.lidx`: three
+/// shards over 3 000 base keys, 16-key buffers, `max_runs` 4, and 120
+/// inserts (40 per shard: two sealed runs and 8 pending keys each).
+/// The fixture was written once by this function's store with a WAL
+/// attached before the inserts (so its snapshot LSN is 120) and then
+/// `save`d, built at commit 13e7744 — the last commit that wrote format
+/// v3, whose checksums are FNV-1a.
+fn v3_fixture_store() -> ShardedWritable {
+    let cfg = ShardedWritableConfig {
+        merge_threshold: 16,
+        leaf_fraction: 1.0 / 8.0,
+        check_interval: 0,
+        max_runs: 4,
+        rebalance: RebalanceConfig {
+            max_shard_len: 1 << 20,
+            merge_max_len: 64,
+            max_mean_err: None,
+            max_shards: 12,
+        },
+        ..ShardedWritableConfig::default()
+    };
+    let sw = ShardedWritable::new((0..3000u64).map(|i| i * 4).collect::<Vec<_>>(), 3, cfg);
+    for i in 0..120u64 {
+        assert!(sw.insert(i * 100 + 1));
+    }
+    sw
+}
+
+/// A store checkpointed in format v3 still loads — tier for tier and key
+/// for key, training nothing — and recovers from its LSN watermark; a
+/// save from it writes v4. The same file stamped v2 or v5 is refused as
+/// `Unsupported`.
+#[test]
+fn v3_snapshots_load_and_older_versions_are_refused() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("snapshot_v3_tiered.lidx");
+    let bytes = std::fs::read(&fixture).unwrap();
+    let version = |b: &[u8]| u32::from_le_bytes(b[8..12].try_into().unwrap());
+    assert_eq!(version(&bytes), 3, "the fixture is a format-v3 file");
+    let want = v3_fixture_store();
+
+    let before = train_count();
+    let loaded = ShardedWritable::load(&fixture).unwrap();
+    assert_eq!(train_count(), before, "a v3 load must not train");
+    assert_eq!(loaded.bounds(), want.bounds());
+    assert_eq!(loaded.run_count(), 6);
+    assert_eq!(
+        (loaded.run_count(), loaded.sealed_keys(), loaded.pending()),
+        (want.run_count(), want.sealed_keys(), want.pending())
+    );
+    assert_eq!(loaded.range_keys(0, u64::MAX), want.range_keys(0, u64::MAX));
+    for q in 0..12_100u64 {
+        assert_eq!(loaded.contains(q), want.contains(q), "q={q}");
+        assert_eq!(loaded.rank(q), want.rank(q), "q={q}");
+    }
+
+    let wal = tmp_path("v3-wal");
+    let _wal_guard = Cleanup(wal.clone());
+    let (rec, report) = ShardedWritable::recover_with_config(
+        &fixture,
+        &wal,
+        learned_indexes::serve::WalSyncPolicy::PerRecord,
+        ShardedWritableConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_lsn, 120);
+    assert_eq!(report.trained, 0);
+    assert_eq!(rec.len(), want.len());
+
+    let resaved = tmp_path("v3-resaved");
+    let _resaved_guard = Cleanup(resaved.clone());
+    loaded.save(&resaved).unwrap();
+    assert_eq!(version(&std::fs::read(&resaved).unwrap()), 4);
+    let reloaded = ShardedWritable::load(&resaved).unwrap();
+    assert_eq!(
+        reloaded.range_keys(0, u64::MAX),
+        want.range_keys(0, u64::MAX)
+    );
+    assert_eq!(reloaded.run_count(), 6);
+
+    let stamped = tmp_path("v3-stamped");
+    let _stamped_guard = Cleanup(stamped.clone());
+    for v in [2u32, 5] {
+        let mut b = bytes.clone();
+        b[8..12].copy_from_slice(&v.to_le_bytes());
+        std::fs::write(&stamped, &b).unwrap();
+        match ShardedWritable::load(&stamped) {
+            Err(PersistError::Unsupported(msg)) => {
+                assert!(msg.contains(&format!("version {v}")), "{msg}")
+            }
+            Err(e) => panic!("version {v}: expected Unsupported, got {e}"),
+            Ok(_) => panic!("version {v} must not load"),
+        }
     }
 }

@@ -4,8 +4,10 @@
 //! prefix of appended records up to the damage (BTreeSet oracle
 //! equivalence), never a gap, never a partial record, never a panic.
 //! Recovery loads the snapshot without training a single model
-//! (`train_count` flat) and is idempotent: recovering twice from the
-//! same files produces the same state and the same report.
+//! (`train_count` flat), trains only to fold the shards whose buffers
+//! the replayed tail overflowed — each once — and is idempotent:
+//! recovering twice from the same files produces the same state and
+//! the same report.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -14,7 +16,7 @@ use std::path::PathBuf;
 use learned_indexes::rmi::train_count;
 use learned_indexes::serve::wal::{self, Wal, WalOp};
 use learned_indexes::serve::{
-    RebalanceConfig, ShardedWritable, ShardedWritableConfig, WalSyncPolicy,
+    RebalanceConfig, ShardedSnapshot, ShardedWritable, ShardedWritableConfig, WalSyncPolicy,
 };
 use proptest::prelude::*;
 
@@ -100,6 +102,17 @@ fn roomy_cfg() -> ShardedWritableConfig {
     }
 }
 
+/// A tiered configuration whose 8-key buffers the replayed tails below
+/// overflow, so recovery seals and folds. Rebalancing stays off, so
+/// shard `i` of the snapshot is shard `i` of the recovered store.
+fn tiered_cfg() -> ShardedWritableConfig {
+    ShardedWritableConfig {
+        merge_threshold: 8,
+        max_runs: 2,
+        ..roomy_cfg()
+    }
+}
+
 /// Append `ops` to a fresh WAL at `path`, returning the byte offset of
 /// each record's end — the crash-injection cut points.
 fn write_log(path: &PathBuf, ops: &[Op]) -> Vec<u64> {
@@ -113,6 +126,61 @@ fn write_log(path: &PathBuf, ops: &[Op]) -> Vec<u64> {
         ends.push(wal.position());
     }
     ends
+}
+
+/// The replay-fold rule, shard by shard against what the snapshot
+/// saved (`saved`, holding the keys `at_save`): a shard whose buffer
+/// the replayed keys (`now` minus `at_save`) overflowed has folded its
+/// whole run stack into its base, and every other shard kept its saved
+/// runs and buffers the keys. No shard folds twice: the store counts
+/// exactly one compaction per overflowing shard. Returns that number.
+fn check_fold_rule(
+    rec: &ShardedWritable,
+    saved: &ShardedSnapshot,
+    at_save: &BTreeSet<u64>,
+    now: &BTreeSet<u64>,
+    buffer: usize,
+) -> Result<usize, String> {
+    let bounds = rec.bounds();
+    let mut replayed = vec![0usize; bounds.len() + 1];
+    for &key in now.difference(at_save) {
+        replayed[bounds.partition_point(|&b| b <= key)] += 1;
+    }
+    let recovered = rec.snapshot();
+    if recovered.shard_snapshots().len() != saved.shard_snapshots().len() {
+        return Err("recovery changed the shard count".into());
+    }
+    let mut overflowed = 0;
+    for (i, (shard, was)) in recovered
+        .shard_snapshots()
+        .iter()
+        .zip(saved.shard_snapshots())
+        .enumerate()
+    {
+        let buffered = was.delta_keys().len() + replayed[i];
+        if buffered >= buffer {
+            overflowed += 1;
+            if !shard.runs().is_empty() {
+                return Err(format!(
+                    "shard {i} overflowed but kept {} runs",
+                    shard.runs().len()
+                ));
+            }
+        } else if shard.runs().len() != was.runs().len() || shard.delta_keys().len() != buffered {
+            return Err(format!(
+                "shard {i} fit its {} replayed keys but changed tiers",
+                replayed[i]
+            ));
+        }
+    }
+    if rec.compactions() != overflowed || rec.compactions() > rec.shard_count() {
+        return Err(format!(
+            "{} compactions for {overflowed} overflowing shards of {}",
+            rec.compactions(),
+            rec.shard_count()
+        ));
+    }
+    Ok(overflowed)
 }
 
 /// Number of ops whose record ends at or before byte `cut`.
@@ -199,14 +267,17 @@ proptest! {
     /// durable writes → crash (truncate the log copy at the cut) →
     /// recover. The recovered structure must equal snapshot state plus
     /// exactly the replayed record prefix; the report must account for
-    /// every record and byte; the snapshot load and replay must not
-    /// train a single model.
+    /// every record and byte. Under the roomy configuration the
+    /// snapshot load and replay must not train a single model; under
+    /// the tiered one the tails overflow buffers, and every shard must
+    /// obey the replay-fold rule (`check_fold_rule`).
     #[test]
     fn recovery_replays_the_exact_durable_prefix(
         initial in prop::collection::vec(any::<u64>(), 1..100),
         raw_before in raw_ops(0..6),
         raw_after in raw_ops(1..10),
         shards in 1usize..4,
+        tiered in any::<bool>(),
     ) {
         let before_save = decode_ops(raw_before);
         let after_save = decode_ops(raw_after);
@@ -215,10 +286,11 @@ proptest! {
         let crash_wal = tmp_path("e2e-crash");
         let _guard = Cleanup(vec![snap.clone(), live_wal.clone(), crash_wal.clone()]);
 
+        let cfg = if tiered { tiered_cfg() } else { roomy_cfg() };
         let mut data: Vec<u64> = initial;
         data.sort_unstable();
         data.dedup();
-        let sw = ShardedWritable::new(data.clone(), shards, roomy_cfg());
+        let sw = ShardedWritable::new(data.clone(), shards, cfg.clone());
         sw.enable_wal(&live_wal, WalSyncPolicy::PerRecord)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
 
@@ -238,6 +310,7 @@ proptest! {
         }
         sw.save(&snap).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let snapshot_lsn = sw.wal_last_lsn();
+        let saved = sw.snapshot();
 
         // Phase B: acknowledged-durable writes the snapshot does NOT
         // cover — only the WAL stands between them and the crash.
@@ -267,12 +340,16 @@ proptest! {
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
             let trains = train_count();
             let (rec, report) = ShardedWritable::recover_with_config(
-                &snap, &crash_wal, WalSyncPolicy::PerRecord, roomy_cfg(),
+                &snap, &crash_wal, WalSyncPolicy::PerRecord, cfg.clone(),
             ).map_err(|e| TestCaseError::fail(e.to_string()))?;
-            prop_assert_eq!(train_count(), trains, "recovery trained at cut={}", cut);
+            prop_assert_eq!(train_count() - trains, report.trained, "cut={}", cut);
+            prop_assert!(tiered || report.trained == 0, "recovery trained at cut={}", cut);
 
             let k = prefix_len(&ends, cut);
             let want = &prefix_oracles[k];
+            let overflowed = check_fold_rule(&rec, &saved, &prefix_oracles[0], want, cfg.merge_threshold)
+                .map_err(|m| TestCaseError::fail(format!("{m} at cut={cut}")))?;
+            prop_assert_eq!(report.trained, overflowed as u64, "one retrain per fold, cut={}", cut);
             prop_assert_eq!(rec.len(), want.len(), "cut={}", cut);
             for &key in want {
                 prop_assert!(rec.contains(key), "lost key {} at cut={}", key, cut);
@@ -292,22 +369,25 @@ proptest! {
     /// in-memory result is dropped) changes nothing on disk that a
     /// second recovery would miss — same keys, same report, and the
     /// second scan sees zero torn bytes (the first already truncated
-    /// the tail).
+    /// the tail). Under the tiered configuration the replay also seals
+    /// and folds, and must still land on the same state.
     #[test]
     fn recovering_twice_from_the_same_files_is_identical(
         initial in prop::collection::vec(any::<u64>(), 1..60),
         raw in raw_ops(1..10),
         torn_tail in prop::collection::vec(any::<u8>(), 0..20),
+        tiered in any::<bool>(),
     ) {
         let ops = decode_ops(raw);
         let snap = tmp_path("twice-snap");
         let wal_path = tmp_path("twice-wal");
         let _guard = Cleanup(vec![snap.clone(), wal_path.clone()]);
 
+        let cfg = if tiered { tiered_cfg() } else { roomy_cfg() };
         let mut data: Vec<u64> = initial;
         data.sort_unstable();
         data.dedup();
-        let sw = ShardedWritable::new(data, 2, roomy_cfg());
+        let sw = ShardedWritable::new(data, 2, cfg.clone());
         sw.save(&snap).map_err(|e| TestCaseError::fail(e.to_string()))?;
         sw.enable_wal(&wal_path, WalSyncPolicy::EveryN(4))
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
@@ -328,16 +408,17 @@ proptest! {
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
 
         let (first, report1) = ShardedWritable::recover_with_config(
-            &snap, &wal_path, WalSyncPolicy::EveryN(4), roomy_cfg(),
+            &snap, &wal_path, WalSyncPolicy::EveryN(4), cfg.clone(),
         ).map_err(|e| TestCaseError::fail(e.to_string()))?;
         let keys1 = first.range_keys(0, u64::MAX);
         drop(first); // recovery itself crashes before serving
 
         let (second, report2) = ShardedWritable::recover_with_config(
-            &snap, &wal_path, WalSyncPolicy::EveryN(4), roomy_cfg(),
+            &snap, &wal_path, WalSyncPolicy::EveryN(4), cfg,
         ).map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(second.range_keys(0, u64::MAX), keys1);
         prop_assert_eq!(report2.replayed, report1.replayed);
+        prop_assert_eq!(report2.trained, report1.trained);
         prop_assert_eq!(report2.last_lsn, report1.last_lsn);
         prop_assert_eq!(
             report2.truncated_bytes, 0,
