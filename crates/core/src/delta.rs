@@ -11,15 +11,29 @@
 //! full buffer is merged into the base with a retrain — the paper's D.1
 //! design verbatim. In **tiered** mode ([`DeltaIndex::with_tiering`]),
 //! a full buffer is instead *sealed* into an immutable [`SortedRun`]
-//! with its own O(run) linear mini-model, and the stack of runs is only
-//! folded into the base — ONE retrain for many sealed buffers — by an
-//! explicit [`DeltaIndex::compact`] call, which the serving layer
-//! schedules on its background `RebalanceWorker`. That breaks the
-//! merge-threshold / retrain-cost tradeoff the same way LSM-trees do:
-//! the hot insert path never pays a base retrain.
+//! with its own fence index (O(buffer), nothing trained), and the index
+//! never shrinks its run stack on its own: once `max_runs` runs have
+//! stacked up its owner maintains it, in one of two ways.
 //!
-//! The base RMI and every sealed run live behind `Arc`s, so both merges
-//! and compactions are *whole-tier swaps*: readers holding a
+//! * **Run merge** ([`DeltaSnapshot::merge_runs`] +
+//!   [`DeltaIndex::install_merged_runs`]): the runs become one longer
+//!   run — a splice-merge and a fence copy, O(run tier), no retrain.
+//! * **Fold** ([`DeltaIndex::compact`], or off-lock via
+//!   [`DeltaSnapshot::train_compacted`] +
+//!   [`DeltaIndex::install_compacted`]): the runs go into the base with
+//!   ONE retrain, O(base).
+//!
+//! A fold rewrites the whole base, so it waits until the run tier holds
+//! at least 1/[`RUN_TIER_RATIO`] of the base's keys
+//! ([`DeltaIndex::fold_due`]); until then full stacks are merged. The
+//! run *count* stays bounded by `max_runs`; only run *size* grows, up to
+//! a sixteenth of the base. That breaks the merge-threshold /
+//! retrain-cost tradeoff the way LSM-trees do: the insert path never
+//! pays a base retrain, and the base is rebuilt once per
+//! `base / RUN_TIER_RATIO` inserts instead of once per stack.
+//!
+//! The base RMI and every sealed run live behind `Arc`s, so merges,
+//! run merges and folds are all *whole-tier swaps*: readers holding a
 //! [`DeltaSnapshot`] keep the old trained model, runs and zero-copy
 //! [`KeyStore`] alive for as long as they need them, which is what makes
 //! the `li-serve` write path's snapshot-consistent concurrent reads
@@ -27,10 +41,19 @@
 
 use std::sync::Arc;
 
-use crate::merge::{splice_merge_arc, splice_merge_vec};
-use crate::rmi::{Rmi, RmiConfig};
+use crate::merge::{count_past, splice_merge_arc, splice_merge_vec};
+use crate::rmi::{Rmi, RmiConfig, RmiParams};
 use crate::run::SortedRun;
 use li_index::{KeyStore, RangeIndex};
+
+/// How many base keys one run key may stand for before a full run stack
+/// is folded into the base: a fold is due once `sealed_keys ×
+/// RUN_TIER_RATIO ≥ base keys`, and a full stack short of that is
+/// merged into one run instead. A fold costs O(base) (rewrite + retrain)
+/// and a run merge O(run tier), so the base is rebuilt once per
+/// `base / RUN_TIER_RATIO` inserts; the price is run probes over runs
+/// up to a sixteenth of the base.
+pub const RUN_TIER_RATIO: usize = 16;
 
 /// The base's keys, then every run's (oldest first), then `delta`: the
 /// tiers as the merge primitive takes them.
@@ -54,10 +77,7 @@ fn merged_store(base: &[u64], runs: &[Arc<SortedRun>], delta: &[u64]) -> KeyStor
     // probe checks upper tiers first — see `DeltaIndex::insert`); any
     // overlap would double-count in `len`/`rank` and show up here as an
     // equal adjacent pair.
-    debug_assert!(
-        merged.windows(2).all(|w| w[0] < w[1]),
-        "tiers must be mutually disjoint"
-    );
+    debug_assert!(increasing(&merged), "tiers must be mutually disjoint");
     merged.into()
 }
 
@@ -91,6 +111,7 @@ pub struct DeltaIndex {
     merges: usize,
     seals: usize,
     compactions: usize,
+    run_merges: usize,
     base_probes: u64,
 }
 
@@ -119,6 +140,7 @@ impl DeltaIndex {
             merges: 0,
             seals: 0,
             compactions: 0,
+            run_merges: 0,
             base_probes: 0,
         }
     }
@@ -127,9 +149,11 @@ impl DeltaIndex {
     /// buffer is sealed into an immutable [`SortedRun`] (O(buffer), no
     /// base retrain) instead of merged, and once `max_runs` runs have
     /// stacked up [`DeltaIndex::needs_compaction`] turns true so the
-    /// owner can fold them into the base with ONE retrain — inline via
-    /// [`DeltaIndex::compact`], or off-thread the way `li-serve`'s
-    /// background worker does.
+    /// owner can shrink the stack: fold it into the base with ONE
+    /// retrain ([`DeltaIndex::compact`]) when [`DeltaIndex::fold_due`],
+    /// otherwise merge it into one run
+    /// ([`DeltaIndex::install_merged_runs`]) — inline, or off-thread the
+    /// way `li-serve`'s background worker does.
     ///
     /// `max_runs == 0` keeps the classic untiered merge-at-threshold
     /// behavior. The index itself never compacts on its own in tiered
@@ -166,7 +190,7 @@ impl DeltaIndex {
     ///
     /// The duplicate check fans across the tiers newest-first: the
     /// O(log pending) sorted-buffer probe runs first and short-circuits,
-    /// then the sealed runs (newest first, mini-model windows), and the
+    /// then the sealed runs (newest first, fenced windows), and the
     /// full learned lookup against the base only runs when everything
     /// above missed. The buffer probe doubles as the insertion position,
     /// so bulk loads do one buffer search per insert, not two. The
@@ -346,6 +370,11 @@ impl DeltaIndex {
         self.compactions
     }
 
+    /// How many run stacks have been merged into one run (no retrain).
+    pub fn run_merges(&self) -> usize {
+        self.run_merges
+    }
+
     /// Sealed runs currently stacked between the buffer and the base.
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -362,9 +391,36 @@ impl DeltaIndex {
     }
 
     /// Whether the run stack has reached its bound and the owner should
-    /// schedule a [`DeltaIndex::compact`]. Always `false` untiered.
+    /// shrink it: with a [`DeltaIndex::compact`] when
+    /// [`DeltaIndex::fold_due`], with a run merge otherwise. Always
+    /// `false` untiered.
     pub fn needs_compaction(&self) -> bool {
         self.max_runs > 0 && self.runs.len() >= self.max_runs
+    }
+
+    /// Whether a full run stack should be folded into the base rather
+    /// than merged into one run: the runs hold at least
+    /// 1/[`RUN_TIER_RATIO`] of the base's keys, or the stack is bounded
+    /// at one run, which a run merge cannot shrink.
+    ///
+    /// # Examples
+    /// ```
+    /// use li_core::delta::{DeltaIndex, RUN_TIER_RATIO};
+    /// use li_core::rmi::RmiConfig;
+    ///
+    /// let base: Vec<u64> = (0..(RUN_TIER_RATIO as u64) * 8).map(|k| k * 2).collect();
+    /// let mut idx = DeltaIndex::new(base, RmiConfig::default(), 2).with_tiering(2);
+    /// for k in 0..4u64 {
+    ///     idx.insert(k * 2 + 1); // two runs, 4 keys: under a sixteenth of 128
+    /// }
+    /// assert!(idx.needs_compaction() && !idx.fold_due());
+    /// for k in 4..8u64 {
+    ///     idx.insert(k * 2 + 1);
+    /// }
+    /// assert!(idx.fold_due(), "8 run keys × 16 ≥ 128 base keys");
+    /// ```
+    pub fn fold_due(&self) -> bool {
+        self.max_runs < 2 || self.sealed.saturating_mul(RUN_TIER_RATIO) >= self.base.data().len()
     }
 
     /// How many keys the write paths have had to check against the
@@ -393,7 +449,7 @@ impl DeltaIndex {
     }
 
     /// Seal the current buffer into an immutable [`SortedRun`] (O(buffer)
-    /// linear mini-model fit, **no** base retrain). No-op on an empty
+    /// copy plus fences, **no** base retrain). No-op on an empty
     /// buffer. Normally driven by the overflow path in tiered mode, but
     /// callable directly — e.g. to freeze a half-full buffer before a
     /// planned compaction.
@@ -413,11 +469,13 @@ impl DeltaIndex {
     }
 
     /// Fold every sealed run into the base with ONE retrain, leaving the
-    /// mutable buffer untouched. Returns the number of runs folded (0 if
-    /// the stack was empty). This is the inline form; a serving layer
-    /// that must not block writers trains off-lock from a snapshot via
-    /// [`DeltaSnapshot::train_compacted`] and publishes with
-    /// [`DeltaIndex::install_compacted`].
+    /// mutable buffer untouched — whatever [`DeltaIndex::fold_due`]
+    /// says: choosing between a fold and a run merge is the owner's
+    /// policy, this is the fold. Returns the number of runs folded (0
+    /// if the stack was empty). This is the inline form; a serving
+    /// layer that must not block writers trains off-lock from a
+    /// snapshot via [`DeltaSnapshot::train_compacted`] and publishes
+    /// with [`DeltaIndex::install_compacted`].
     pub fn compact(&mut self) -> usize {
         if self.runs.is_empty() {
             return 0;
@@ -455,25 +513,65 @@ impl DeltaIndex {
     /// assert_eq!(idx.len(), 5);
     /// ```
     pub fn install_compacted(&mut self, cut: &DeltaSnapshot, rebuilt: Rmi) -> Option<usize> {
-        if !Arc::ptr_eq(&self.base, &cut.base) {
-            return None;
-        }
-        let k = cut.runs.len();
-        if k == 0
-            || self.runs.len() < k
-            || !self.runs[..k]
-                .iter()
-                .zip(&cut.runs)
-                .all(|(a, b)| Arc::ptr_eq(a, b))
-        {
-            return None;
-        }
+        let k = self.captured_runs(cut)?;
         let folded: usize = self.runs[..k].iter().map(|r| r.len()).sum();
         self.base = Arc::new(rebuilt);
         self.runs.drain(..k);
         self.sealed -= folded;
         self.compactions += 1;
         Some(k)
+    }
+
+    /// Publish an off-lock run merge: replace exactly the runs `cut`
+    /// captured with `merged` (built from `cut` via
+    /// [`DeltaSnapshot::merge_runs`]) at the bottom of the stack, under
+    /// the same race rule as [`DeltaIndex::install_compacted`]: `None`
+    /// — installing nothing — if the base or any captured run changed
+    /// since the cut. Runs sealed after the cut stay above it. The key
+    /// count in runs does not change and nothing is retrained. Returns
+    /// the number of runs merged.
+    ///
+    /// # Examples
+    /// ```
+    /// use li_core::delta::DeltaIndex;
+    /// use li_core::rmi::RmiConfig;
+    ///
+    /// let mut idx = DeltaIndex::new(vec![100u64], RmiConfig::default(), 2).with_tiering(2);
+    /// for k in 0..5u64 {
+    ///     idx.insert(k);
+    /// }
+    /// let cut = idx.snapshot();
+    /// let merged = cut.merge_runs().unwrap(); // off-lock in real use
+    /// let before = li_core::train_count();
+    /// assert_eq!(idx.install_merged_runs(&cut, merged), Some(2));
+    /// assert_eq!(li_core::train_count(), before, "a run merge never retrains");
+    /// assert_eq!((idx.run_count(), idx.sealed_keys(), idx.len()), (1, 4, 6));
+    /// ```
+    pub fn install_merged_runs(&mut self, cut: &DeltaSnapshot, merged: SortedRun) -> Option<usize> {
+        let k = self.captured_runs(cut)?;
+        debug_assert_eq!(
+            merged.len(),
+            self.runs[..k].iter().map(|r| r.len()).sum::<usize>(),
+            "a merged run holds exactly the captured runs' keys"
+        );
+        self.runs.splice(..k, [Arc::new(merged)]);
+        self.run_merges += 1;
+        Some(k)
+    }
+
+    /// The number of runs `cut` captured, if they are still the bottom
+    /// of the stack over the same base (a concurrent fold or merge
+    /// makes a cut stale); `None` for a stale cut or one with no runs.
+    fn captured_runs(&self, cut: &DeltaSnapshot) -> Option<usize> {
+        let k = cut.runs.len();
+        let current = Arc::ptr_eq(&self.base, &cut.base)
+            && k > 0
+            && self.runs.len() >= k
+            && self.runs[..k]
+                .iter()
+                .zip(&cut.runs)
+                .all(|(a, b)| Arc::ptr_eq(a, b));
+        current.then_some(k)
     }
 
     /// [`DeltaIndex::install_compacted`] plus a configuration swap:
@@ -560,82 +658,54 @@ impl DeltaIndex {
         &self.config
     }
 
-    /// Restore an index from persisted state: an already-trained base
-    /// plus the delta buffer exactly as it was saved — the warm-restart
-    /// "replay deltas on load" path. Nothing is retrained: `pending` is
-    /// installed as the buffer verbatim, and because every saved buffer
-    /// satisfies `pending.len() < merge_threshold` (an overflow fires
-    /// *at* the threshold, so a live index never holds more), installing
-    /// it cannot trigger a merge either.
-    ///
-    /// # Panics
-    /// If `merge_threshold == 0`, `pending.len() >= merge_threshold`,
-    /// or `pending` is not sorted, unique and disjoint from the base.
-    pub fn with_pending(
-        base: Rmi,
-        config: RmiConfig,
-        merge_threshold: usize,
-        pending: Vec<u64>,
-    ) -> Self {
-        Self::with_tiers(base, config, merge_threshold, 0, Vec::new(), pending)
-    }
-
-    /// Restore a tiered index from persisted state: an already-trained
-    /// base, the sealed run stack (oldest first, mini-models refitted
-    /// here in O(run) — **not** a training event), and the pending
-    /// buffer verbatim. Nothing retrains the base:
+    /// Restore a tiered index from persisted state — the warm-restart
+    /// path: the base's keys plus the parameters it was trained with
+    /// (assembled by [`Rmi::from_params`], never retrained), the sealed
+    /// run stack (oldest first, fences rebuilt here in O(run) — **not**
+    /// a training event), and the pending buffer verbatim:
     /// [`crate::rmi::train_count`] is flat across this call.
     ///
-    /// # Panics
-    /// If `merge_threshold == 0`, `pending.len() >= merge_threshold`,
-    /// any run is empty or unsorted, or the tiers (base, runs, pending)
-    /// are not mutually disjoint sorted-unique sets.
-    pub fn with_tiers(
-        base: Rmi,
+    /// The parts come from outside the process, so every invariant of a
+    /// live index is proven — before a model is assembled over the keys
+    /// — with an error instead of a panic: the buffer is below the
+    /// threshold, runs are non-empty, and base, runs and buffer are
+    /// strictly increasing and mutually disjoint. The proof is linear:
+    /// the runs and buffer are splice-merged and the result must be
+    /// strictly increasing, then one forward walk checks the base's
+    /// order chunk by chunk and searches each chunk, while it is still
+    /// in cache, for the run and buffer keys that fall inside it.
+    ///
+    /// # Examples
+    /// ```
+    /// use li_core::delta::{DeltaIndex, RestoreError};
+    /// use li_core::rmi::{Rmi, RmiConfig};
+    /// use li_core::KeyStore;
+    ///
+    /// let cfg = RmiConfig::default();
+    /// let keys = KeyStore::new((0..100u64).map(|k| k * 10).collect::<Vec<_>>());
+    /// let params = Rmi::build(keys.clone(), &cfg).to_params().unwrap();
+    /// let ok = DeltaIndex::restore(keys.clone(), &params, cfg.clone(), 8, 4, vec![vec![5, 15]], vec![7]);
+    /// assert_eq!(ok.unwrap().len(), 103);
+    /// let clash = DeltaIndex::restore(keys, &params, cfg, 8, 4, vec![vec![5, 990]], vec![]);
+    /// assert_eq!(clash.unwrap_err(), RestoreError::Overlap);
+    /// ```
+    pub fn restore(
+        base_keys: KeyStore,
+        params: &RmiParams,
         config: RmiConfig,
         merge_threshold: usize,
         max_runs: usize,
         runs: Vec<Vec<u64>>,
         pending: Vec<u64>,
-    ) -> Self {
-        assert!(merge_threshold > 0);
-        assert!(
-            pending.len() < merge_threshold,
-            "a saved delta buffer is always below the merge threshold"
-        );
-        assert!(
-            pending.windows(2).all(|w| w[0] < w[1]),
-            "pending must be sorted unique"
-        );
-        for run in &runs {
-            assert!(!run.is_empty(), "sealed runs are never empty");
-            assert!(
-                run.windows(2).all(|w| w[0] < w[1]),
-                "runs must be sorted unique"
-            );
-        }
-        // Mutual disjointness across ALL tiers, without touching more of
-        // the (possibly file-mapped) base than the probes read: the
-        // upper tiers are disjoint sorted-unique sets iff their merge is
-        // strictly sorted (run∩run, run∩pending show up as an equal
-        // adjacent pair), and disjoint from the base iff no upper key is
-        // found there.
-        {
-            let mut slices: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
-            slices.push(&pending);
-            let upper = splice_merge_vec(&slices);
-            assert!(
-                upper.windows(2).all(|w| w[0] < w[1])
-                    && upper.iter().all(|&k| base.lookup(k).is_none()),
-                "tiers must be mutually disjoint"
-            );
-        }
+    ) -> Result<Self, RestoreError> {
+        check_tiers(base_keys.as_slice(), merge_threshold, &runs, &pending)?;
+        let base = Rmi::from_params(base_keys, params).ok_or(RestoreError::Params)?;
         let sealed = runs.iter().map(Vec::len).sum();
         let runs = runs
             .into_iter()
             .map(|r| Arc::new(SortedRun::seal(r)))
             .collect();
-        Self {
+        Ok(Self {
             base: Arc::new(base),
             config,
             delta: pending,
@@ -646,9 +716,102 @@ impl DeltaIndex {
             merges: 0,
             seals: 0,
             compactions: 0,
+            run_merges: 0,
             base_probes: 0,
+        })
+    }
+}
+
+/// Why restored parts cannot form a [`DeltaIndex`]
+/// ([`DeltaIndex::restore`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The buffer holds `merge_threshold` keys or more; a live index
+    /// seals or merges it when it reaches the threshold.
+    FullBuffer,
+    /// A sealed run holds no key.
+    EmptyRun,
+    /// The named tier is not strictly increasing.
+    Unsorted(&'static str),
+    /// A key is in two tiers.
+    Overlap,
+    /// The base parameters do not describe an index over the base keys.
+    Params,
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::FullBuffer => {
+                f.write_str("a saved delta buffer is always below the merge threshold")
+            }
+            Self::EmptyRun => f.write_str("sealed runs are never empty"),
+            Self::Unsorted(tier) => write!(f, "{tier} must be sorted and unique"),
+            Self::Overlap => f.write_str("tiers must be mutually disjoint"),
+            Self::Params => f.write_str("base parameters inconsistent with its key range"),
         }
     }
+}
+
+impl std::error::Error for RestoreError {}
+
+fn increasing(keys: &[u64]) -> bool {
+    keys.windows(2).all(|w| w[0] < w[1])
+}
+
+/// The restore proof (see [`DeltaIndex::restore`]).
+fn check_tiers(
+    base: &[u64],
+    merge_threshold: usize,
+    runs: &[Vec<u64>],
+    pending: &[u64],
+) -> Result<(), RestoreError> {
+    if pending.len() >= merge_threshold {
+        return Err(RestoreError::FullBuffer);
+    }
+    if runs.iter().any(Vec::is_empty) {
+        return Err(RestoreError::EmptyRun);
+    }
+    if !increasing(pending) {
+        return Err(RestoreError::Unsorted("the delta buffer"));
+    }
+    if !runs.iter().all(|r| increasing(r)) {
+        return Err(RestoreError::Unsorted("a sealed run"));
+    }
+    // Each upper tier is increasing, so their merge is too unless two
+    // of them share a key, which shows up as an equal adjacent pair.
+    let mut slices: Vec<&[u64]> = runs.iter().map(Vec::as_slice).collect();
+    slices.push(pending);
+    let upper = splice_merge_vec(&slices);
+    if !increasing(&upper) {
+        return Err(RestoreError::Overlap);
+    }
+    check_base(base, &upper)
+}
+
+/// Check that `base` is strictly increasing and holds none of the keys
+/// of increasing `upper`, in one forward pass over `base`. Each chunk
+/// is searched for the upper keys in its range right after its order
+/// check has read it, while it is in L1. Each key gets a binary search
+/// of its own rather than a walk on from the previous key's position:
+/// independent searches overlap in the CPU, and measured about half the
+/// cost of a forward walk or gallop.
+fn check_base(base: &[u64], mut upper: &[u64]) -> Result<(), RestoreError> {
+    const CHUNK: usize = 1024;
+    let mut prev_top: Option<u64> = None;
+    for chunk in base.chunks(CHUNK) {
+        if prev_top.is_some_and(|top| top >= chunk[0]) || !increasing(chunk) {
+            return Err(RestoreError::Unsorted("the base"));
+        }
+        let top = chunk[chunk.len() - 1];
+        prev_top = Some(top);
+        let (inside, above) = upper.split_at(count_past(upper, top));
+        if inside.iter().any(|k| chunk.binary_search(k).is_ok()) {
+            return Err(RestoreError::Overlap);
+        }
+        upper = above;
+    }
+    Ok(())
 }
 
 /// An immutable point-in-time view of a [`DeltaIndex`]: the trained base
@@ -744,6 +907,19 @@ impl DeltaSnapshot {
             return None;
         }
         Some(Rmi::build(self.merged_keys(), config))
+    }
+
+    /// Merge every captured run into one sealed run: one splice-merge
+    /// written straight into the run's allocation, one fence copy, no
+    /// retrain and no base key touched. Returns `None` when the snapshot
+    /// captured fewer than two runs. This is the off-lock half of a run
+    /// merge; publish the result with [`DeltaIndex::install_merged_runs`].
+    pub fn merge_runs(&self) -> Option<SortedRun> {
+        if self.runs.len() < 2 {
+            return None;
+        }
+        let slices: Vec<&[u64]> = self.runs.iter().map(|r| r.as_slice()).collect();
+        Some(SortedRun::seal(splice_merge_arc(&slices)))
     }
 }
 
@@ -1275,32 +1451,145 @@ mod tests {
     }
 
     #[test]
-    fn with_tiers_restores_without_training() {
-        let base = Rmi::build((0..100u64).map(|i| i * 10).collect::<Vec<_>>(), &cfg());
-        let before = crate::rmi::train_count();
-        let idx = DeltaIndex::with_tiers(
-            base,
-            cfg(),
-            8,
-            4,
-            vec![vec![1, 11, 21], vec![2, 12, 22]],
-            vec![3, 13],
+    fn check_tiers_names_every_broken_invariant() {
+        let base: Vec<u64> = (0..5000u64).map(|k| k * 10).collect();
+        let check =
+            |base: &[u64], runs: &[Vec<u64>], pending: &[u64]| check_tiers(base, 4, runs, pending);
+        assert_eq!(check(&base, &[vec![5, 15]], &[25]), Ok(()));
+        assert_eq!(
+            check(&base, &[], &[1, 2, 3, 4]),
+            Err(RestoreError::FullBuffer)
         );
-        assert_eq!(crate::rmi::train_count(), before, "restore must not train");
-        assert_eq!(idx.run_count(), 2);
-        assert_eq!(idx.sealed_keys(), 6);
-        assert_eq!(idx.pending(), 2);
-        assert_eq!(idx.len(), 108);
-        for k in [1u64, 11, 21, 2, 12, 22, 3, 13, 0, 990] {
-            assert!(idx.contains(k), "key {k}");
+        assert_eq!(check(&base, &[vec![]], &[]), Err(RestoreError::EmptyRun));
+        assert_eq!(
+            check(&base, &[vec![15, 5]], &[]),
+            Err(RestoreError::Unsorted("a sealed run"))
+        );
+        assert_eq!(
+            check(&base, &[], &[7, 7]),
+            Err(RestoreError::Unsorted("the delta buffer"))
+        );
+        assert_eq!(
+            check(&base, &[vec![5, 15]], &[15]),
+            Err(RestoreError::Overlap)
+        );
+        // Every chunk boundary of the base walk, and both ends: a base
+        // key in a run is found wherever it sits.
+        for at in [0usize, 1, 1023, 1024, 1025, 2047, 2048, 4999] {
+            let mut run = vec![3, base[at], 49_995];
+            run.sort_unstable();
+            assert_eq!(
+                check(&base, &[run], &[]),
+                Err(RestoreError::Overlap),
+                "base[{at}]"
+            );
         }
-        assert_eq!(idx.rank(u64::MAX), 108);
+        // A disorder anywhere in the base, inside a chunk or across two.
+        for at in [1usize, 1023, 1024, 4999] {
+            let mut bad = base.clone();
+            bad.swap(at - 1, at);
+            assert_eq!(
+                check(&bad, &[], &[]),
+                Err(RestoreError::Unsorted("the base")),
+                "swap at {at}"
+            );
+        }
+        assert_eq!(check(&[], &[vec![1]], &[2]), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "disjoint")]
-    fn with_tiers_rejects_overlapping_tiers() {
-        let base = Rmi::build(vec![10u64, 20], &cfg());
-        let _ = DeltaIndex::with_tiers(base, cfg(), 8, 2, vec![vec![5, 20]], Vec::new());
+    fn restore_proves_before_it_assembles() {
+        let keys = KeyStore::new((0..300u64).map(|k| k * 2).collect::<Vec<_>>());
+        let params = Rmi::build(keys.clone(), &cfg()).to_params().unwrap();
+        let before = crate::rmi::train_count();
+        let idx = DeltaIndex::restore(
+            keys.clone(),
+            &params,
+            cfg(),
+            8,
+            4,
+            vec![vec![1, 3], vec![5]],
+            vec![7],
+        )
+        .unwrap();
+        assert_eq!(crate::rmi::train_count(), before, "restore must not train");
+        assert_eq!((idx.len(), idx.run_count(), idx.sealed_keys()), (304, 2, 3));
+        let unsorted = KeyStore::new(vec![4u64, 2]);
+        assert_eq!(
+            DeltaIndex::restore(unsorted, &params, cfg(), 8, 4, vec![], vec![]).unwrap_err(),
+            RestoreError::Unsorted("the base")
+        );
+    }
+
+    #[test]
+    fn fold_is_due_at_a_sixteenth_of_the_base() {
+        let base: Vec<u64> = (0..1600u64).map(|k| k * 4).collect();
+        let mut idx = DeltaIndex::new(base, cfg(), 25).with_tiering(4);
+        let mut k = 1u64;
+        let mut insert_until_full = |idx: &mut DeltaIndex| {
+            while !idx.needs_compaction() {
+                assert!(idx.insert(k));
+                k += 4;
+            }
+        };
+        insert_until_full(&mut idx);
+        // 4 runs × 25 = 100 run keys: 1600 / 16 exactly.
+        assert_eq!(idx.sealed_keys() * RUN_TIER_RATIO, 1600);
+        assert!(idx.fold_due());
+        idx.compact();
+        insert_until_full(&mut idx);
+        // The base grew by 100: the same stack is now short of a fold.
+        assert!(!idx.fold_due());
+        // A stack bounded at one run always folds.
+        let one = DeltaIndex::new(vec![1u64 << 40], cfg(), 4).with_tiering(1);
+        assert!(one.fold_due());
+    }
+
+    #[test]
+    fn run_merge_keeps_every_key_and_retrains_nothing() {
+        let mut idx = DeltaIndex::new(vec![10_000u64], cfg(), 4).with_tiering(3);
+        let mut oracle: std::collections::BTreeSet<u64> = [10_000u64].into();
+        for k in 0..13u64 {
+            idx.insert(k * 7);
+            oracle.insert(k * 7);
+        }
+        assert_eq!((idx.run_count(), idx.pending()), (3, 1));
+        let cut = idx.snapshot();
+        let merged = cut.merge_runs().unwrap();
+        assert_eq!(merged.len(), 12);
+        // A writer seals one more run between the cut and the install.
+        for k in 13..16u64 {
+            idx.insert(k * 7);
+            oracle.insert(k * 7);
+        }
+        let trains = crate::rmi::train_count();
+        assert_eq!(idx.install_merged_runs(&cut, merged), Some(3));
+        assert_eq!(crate::rmi::train_count(), trains);
+        assert_eq!(idx.run_merges(), 1);
+        assert_eq!(idx.compactions(), 0);
+        // The merged run at the bottom, the post-cut run above it.
+        assert_eq!(idx.run_count(), 2);
+        assert_eq!(idx.sealed_keys(), 16);
+        let all: Vec<u64> = oracle.iter().copied().collect();
+        assert_eq!(idx.export_keys(), all);
+        for q in 0..120u64 {
+            assert_eq!(idx.contains(q), oracle.contains(&q), "q={q}");
+            assert_eq!(idx.rank(q), oracle.range(..q).count(), "q={q}");
+        }
+        // The cut still answers from its own frozen tiers.
+        assert_eq!(cut.runs().len(), 3);
+        assert_eq!(cut.len(), 14);
+        // A cut made stale by that merge installs nothing...
+        assert_eq!(
+            idx.install_merged_runs(&cut, cut.merge_runs().unwrap()),
+            None
+        );
+        // ...and so does one made stale by a fold.
+        let cut = idx.snapshot();
+        let merged = cut.merge_runs().unwrap();
+        idx.compact();
+        assert_eq!(idx.install_merged_runs(&cut, merged), None);
+        assert_eq!(idx.run_merges(), 1);
+        assert_eq!(idx.export_keys(), all);
     }
 }

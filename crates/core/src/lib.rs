@@ -24,8 +24,9 @@
 //!   synthesis over configurations, choosing by measured lookup cost.
 //! * [`DeltaIndex`] (Appendix D.1) — delta-buffered inserts with
 //!   merge-and-retrain, plus an LSM-style tiered mode where full buffers
-//!   seal into immutable [`SortedRun`]s (per-run linear mini-models) and
-//!   background compaction folds them into the base with one retrain.
+//!   seal into immutable [`SortedRun`]s (fence-indexed), full run stacks
+//!   merge into one run, and compaction folds the run tier into the base
+//!   with one retrain once it holds a sixteenth of it.
 //! * [`merge`] — the one splice-merge every tier operation (compaction,
 //!   export, split, range scan) goes through: small sorted slices into a
 //!   large one, written once.

@@ -1,18 +1,19 @@
 //! The one merge every tier operation goes through: a splice of a few
 //! small sorted slices into one large one.
 //!
-//! A compaction folds a handful of sealed runs (a few thousand keys)
-//! into a base a hundred times their size; a range scan or an export
-//! does the same with fewer keys. A fold of two-way merges compares and
-//! moves **every base key once per small slice** (five passes and five
-//! base-sized allocations to fold four runs); a heap-based k-way merge
-//! moves each key once but still pays a heap step for every base key.
-//! The splice instead treats the largest slice as a spine that is only
-//! ever block-copied: the other slices are merged among themselves
-//! first (they are small), then for each of their keys the spine is
-//! searched — galloping from where the last key landed, so the probes
-//! touch the cache lines the copy is about to read — and the spine keys
-//! in between move with one `copy_from_slice`. The output is written
+//! A compaction folds the run tier (up to a sixteenth of the base) into
+//! the base, and a run merge folds a few sealed runs into a run ten
+//! times their size; a range scan or an export does the same with fewer
+//! keys. A fold of two-way merges compares and moves **every base key
+//! once per small slice** (five passes and five base-sized allocations
+//! to fold four runs); a heap-based k-way merge moves each key once but
+//! still pays a heap step for every base key. The splice instead treats
+//! the largest slice as a spine that is only ever block-copied: the
+//! other slices are merged among themselves first (they are small),
+//! then for each of their keys the spine is walked forward from where
+//! the last key landed — reading the cache lines the copy is about to
+//! read — and the spine keys in between move with one
+//! `copy_from_slice`. The output is written
 //! exactly once, either appended to a vector or into a preallocated
 //! slice, which lets a new base be merged straight into the
 //! `Arc<[u64]>` its `KeyStore` will own.
@@ -92,7 +93,7 @@ fn splice_merge_into(slices: &[&[u64]], out: &mut impl Sink) {
 
     let mut rest = *spine;
     for &key in small {
-        let (below, above) = rest.split_at(gallop_past(rest, key));
+        let (below, above) = rest.split_at(count_past(rest, key));
         out.block(below);
         out.key(key);
         rest = above;
@@ -104,19 +105,16 @@ fn total_len(slices: &[&[u64]]) -> usize {
     slices.iter().map(|s| s.len()).sum()
 }
 
-/// Number of leading elements of sorted `s` that are `<= key`: doubling
-/// steps from the front, then a binary search of the last step.
+/// Number of leading elements of sorted `s` that are `<= key`, counted
+/// by walking from the front. The walk reads each spine key once, in
+/// order, just before the block copy reads it again from cache; it
+/// mispredicts once per call, where a galloping search mispredicts on
+/// most of its steps. Measured on spines of 100 to 500 k keys with a
+/// small key every 15 to 1 000 spine keys, walking was as fast or
+/// faster in every case.
 #[inline]
-fn gallop_past(s: &[u64], key: u64) -> usize {
-    let (mut lo, mut step) = (0usize, 1usize);
-    while lo + step <= s.len() && s[lo + step - 1] <= key {
-        lo += step;
-        step *= 2;
-    }
-    // Everything before `lo` is <= key, and the element that stopped the
-    // gallop (if any) is > key.
-    let hi = (lo + step - 1).min(s.len());
-    lo + s[lo..hi].partition_point(|&k| k <= key)
+pub(crate) fn count_past(s: &[u64], key: u64) -> usize {
+    s.iter().position(|&k| k > key).unwrap_or(s.len())
 }
 
 /// The sorted union of sorted `slices` as a fresh vector.
@@ -177,12 +175,12 @@ mod tests {
     }
 
     #[test]
-    fn gallop_past_matches_partition_point() {
+    fn count_past_matches_partition_point() {
         let s: Vec<u64> = (0..200u64).map(|i| i * 3).collect();
         for len in [0usize, 1, 2, 3, 7, 8, 9, 200] {
             for key in 0..610u64 {
                 assert_eq!(
-                    gallop_past(&s[..len], key),
+                    count_past(&s[..len], key),
                     s[..len].partition_point(|&k| k <= key),
                     "len {len} key {key}"
                 );

@@ -2,30 +2,40 @@
 //!
 //! When a [`DeltaIndex`](crate::delta::DeltaIndex) buffer fills in tiered
 //! mode it is *sealed* into a [`SortedRun`] instead of being merged into
-//! the base: the keys are frozen as-is and a cheap linear mini-model is
-//! fitted over them in one O(run) pass. Sealing never retrains the base
-//! RMI — that cost is deferred to background compaction, which folds many
-//! runs into the base with a single retrain. This is exactly the
+//! the base: the keys are frozen as-is and every [`FENCE`]-th key is
+//! copied into a small fence array in one O(run) pass. Sealing never
+//! retrains the base RMI — that cost is deferred to compaction, which
+//! merges full run stacks into one run and folds the run tier into the
+//! base with a single retrain once it is big enough. This is exactly the
 //! memtable-flush / SSTable split LSM-trees use, applied to the paper's
 //! delta-buffer insert path (Appendix D.1).
 //!
-//! A run's mini-model is a [`LinearModel`] over (key → index) with a
-//! certified maximum error, so point and lower-bound probes search only a
-//! `±(max_err + 1)` window — the same bounded-search contract the full
-//! RMI provides, at a fraction of the fit cost. Fitting a run does **not**
-//! count as a training event ([`crate::rmi::train_count`] stays flat), so
-//! the persistence layer can refit mini-models on load while still
-//! proving the base was never retrained.
+//! A probe binary-searches the fence array, then the one block of at
+//! most [`FENCE`] keys the fences bracket. The window is bounded by
+//! construction, whatever the keys look like. A learned model does not
+//! pay here: a run is a sample of its shard's keys, so its CDF is the
+//! base's, which one line fits badly — over a 31 k-key `BooksLike` run a
+//! fitted line's maximum error is about 10 % of the run, a search window
+//! of 6 k keys, and probes cost 1.5–3× the fenced search at 1 k to 64 k
+//! keys (EXPERIMENTS.md, "Run merging"). The base keeps its RMI, which
+//! routes to many leaf models instead of one. Sealing trains nothing
+//! ([`crate::rmi::train_count`] stays flat), so the persistence layer
+//! rebuilds fences on load while still proving the base was never
+//! retrained.
 
 use std::sync::Arc;
 
-use li_models::{LinearModel, Model};
+/// Keys per fenced block: a probe searches at most this many keys (two
+/// cache lines) after the fence search, and the fences cost one key per
+/// `FENCE` keys of the run.
+pub const FENCE: usize = 16;
 
-/// An immutable sorted unique key run with a linear mini-model.
+/// An immutable sorted unique key run with a fence index.
 ///
-/// Runs are born from sealing a full delta buffer and are shared via
-/// `Arc` between the live index and its snapshots, which is what makes
-/// multi-tier snapshots torn-free: once sealed, a run never changes.
+/// Runs are born from sealing a full delta buffer (or from merging a
+/// full run stack) and are shared via `Arc` between the live index and
+/// its snapshots, which is what makes multi-tier snapshots torn-free:
+/// once sealed, a run never changes.
 ///
 /// # Examples
 /// ```
@@ -40,15 +50,15 @@ use li_models::{LinearModel, Model};
 #[derive(Debug, Clone)]
 pub struct SortedRun {
     keys: Arc<[u64]>,
-    model: LinearModel,
-    max_err: usize,
+    /// `keys[0], keys[FENCE], keys[2 · FENCE], …`
+    fences: Box<[u64]>,
 }
 
 impl SortedRun {
-    /// Seal sorted unique `keys` into an immutable run, fitting the
-    /// linear mini-model and certifying its maximum absolute error in
-    /// one extra pass. O(keys) total — never a base retrain, and not a
-    /// training event for [`crate::rmi::train_count`].
+    /// Seal sorted unique `keys` into an immutable run, copying every
+    /// [`FENCE`]-th key into the fence array. O(keys / FENCE) beyond
+    /// taking the keys — never a base retrain, and not a training event
+    /// for [`crate::rmi::train_count`].
     ///
     /// # Panics
     /// In debug builds, if `keys` is not strictly sorted.
@@ -68,17 +78,8 @@ impl SortedRun {
             keys.windows(2).all(|w| w[0] < w[1]),
             "a run must be sorted unique"
         );
-        let model = LinearModel::fit(keys.iter().enumerate().map(|(i, &k)| (k as f64, i as f64)));
-        let mut max_err = 0usize;
-        for (i, &k) in keys.iter().enumerate() {
-            let pred = clamp_pred(model.predict(k as f64), keys.len());
-            max_err = max_err.max(pred.abs_diff(i));
-        }
-        Self {
-            keys,
-            model,
-            max_err,
-        }
+        let fences = keys.iter().step_by(FENCE).copied().collect();
+        Self { keys, fences }
     }
 
     /// Number of keys in the run.
@@ -96,19 +97,9 @@ impl SortedRun {
         &self.keys
     }
 
-    /// The certified maximum absolute error of the mini-model: every
-    /// key's true index is within `max_err` of its prediction.
-    pub fn max_err(&self) -> usize {
-        self.max_err
-    }
-
-    /// Index of the first key `>= key` (the run-local lower-bound rank).
-    ///
-    /// The mini-model predicts a position and only the certified
-    /// `±(max_err + 1)` window is binary-searched; a boundary check
-    /// widens the window exponentially in the (never observed in
-    /// practice) case where an off-window query key defeats the linear
-    /// error bound, so the answer is exact for every input.
+    /// Index of the first key `>= key` (the run-local lower-bound rank):
+    /// the fences below `key` name the one block of at most [`FENCE`]
+    /// keys that can hold the answer, and only that block is searched.
     ///
     /// # Examples
     /// ```
@@ -121,55 +112,31 @@ impl SortedRun {
     /// assert_eq!(run.lower_bound(u64::MAX), 3);
     /// ```
     pub fn lower_bound(&self, key: u64) -> usize {
-        let n = self.keys.len();
-        if n == 0 {
-            return 0;
-        }
-        let pred = clamp_pred(self.model.predict(key as f64), n);
-        let pad = self.max_err + 1;
-        let mut lo = pred.saturating_sub(pad);
-        let mut hi = (pred + pad).min(n);
-        // Widen until the window brackets the answer: the result index r
-        // satisfies lo <= r iff keys[lo-1] < key (or lo == 0), and
-        // r <= hi iff keys[hi] >= key (or hi == n).
-        let mut step = pad;
-        while lo > 0 && self.keys[lo - 1] >= key {
-            lo = lo.saturating_sub(step);
-            step = step.saturating_mul(2);
-        }
-        let mut step = pad;
-        while hi < n && self.keys[hi] < key {
-            hi = (hi + step).min(n);
-            step = step.saturating_mul(2);
-        }
+        // `f` fences are below `key`: keys[(f - 1) · FENCE] < key, and
+        // keys[f · FENCE] >= key when that fence exists.
+        let f = self.fences.partition_point(|&k| k < key);
+        let lo = f.saturating_sub(1) * FENCE;
+        let hi = (f * FENCE).min(self.keys.len());
         lo + self.keys[lo..hi].partition_point(|&k| k < key)
     }
 
-    /// Whether `key` is in the run (one mini-model-windowed probe).
+    /// Whether `key` is in the run (one fenced probe).
     pub fn contains(&self, key: u64) -> bool {
         let at = self.lower_bound(key);
         self.keys.get(at) == Some(&key)
     }
 
-    /// All run keys in `[lo, hi)` as a sorted subslice (zero-copy).
+    /// All run keys in `[lo, hi)` as a sorted subslice (zero-copy). One
+    /// fenced probe finds `lo`; the end is found by walking forward,
+    /// which costs one compare per key returned — less than a second
+    /// probe for the few keys a short scan takes from a run.
     pub fn range(&self, lo: u64, hi: u64) -> &[u64] {
         if lo >= hi {
             return &[];
         }
-        let a = self.lower_bound(lo);
-        let b = self.lower_bound(hi);
-        &self.keys[a..b]
+        let from = &self.keys[self.lower_bound(lo)..];
+        &from[..from.iter().position(|&k| k >= hi).unwrap_or(from.len())]
     }
-}
-
-/// Clamp a raw model prediction to a valid index in `[0, n)`, mapping
-/// NaN/negative/overflow predictions to in-range positions.
-fn clamp_pred(pred: f64, n: usize) -> usize {
-    if !pred.is_finite() {
-        return n / 2;
-    }
-    // `n >= 1` at every call site (empty runs return early).
-    pred.max(0.0).min((n - 1) as f64) as usize
 }
 
 #[cfg(test)]
@@ -201,6 +168,32 @@ mod tests {
         }
         assert_eq!(run.lower_bound(u64::MAX), keys.len());
         assert_eq!(run.lower_bound(0), 0);
+    }
+
+    /// Every length around a block boundary, queried at every key and
+    /// every gap: the last block may be partial, and the answer may sit
+    /// on a fence, just past one, or past the end.
+    #[test]
+    fn lower_bound_is_exact_at_every_block_boundary() {
+        for n in [
+            1usize,
+            2,
+            FENCE - 1,
+            FENCE,
+            FENCE + 1,
+            2 * FENCE,
+            3 * FENCE + 5,
+        ] {
+            let keys: Vec<u64> = (0..n as u64).map(|i| i * 2 + 1).collect();
+            let run = SortedRun::seal(keys.clone());
+            for q in 0..=2 * n as u64 + 1 {
+                assert_eq!(
+                    run.lower_bound(q),
+                    keys.partition_point(|&k| k < q),
+                    "n={n} q={q}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -246,12 +239,5 @@ mod tests {
         let before = crate::rmi::train_count();
         let _run = SortedRun::seal((0..10_000u64).collect::<Vec<_>>());
         assert_eq!(crate::rmi::train_count(), before);
-    }
-
-    #[test]
-    fn mini_model_window_is_tight_on_smooth_data() {
-        let keys: Vec<u64> = (0..10_000u64).map(|i| i * 17).collect();
-        let run = SortedRun::seal(keys);
-        assert!(run.max_err() <= 1, "max_err {}", run.max_err());
     }
 }

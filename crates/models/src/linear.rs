@@ -83,9 +83,9 @@ impl LinearModel {
 /// The running sums of a one-pass least-squares fit, shifted to the
 /// first point pushed (see the module documentation for why).
 ///
-/// [`LinearModel::fit`], `SortedRun::seal` and the RMI's stage fits all
-/// feed their points through this type in the same order, which is what
-/// keeps their coefficients bit-identical to one another. It is `Copy`
+/// [`LinearModel::fit`] and the RMI's stage fits both feed their points
+/// through this type in the same order, which is what keeps their
+/// coefficients bit-identical to one another. It is `Copy`
 /// and seven words, so a caller that interleaves several fits (one per
 /// RMI leaf) can keep the active one in registers and park the rest in
 /// an array.

@@ -14,9 +14,9 @@
 //! ## Cost model
 //!
 //! * Every operation is **counted**: one relaxed striped add.
-//! * Structural events (split, merge, fold, seal, WAL truncation,
-//!   recovery) are rare; they always record a counter bump and a ring
-//!   event regardless of the `observe` config flag — the registry is
+//! * Structural events (split, merge, fold, run merge, seal, WAL
+//!   truncation, recovery) are rare; they always record a counter bump
+//!   and a ring event regardless of the `observe` config flag — the registry is
 //!   the single source of truth for the structure's own accessors
 //!   (`splits()`, `compactions()`, …).
 //! * Per-op **latency** is *sampled* (1-in-[`INSERT_SAMPLE`] inserts,
@@ -77,6 +77,9 @@ pub mod events {
     /// `a` = chosen family code ([`crate::select::BackendChoice::code`]),
     /// `b` = keys in the shard.
     pub const BACKEND_SELECT: u32 = 11;
+    /// A full run stack merged into one run (no retrain): `a` = runs
+    /// merged, `b` = keys in the shard's runs after the merge.
+    pub const RUN_MERGE: u32 = 12;
 }
 
 /// Resolve an event kind code to its catalog name.
@@ -93,6 +96,7 @@ pub fn event_name(kind: u32) -> &'static str {
         events::SNAPSHOT_LOAD => "snapshot_load",
         events::RECOVERY_REPLAY => "recovery_replay",
         events::BACKEND_SELECT => "backend_select",
+        events::RUN_MERGE => "run_merge",
         _ => "unknown",
     }
 }
@@ -127,6 +131,8 @@ pub struct ServeMetrics {
     pub compactions: Arc<Counter>,
     /// `li_runs_compacted_total`: sealed runs consumed by folds.
     pub runs_compacted: Arc<Counter>,
+    /// `li_run_merges_total`: run stacks merged into one run.
+    pub run_merges: Arc<Counter>,
     /// `li_buffer_seals_total`: buffers sealed into runs.
     pub buffer_seals: Arc<Counter>,
     /// `li_buffer_merges_total`: legacy-mode buffer merges.
@@ -174,6 +180,9 @@ pub struct ServeMetrics {
     pub compact_train_ns: Arc<Histogram>,
     /// `li_compact_install_ns`: under-write-lock fold install duration.
     pub compact_install_ns: Arc<Histogram>,
+    /// `li_run_merge_ns`: run merge duration (cut, off-lock merge,
+    /// install).
+    pub run_merge_ns: Arc<Histogram>,
     /// `li_pass_observe_ns`: worker pass — under-read-lock observe.
     pub pass_observe_ns: Arc<Histogram>,
     /// `li_pass_plan_ns`: worker pass — split/merge planning.
@@ -213,6 +222,7 @@ impl ServeMetrics {
             shard_merges: c("li_shard_merges_total"),
             compactions: c("li_compactions_total"),
             runs_compacted: c("li_runs_compacted_total"),
+            run_merges: c("li_run_merges_total"),
             buffer_seals: c("li_buffer_seals_total"),
             buffer_merges: c("li_buffer_merges_total"),
             wal_appends: c("li_wal_appends_total"),
@@ -233,6 +243,7 @@ impl ServeMetrics {
             merge_ns: h("li_merge_ns"),
             compact_train_ns: h("li_compact_train_ns"),
             compact_install_ns: h("li_compact_install_ns"),
+            run_merge_ns: h("li_run_merge_ns"),
             pass_observe_ns: h("li_pass_observe_ns"),
             pass_plan_ns: h("li_pass_plan_ns"),
             pass_retrain_ns: h("li_pass_retrain_ns"),
@@ -292,7 +303,7 @@ mod tests {
 
     #[test]
     fn every_kind_has_a_catalog_name() {
-        for k in 1..=11u32 {
+        for k in 1..=12u32 {
             assert_ne!(event_name(k), "unknown", "kind {k}");
         }
         assert_eq!(event_name(0), "unknown");

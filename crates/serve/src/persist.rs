@@ -37,10 +37,12 @@
 //!   verifies all three checksums, rebuilds each shard's RMI from its saved
 //!   coefficients with [`Rmi::from_params`], and — for the write path —
 //!   replays the saved delta buffer — and, in tiered mode, the sealed
-//!   run stack — into a fresh [`DeltaIndex`]. Run mini-models are
-//!   refitted on load (O(run) linear fits, like the B-Tree leaves they
-//!   are structure, not trained models); the base RMI is never refit:
-//!   [`li_core::train_count`] is the witness.
+//!   run stack — into a fresh [`DeltaIndex`] ([`DeltaIndex::restore`],
+//!   which proves every tier sorted and the tiers disjoint in one
+//!   linear pass before it assembles anything). Run fences are rebuilt
+//!   on load (like the B-Tree leaves they are structure, not trained
+//!   models); the base RMI is never refit: [`li_core::train_count`] is
+//!   the witness.
 //!
 //! Verifying a snapshot reads every byte of it once, so the checksum
 //! sets the load's speed: format v4 uses XXH64 (four independent
@@ -283,6 +285,14 @@ impl Enc {
         self.usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
     }
+    /// A key array: its length, then the keys.
+    fn keys(&mut self, keys: &[u64]) {
+        self.usize(keys.len());
+        self.buf.reserve(keys.len() * 8);
+        for &k in keys {
+            self.u64(k);
+        }
+    }
 }
 
 /// Bounds-checked little-endian decoder: every read can fail with a
@@ -338,6 +348,15 @@ impl<'a> Dec<'a> {
     fn str(&mut self) -> Result<String, PersistError> {
         let n = self.count(1)?;
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| format_err("non-UTF-8 string"))
+    }
+    /// A length-prefixed key array ([`Enc::keys`]), decoded in one pass.
+    fn keys(&mut self) -> Result<Vec<u64>, PersistError> {
+        let n = self.count(8)?;
+        Ok(self
+            .take(n * 8)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+            .collect())
     }
     fn finish(self) -> Result<(), PersistError> {
         if self.bytes.is_empty() {
@@ -934,21 +953,14 @@ impl ShardedWritable {
                 )
                 })?,
             );
-            let delta = snap.delta_keys();
-            enc.usize(delta.len());
-            for &k in delta {
-                enc.u64(k);
-            }
+            enc.keys(snap.delta_keys());
             // Sealed run stack, oldest first. Only the keys go in the
-            // file: run mini-models are O(run) linear fits, refitted on
-            // load exactly like hybrid B-Tree leaf structure.
+            // file: run fences are rebuilt on load exactly like hybrid
+            // B-Tree leaf structure.
             let runs = snap.runs();
             enc.usize(runs.len());
             for run in runs {
-                enc.usize(run.len());
-                for &k in run.as_slice() {
-                    enc.u64(k);
-                }
+                enc.keys(run.as_slice());
             }
             chunks.push(base_keys);
             base_offset += base_keys.len();
@@ -967,7 +979,7 @@ impl ShardedWritable {
     /// ([`Rmi::from_params`] — no retraining), and **replay each saved
     /// delta buffer and sealed run stack** into a fresh `DeltaIndex`,
     /// so pending inserts survive the restart without having been
-    /// merged or compacted. Run mini-models are refitted in O(run) —
+    /// merged or compacted. Run fences are rebuilt in O(run) —
     /// [`li_core::train_count`] stays flat across a load.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
         Self::load_with_lsn(path.as_ref()).map(|(sw, _lsn)| sw)
@@ -1005,64 +1017,23 @@ impl ShardedWritable {
             }
             let cfg = decode_rmi_config(&mut dec)?;
             let threshold = dec.usize()?;
-            if threshold == 0 {
-                return Err(format_err("merge threshold must be > 0"));
-            }
             let params = decode_rmi_params(&mut dec)?;
-            let n_delta = dec.count(8)?;
-            if n_delta >= threshold {
-                return Err(format_err(
-                    "delta buffer at or above the merge threshold (impossible at save time)",
-                ));
-            }
-            let mut delta = Vec::with_capacity(n_delta);
-            for _ in 0..n_delta {
-                delta.push(dec.u64()?);
-            }
-            check_sorted_unique(&delta, "a delta buffer")?;
+            let delta = dec.keys()?;
             let n_runs = dec.count(16)?;
             if config.max_runs == 0 && n_runs > 0 {
                 return Err(format_err(
                     "sealed runs present but the configuration disables tiering",
                 ));
             }
-            let mut runs = Vec::with_capacity(n_runs);
-            for _ in 0..n_runs {
-                let n = dec.count(8)?;
-                if n == 0 {
-                    return Err(format_err("a sealed run must be non-empty"));
-                }
-                let mut run = Vec::with_capacity(n);
-                for _ in 0..n {
-                    run.push(dec.u64()?);
-                }
-                check_sorted_unique(&run, "a sealed run")?;
-                runs.push(run);
-            }
-            // Mutual disjointness of the upper tiers, then of the upper
-            // tiers against the base: disjoint sorted-unique sets stay
-            // strictly sorted when merged, so any overlap shows up as
-            // an equal adjacent pair (runs are small — this is cheap).
-            let mut upper: Vec<u64> = runs
-                .iter()
-                .flatten()
-                .copied()
-                .chain(delta.clone())
-                .collect();
-            upper.sort_unstable();
-            if !upper.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format_err(
-                    "sealed runs and delta buffer overlap each other",
-                ));
-            }
+            let runs = (0..n_runs)
+                .map(|_| dec.keys())
+                .collect::<Result<Vec<_>, _>>()?;
+            // Order, bounds and cross-tier disjointness are proven once,
+            // in one linear pass, by the index they describe.
             let store = KeyStore::from_mapped(&region, HEADER_LEN + base_offset * 8, base_len)?;
-            check_sorted_unique(store.as_slice(), "a shard base")?;
-            let base = Rmi::from_params(store, &params)
-                .ok_or_else(|| format_err("shard parameters inconsistent with its key range"))?;
-            if upper.iter().any(|&k| base.lookup(k).is_some()) {
-                return Err(format_err("sealed runs or delta buffer overlap the base"));
-            }
-            let di = DeltaIndex::with_tiers(base, cfg, threshold, config.max_runs, runs, delta);
+            let di =
+                DeltaIndex::restore(store, &params, cfg, threshold, config.max_runs, runs, delta)
+                    .map_err(|e| format_err(format!("shard {s}: {e}")))?;
             shards.push(Arc::new(WritableShard::from_delta(di)));
         }
         if expected_offset != n_keys {

@@ -20,9 +20,11 @@
 //!                                          ▼
 //!                                   rebalance worker thread
 //!                                   loop per pass:
-//!                                     0. compact full run stacks (tiered
-//!                                        mode: K sealed runs → base, ONE
-//!                                        retrain, no topology lock)
+//!                                     0. maintain full run stacks (tiered
+//!                                        mode: K sealed runs → one run,
+//!                                        or → base with ONE retrain once
+//!                                        they hold 1/16 of it; no
+//!                                        topology lock)
 //!                                     1. observe + plan      (read lock)
 //!                                     2. export + retrain    (NO lock —
 //!                                        inserts keep flowing into the
@@ -56,8 +58,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::rebalance::RebalanceAction;
-use crate::sharded_writable::{BackgroundStep, ShardedWritable};
-use crate::writable::WritableShard;
+use crate::sharded_writable::{BackgroundStep, Due, ShardedWritable};
 
 /// Wake-channel message from inserters (or the handle) to the worker.
 enum Wake {
@@ -299,6 +300,7 @@ struct Baseline {
     merges: u64,
     compactions: u64,
     runs_compacted: u64,
+    run_merges: u64,
     backend_selections: u64,
     backend_switches: u64,
 }
@@ -321,6 +323,7 @@ impl RebalanceWorker {
             merges: obs.shard_merges.value(),
             compactions: obs.compactions.value(),
             runs_compacted: obs.runs_compacted.value(),
+            run_merges: obs.run_merges.value(),
             backend_selections: obs.backend_selections.value(),
             backend_switches: obs.backend_switches.value(),
         };
@@ -431,6 +434,14 @@ impl RebalanceWorker {
             as usize
     }
 
+    /// Run stacks merged into one run since this worker attached. The
+    /// worker is the only maintainer while attached, so this equals
+    /// [`ShardedWritable::run_merges`](crate::ShardedWritable::run_merges)
+    /// — both are thin reads of `li_run_merges_total`.
+    pub fn run_merges(&self) -> usize {
+        (self.sw.metrics_handle().run_merges.value()).saturating_sub(self.base.run_merges) as usize
+    }
+
     /// Backend grid-searches run since this worker attached (thin read
     /// of `li_backend_selections_total`). Under [`crate::Backend::Auto`]
     /// (crate::Backend::Auto) every shard rebuild the worker publishes
@@ -528,13 +539,14 @@ fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, sta
         stats
             .max_len_seen
             .fetch_max(pressure.max_len_seen, Ordering::Relaxed);
-        // Tiered mode: fold full run stacks into their bases first —
-        // one retrain per K sealed runs, off the insert path, before
-        // split/merge planning looks at shard shapes. Inserters never
-        // compact while we are attached (they only signal); the folds
-        // land in the structure's metrics registry, which the handle's
-        // accessors read back.
-        let _ = sw.compact_pending(WritableShard::needs_compaction);
+        // Tiered mode: maintain full run stacks first — a run merge, or
+        // a fold with one retrain once the runs hold 1/16 of the base —
+        // off the insert path, before split/merge planning looks at
+        // shard shapes. Inserters never maintain stacks while we are
+        // attached (they only signal); the merges and folds land in the
+        // structure's metrics registry, which the handle's accessors
+        // read back.
+        sw.compact_pending(Due::FullStacks);
         // Run steps until the topology is stable. The per-round budget
         // is the same backstop as the inline loop; a round that
         // exhausts it with work remaining (a giant backlog, or a storm

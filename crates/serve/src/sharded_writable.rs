@@ -47,11 +47,13 @@
 //! LSM-style tiered cycle instead of merge-at-threshold: a full buffer
 //! is *sealed* into an immutable [`li_core::SortedRun`] (O(buffer), no
 //! base retrain), and once `max_runs` runs stack up the shard is
-//! *compacted* — all runs folded into the base with ONE retrain. The
-//! insert that fills a run stack never compacts inline while a
-//! [`crate::RebalanceWorker`] is attached; it only signals, and the
-//! worker folds the stack off the insert path (with no worker
-//! attached, the insert compacts inline — the same owner-driven
+//! maintained: its runs are *merged* into one run (no retrain) until
+//! they hold 1/[`li_core::delta::RUN_TIER_RATIO`] of the base's keys,
+//! and then *compacted* — all runs folded into the base with ONE
+//! retrain. The insert that fills a run stack never maintains it inline
+//! while a [`crate::RebalanceWorker`] is attached; it only signals, and
+//! the worker does the work off the insert path (with no worker
+//! attached, the insert does it inline — the same owner-driven
 //! fallback as inline rebalancing).
 //!
 //! # Per-shard retuning
@@ -123,10 +125,11 @@ pub struct ShardedWritableConfig {
     /// LSM-style tiering bound: `0` (the default) keeps the classic
     /// merge-at-threshold write path; `> 0` makes every shard seal a
     /// full buffer into an immutable sorted run (O(buffer), no base
-    /// retrain) and schedules a compaction — all runs folded into the
-    /// base with ONE retrain — once this many runs have stacked up.
-    /// Compaction runs on the attached [`crate::RebalanceWorker`] when
-    /// there is one, inline otherwise.
+    /// retrain) and, once this many runs have stacked up, either merge
+    /// them into one run or — when they hold 1/16 of the base
+    /// ([`li_core::delta::RUN_TIER_RATIO`]) — fold them into the base
+    /// with ONE retrain. That maintenance runs on the attached
+    /// [`crate::RebalanceWorker`] when there is one, inline otherwise.
     pub max_runs: usize,
     /// How every shard (re)build trains its base (default
     /// [`Backend::Rmi`] — the retuned RMI, exactly the pre-adaptive
@@ -563,65 +566,76 @@ impl ShardedWritable {
             return;
         }
         if compaction_due {
-            self.compact_pending(WritableShard::needs_compaction);
+            self.compact_pending(Due::FullStacks);
         }
         if owner_hot || periodic {
             self.rebalance();
         }
     }
 
-    /// Compact every shard `due` selects that has sealed runs: each
-    /// one's base is retrained ONCE over base + runs with no topology
-    /// lock held (only the shard's own brief read/write locks — see
-    /// [`WritableShard::compact`]), so concurrent inserts and
-    /// snapshots keep flowing. Returns `(shards compacted, runs
-    /// folded)`. This is the single compaction entry point — the
-    /// attached [`crate::RebalanceWorker`] and the inline insert path
-    /// pass [`WritableShard::needs_compaction`] (run stack at its
-    /// tiering bound), recovery passes the shards its replay sealed —
-    /// so the global [`ShardedWritable::compactions`] counter and
-    /// `Backend::Auto` re-selection account every compaction exactly
-    /// once.
-    pub(crate) fn compact_pending(&self, due: impl Fn(&WritableShard) -> bool) -> (usize, usize) {
+    /// Maintain the run stack of every shard `due` selects. A shard
+    /// whose runs hold 1/[`li_core::delta::RUN_TIER_RATIO`] of its base
+    /// ([`WritableShard::fold_due`]), or any shard recovery replayed
+    /// into, is **folded**: its base retrained ONCE over base + runs
+    /// ([`WritableShard::compact`]). Any other shard with a full stack
+    /// gets a **run merge**: its runs become one run, nothing retrained
+    /// ([`WritableShard::merge_runs`]). Both run with no topology lock
+    /// held (only the shard's own brief read/write locks), so
+    /// concurrent inserts and snapshots keep flowing.
+    ///
+    /// This is the single maintenance entry point — the attached
+    /// [`crate::RebalanceWorker`] and the inline insert path pass
+    /// [`Due::FullStacks`], recovery passes [`Due::Replayed`] — so the
+    /// global [`ShardedWritable::compactions`] and
+    /// [`ShardedWritable::run_merges`] counters and `Backend::Auto`
+    /// re-selection account every fold and run merge exactly once.
+    pub(crate) fn compact_pending(&self, due: Due) {
         // The Arc (not the guard) suffices: compaction never touches
         // the topology, and a shard orphaned by a concurrent rebalance
         // is merely wasted work, never lost keys. Holding the guard
         // across the retrains would stall every rebalance behind them.
         let topo = Arc::clone(&self.topo_guard());
-        let mut compacted = 0usize;
-        let mut folded = 0usize;
         for shard in topo.shards.iter() {
-            if due(shard) {
-                // Under Backend::Auto a compaction is also a
-                // re-decision point: the fold retrains the base anyway,
-                // so the selector gets to change the shard's backend
-                // family for free (drifted-hard shards go hybrid,
-                // smoothed-out shards go back to a plain RMI).
-                let (runs, selection) = match self.config.backend {
-                    Backend::Auto => {
-                        shard.compact_selected(self.config.leaf_fraction, &self.config.retune)
-                    }
-                    _ => (shard.compact(), None),
-                };
+            let fold = match due {
+                Due::FullStacks if shard.needs_compaction() => shard.fold_due(),
+                Due::Replayed if shard.seals() > 0 => true,
+                _ => continue,
+            };
+            if !fold {
+                let runs = shard.merge_runs();
                 if runs > 0 {
-                    compacted += 1;
-                    folded += runs;
-                    self.obs.compactions.incr();
-                    self.obs.runs_compacted.add(runs as u64);
+                    self.obs.run_merges.incr();
                     self.obs
-                        .event(events::COMPACT_FOLD, runs as u64, shard.len() as u64);
-                    if let Some((choice, switched)) = selection {
-                        self.obs.backend_selections.incr();
-                        self.obs
-                            .event(events::BACKEND_SELECT, choice.code(), shard.len() as u64);
-                        if switched {
-                            self.obs.backend_switches.incr();
-                        }
+                        .event(events::RUN_MERGE, runs as u64, shard.sealed_keys() as u64);
+                }
+                continue;
+            }
+            // Under Backend::Auto a fold is also a re-decision point:
+            // it retrains the base anyway, so the selector gets to
+            // change the shard's backend family for free (drifted-hard
+            // shards go hybrid, smoothed-out shards go back to a plain
+            // RMI). A run merge trains nothing and selects nothing.
+            let (runs, selection) = match self.config.backend {
+                Backend::Auto => {
+                    shard.compact_selected(self.config.leaf_fraction, &self.config.retune)
+                }
+                _ => (shard.compact(), None),
+            };
+            if runs > 0 {
+                self.obs.compactions.incr();
+                self.obs.runs_compacted.add(runs as u64);
+                self.obs
+                    .event(events::COMPACT_FOLD, runs as u64, shard.len() as u64);
+                if let Some((choice, switched)) = selection {
+                    self.obs.backend_selections.incr();
+                    self.obs
+                        .event(events::BACKEND_SELECT, choice.code(), shard.len() as u64);
+                    if switched {
+                        self.obs.backend_switches.incr();
                     }
                 }
             }
         }
-        (compacted, folded)
     }
 
     /// Attach a background worker's link: from now on inserts record
@@ -807,13 +821,22 @@ impl ShardedWritable {
     }
 
     /// How many run-stack compactions have been applied (shards whose
-    /// sealed runs were folded into the base with one retrain). Always
-    /// `0` when `max_runs == 0`. While a [`crate::RebalanceWorker`] is
-    /// attached, every compaction happens on the worker, so this equals
-    /// the worker's own compaction counter. (Thin read of
-    /// `li_compactions_total`; see [`ShardedWritable::splits`].)
+    /// sealed runs were folded into the base with one retrain; run
+    /// merges are not counted here). Always `0` when `max_runs == 0`.
+    /// While a [`crate::RebalanceWorker`] is attached, every compaction
+    /// happens on the worker, so this equals the worker's own
+    /// compaction counter. (Thin read of `li_compactions_total`; see
+    /// [`ShardedWritable::splits`].)
     pub fn compactions(&self) -> usize {
         self.obs.compactions.value() as usize
+    }
+
+    /// How many full run stacks have been merged into one run instead
+    /// of folded (no retrain). Like [`ShardedWritable::compactions`],
+    /// this equals the worker's own count while one is attached. (Thin
+    /// read of `li_run_merges_total`.)
+    pub fn run_merges(&self) -> usize {
+        self.obs.run_merges.value() as usize
     }
 
     /// How many adaptive backend selections have run (thin read of
@@ -844,8 +867,8 @@ impl ShardedWritable {
             .count()
     }
 
-    /// Sealed runs currently stacked across all shards, awaiting
-    /// compaction.
+    /// Sealed runs currently stacked across all shards, between the
+    /// buffers and the bases.
     pub fn run_count(&self) -> usize {
         self.topo_guard().shards.iter().map(|s| s.run_count()).sum()
     }
@@ -1367,7 +1390,9 @@ impl ShardedWritable {
     ///    shard, so each shard seals or merges at most once. Then every
     ///    shard whose replayed keys overflowed its buffer — it sealed
     ///    during replay — folds its whole run stack into its base with
-    ///    one retrain through the ordinary compaction entry point. No
+    ///    one retrain through the ordinary compaction entry point,
+    ///    however small its run tier (a run merge would keep the
+    ///    replayed tail in a run the size of the tail). No
     ///    shard folds twice; a shard that got less than a buffer keeps
     ///    the keys buffered and trains nothing. The log holds only
     ///    inserts, so replay is a set union: batching cannot change the
@@ -1419,9 +1444,9 @@ impl ShardedWritable {
         // A loaded or freshly built shard starts with a seal count of
         // 0, so a non-zero count marks exactly the shards whose
         // replayed keys overflowed the buffer. Those the batch path
-        // already compacted (stack at `max_runs`) have no runs left and
-        // are skipped.
-        sw.compact_pending(|shard| shard.seals() > 0);
+        // already folded (stack at `max_runs`) have no runs left and
+        // are skipped; those it merged into one run fold here.
+        sw.compact_pending(Due::Replayed);
 
         let mut wal = Wal::open_after_recovery(wal_path.as_ref(), policy, &found, snapshot_lsn)?;
         wal.set_obs(Arc::clone(&sw.obs));
@@ -1467,6 +1492,18 @@ pub struct RecoveryReport {
     /// that merged or folded, of any rebalance the replayed keys
     /// triggered, and a first boot's empty base.
     pub trained: u64,
+}
+
+/// Which shards one [`ShardedWritable::compact_pending`] pass maintains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Due {
+    /// Shards whose run stack is at `max_runs`: each folds when its
+    /// runs hold 1/16 of its base, and merges its runs otherwise.
+    FullStacks,
+    /// Shards that sealed since they were loaded (recovery's replay):
+    /// each folds, so a restarted store does not keep a replayed tail
+    /// in runs.
+    Replayed,
 }
 
 /// Outcome of one [`ShardedWritable::rebalance_step_background`] call.

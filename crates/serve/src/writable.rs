@@ -18,11 +18,12 @@
 //! retrain, which is what the concurrent stress suite asserts.
 //!
 //! In **tiered** mode ([`WritableShard::tiered`]) the shard also carries
-//! a stack of immutable sorted runs between the buffer and the base, and
-//! [`WritableShard::compact`] folds them into the base with the retrain
-//! running **off-lock**: writers are only excluded for the final
-//! pointer-swap publish, never for the `Rmi::build` — the same
-//! observe / rebuild-off-lock / publish discipline the background
+//! a stack of immutable sorted runs between the buffer and the base.
+//! [`WritableShard::compact`] folds them into the base and
+//! [`WritableShard::merge_runs`] merges them into one run, both with the
+//! work running **off-lock**: writers are only excluded for the final
+//! pointer-swap publish, never for the `Rmi::build` or the merge — the
+//! same observe / rebuild-off-lock / publish discipline the background
 //! rebalancer uses for topology changes.
 
 use std::sync::{Arc, OnceLock, RwLock};
@@ -71,7 +72,9 @@ impl WritableShard {
     /// immutable sorted run (O(buffer), no base retrain) instead of
     /// merged, and once `max_runs` runs have stacked up
     /// [`WritableShard::needs_compaction`] turns true so the owner can
-    /// fold them with one [`WritableShard::compact`] call.
+    /// fold them with one [`WritableShard::compact`] call — or, while
+    /// [`WritableShard::fold_due`] is false, merge them into one run
+    /// with [`WritableShard::merge_runs`].
     /// `max_runs == 0` is the classic untiered shard.
     ///
     /// # Examples
@@ -189,6 +192,44 @@ impl WritableShard {
         folded
     }
 
+    /// Merge every sealed run into one run, with no retrain: the stack
+    /// is captured under a brief read lock, merged with no lock held,
+    /// and installed under the write lock only if the captured runs are
+    /// still current (same race rule as [`WritableShard::compact`]).
+    /// Returns the number of runs merged (0 = fewer than two runs, or
+    /// raced).
+    ///
+    /// # Examples
+    /// ```
+    /// use li_core::rmi::RmiConfig;
+    /// use li_serve::WritableShard;
+    ///
+    /// let shard = WritableShard::tiered((0..1000u64).collect::<Vec<_>>(), RmiConfig::default(), 4, 2);
+    /// for k in 1000..1008u64 {
+    ///     shard.insert(k); // two runs: 8 keys against 1000 in the base
+    /// }
+    /// assert!(shard.needs_compaction() && !shard.fold_due());
+    /// let before = li_core::train_count();
+    /// assert_eq!(shard.merge_runs(), 2);
+    /// assert_eq!(li_core::train_count(), before, "a run merge never retrains");
+    /// assert_eq!((shard.run_count(), shard.sealed_keys(), shard.len()), (1, 8, 1008));
+    /// ```
+    pub fn merge_runs(&self) -> usize {
+        let t = Instant::now();
+        let cut = self.read_lock().snapshot();
+        let Some(merged) = cut.merge_runs() else {
+            return 0;
+        };
+        let runs = self
+            .write_lock()
+            .install_merged_runs(&cut, merged)
+            .unwrap_or(0);
+        if let Some(obs) = self.obs.get() {
+            obs.run_merge_ns.record_since(t);
+        }
+        runs
+    }
+
     /// [`WritableShard::compact`] with backend **re-selection**: before
     /// training the compacted base, re-run the adaptive grid search
     /// (`crate::select`) over the keys the fold will produce, and
@@ -246,6 +287,18 @@ impl WritableShard {
     /// `false` for untiered shards).
     pub fn needs_compaction(&self) -> bool {
         self.read_lock().needs_compaction()
+    }
+
+    /// Whether a full run stack should be folded into the base rather
+    /// than merged into one run (see
+    /// [`DeltaIndex::fold_due`](li_core::delta::DeltaIndex::fold_due)).
+    pub fn fold_due(&self) -> bool {
+        self.read_lock().fold_due()
+    }
+
+    /// How many run stacks have been merged into one run.
+    pub fn run_merges(&self) -> usize {
+        self.read_lock().run_merges()
     }
 
     /// Sealed runs currently stacked between the buffer and the base.

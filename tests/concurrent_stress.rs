@@ -668,22 +668,25 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
 }
 
 /// The tiered write path under a writer storm with a background
-/// worker attached: inserting threads seal runs (cheap mini-model
-/// fits) but never compact — the worker folds every full run stack
-/// into the learned base. Readers validate cross-shard snapshots
-/// lock-free throughout, including the three-tier bookkeeping: in any
-/// snapshot each shard's base, sealed runs and pending buffer
-/// partition that shard's keyset exactly, every run is sorted-unique,
-/// and `rank`/`contains` stay coherent mid-compaction. Worker-only
-/// compaction is proven by counter equality (`worker.compactions() ==
-/// sw.compactions()` — an inline compaction would break it), and with
-/// `max_runs = 2` every fold must consume at least two runs.
+/// worker attached: inserting threads seal runs (cheap fence copies)
+/// but never maintain them — the worker merges full run stacks into
+/// one run, and folds the runs into the learned base once they hold a
+/// sixteenth of it (375 keys on these 6 000-key shards); how many of
+/// each it does depends on how far it lags the writers. Readers
+/// validate cross-shard snapshots lock-free throughout, including the
+/// three-tier bookkeeping: in any snapshot each shard's base, sealed
+/// runs and pending buffer partition that shard's keyset exactly, every
+/// run is sorted-unique, and `rank`/`contains` stay coherent
+/// mid-compaction and mid-merge. Worker-only maintenance is proven by
+/// counter equality (`worker.compactions() == sw.compactions()` and the
+/// same for run merges — an inline fold or merge would break it), and
+/// with `max_runs = 2` every fold must consume at least two runs.
 #[test]
 fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
     // Rebalance thresholds set far out of reach so the only background
-    // activity is compaction: seals every 8 fresh keys per shard, a
-    // fold due at 2 runs.
-    let initial: Vec<u64> = (0..2_000u64).map(|i| i * 64).collect();
+    // activity is run maintenance: seals every 8 fresh keys per shard,
+    // a full stack at 2 runs, a fold once a shard's runs hold 375 keys.
+    let initial: Vec<u64> = (0..24_000u64).map(|i| i * 4).collect();
     let writers = 4u64;
     let per_writer = 800u64;
     let config = ShardedWritableConfig {
@@ -809,14 +812,19 @@ fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
         worker.compactions()
     );
 
-    // EVERY compaction was executed by the worker thread — while a
-    // worker is attached the inserting threads only record pressure
-    // and signal, so the structure's counter and the worker's must
-    // match exactly.
+    // EVERY compaction and run merge was executed by the worker thread
+    // — while a worker is attached the inserting threads only record
+    // pressure and signal, so the structure's counters and the
+    // worker's must match exactly.
     assert_eq!(
         worker.compactions(),
         sw.compactions(),
         "a non-worker thread compacted"
+    );
+    assert_eq!(
+        worker.run_merges(),
+        sw.run_merges(),
+        "a non-worker thread merged runs"
     );
     // And compaction is not a topology event: the quiet rebalance
     // thresholds mean no split or merge ever published.
@@ -1119,6 +1127,9 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
         2 * worker.splits() + worker.merges() + worker.compactions(),
         "worker-relative selection tally diverged"
     );
+    // Run merges retrain nothing, so they select nothing: the tallies
+    // above hold with them left out, and the worker ran all of them.
+    assert_eq!(worker.run_merges(), sw.run_merges());
 
     // At least one rebuild flipped a family: shard 0's split halves
     // (~13k dense keys each) sit below the RMI/FAST crossover, while

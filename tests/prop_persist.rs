@@ -274,7 +274,7 @@ fn nonempty_run_stacks_round_trip_identically() {
     assert_eq!(
         train_count(),
         before,
-        "run mini-model refits are not training events"
+        "rebuilding run fences is not a training event"
     );
     assert_eq!(loaded.run_count(), 2);
     assert_eq!(loaded.sealed_keys(), 32);
@@ -636,5 +636,105 @@ fn v3_snapshots_load_and_older_versions_are_refused() {
             Err(e) => panic!("version {v}: expected Unsupported, got {e}"),
             Ok(_) => panic!("version {v} must not load"),
         }
+    }
+}
+
+/// Tiered stores whose base is large enough that full run stacks are
+/// merged into one run instead of folded (a sixteenth of the base is
+/// more than one stack).
+fn merging_cfg() -> ShardedWritableConfig {
+    let cfg = tiered_cfg();
+    ShardedWritableConfig {
+        rebalance: RebalanceConfig {
+            max_shard_len: 1 << 20,
+            ..cfg.rebalance
+        },
+        ..cfg
+    }
+}
+
+/// A store whose shards hold merged runs — runs far longer than the
+/// merge threshold — round-trips key for key, rank for rank and tier
+/// for tier, and the load trains nothing.
+#[test]
+fn merged_runs_round_trip_key_for_key() {
+    let path = tmp_path("merged-runs");
+    let _guard = Cleanup(path.clone());
+    let init: Vec<u64> = (0..12_000u64).map(|i| i * 8).collect();
+    let sw = ShardedWritable::new(init, 3, merging_cfg());
+    for k in 0..1_200u64 {
+        assert!(sw.insert(k * 80 + 3));
+    }
+    assert!(sw.run_merges() >= 3, "the stream must merge run stacks");
+    let longest = |s: &ShardedWritable| {
+        s.snapshot()
+            .shard_snapshots()
+            .iter()
+            .flat_map(|shard| shard.runs().iter().map(|r| r.len()))
+            .max()
+            .unwrap_or(0)
+    };
+    assert!(longest(&sw) > 16 * 4, "a merged run longer than a stack");
+    sw.save(&path).unwrap();
+
+    let before = train_count();
+    let loaded = ShardedWritable::load(&path).unwrap();
+    assert_eq!(train_count(), before, "load must not train");
+    assert_eq!(
+        (loaded.run_count(), loaded.sealed_keys(), loaded.pending()),
+        (sw.run_count(), sw.sealed_keys(), sw.pending())
+    );
+    assert_eq!(longest(&loaded), longest(&sw));
+    assert_eq!(loaded.range_keys(0, u64::MAX), sw.range_keys(0, u64::MAX));
+    for q in (0..96_010u64).step_by(3) {
+        assert_eq!(loaded.contains(q), sw.contains(q), "q={q}");
+        assert_eq!(loaded.rank(q), sw.rank(q), "q={q}");
+    }
+}
+
+/// A run key that is also a base key — far from every other run and
+/// buffer key, so only the walk of the upper tiers against the base
+/// can see it — is rejected with a typed `Format` error once the file
+/// is re-sealed with valid checksums, never a panic or a store that
+/// counts the key twice.
+#[test]
+fn a_run_key_in_the_base_is_a_typed_format_error() {
+    let path = tmp_path("run-in-base");
+    let _guard = Cleanup(path.clone());
+    // One shard. The base ends far above every inserted key, and the
+    // stream leaves sealed runs and an empty buffer.
+    let mut init: Vec<u64> = (0..4_000u64).map(|i| i * 8).collect();
+    init.push(1 << 40);
+    let sw = ShardedWritable::new(init, 1, merging_cfg());
+    for k in 0..160u64 {
+        assert!(sw.insert(k * 16 + 3));
+    }
+    assert!(sw.run_count() >= 1 && sw.pending() == 0, "runs, no buffer");
+    sw.save(&path).unwrap();
+
+    // The run stack closes the manifest, so the file's last 8 bytes are
+    // the newest run's largest key. Raising it to the base's largest key
+    // keeps the run and the upper tiers strictly increasing.
+    let mut bytes = std::fs::read(&path).unwrap();
+    let at = bytes.len() - 8;
+    assert_eq!(
+        u64::from_le_bytes(bytes[at..].try_into().unwrap()),
+        159 * 16 + 3
+    );
+    bytes[at..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    const HEADER_LEN: usize = 4096;
+    let keys_end = HEADER_LEN + 4_001 * 8;
+    let manifest_sum = xxh64(&bytes[keys_end..]);
+    bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
+    let header_sum = xxh64(&bytes[0..56]);
+    bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    match ShardedWritable::load(&path) {
+        Err(PersistError::Format(msg)) => {
+            assert!(msg.contains("disjoint"), "unexpected rejection: {msg}")
+        }
+        Err(e) => panic!("expected a Format error, got {e}"),
+        Ok(_) => panic!("a run key that is also a base key must not load"),
     }
 }

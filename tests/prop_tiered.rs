@@ -8,10 +8,18 @@
 //! sealing and compacting. Edge cases pinned deterministically:
 //! all-duplicate streams (no seal ever fires) and `u64::MAX` keys in
 //! every tier.
+//!
+//! Run merging has suites of its own: bases of at least
+//! `RUN_TIER_RATIO × threshold × max_runs` keys, so a full run stack is
+//! merged into one run several times before the run tier holds a
+//! sixteenth of the base and folds — smaller bases fold every stack and
+//! never reach the merge path.
 
 use std::collections::BTreeSet;
 
-use learned_indexes::rmi::{DeltaIndex, RmiConfig, TopModel};
+use learned_indexes::rmi::delta::RUN_TIER_RATIO;
+use learned_indexes::rmi::{train_count, DeltaIndex, RmiConfig, TopModel};
+use learned_indexes::serve::{ShardedWritable, ShardedWritableConfig, WritableShard};
 use proptest::prelude::*;
 
 fn cfg() -> RmiConfig {
@@ -33,34 +41,64 @@ fn probes(oracle: &BTreeSet<u64>) -> Vec<u64> {
     qs
 }
 
-fn assert_matches_oracle(
-    idx: &DeltaIndex,
+/// The reads the oracle checks, on a live index or on a snapshot.
+trait Reads {
+    fn len(&self) -> usize;
+    fn rank(&self, key: u64) -> usize;
+    fn contains(&self, key: u64) -> bool;
+    fn range_keys(&self, lo: u64, hi: u64) -> Vec<u64>;
+}
+
+macro_rules! reads {
+    ($t:ty) => {
+        impl Reads for $t {
+            fn len(&self) -> usize {
+                <$t>::len(self)
+            }
+            fn rank(&self, key: u64) -> usize {
+                <$t>::rank(self, key)
+            }
+            fn contains(&self, key: u64) -> bool {
+                <$t>::contains(self, key)
+            }
+            fn range_keys(&self, lo: u64, hi: u64) -> Vec<u64> {
+                <$t>::range_keys(self, lo, hi)
+            }
+        }
+    };
+}
+reads!(DeltaIndex);
+reads!(learned_indexes::rmi::DeltaSnapshot);
+reads!(ShardedWritable);
+
+fn assert_reads_match(
+    view: &impl Reads,
     oracle: &BTreeSet<u64>,
     ctx: &str,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(idx.len(), oracle.len(), "{}: len", ctx);
-    for &q in &probes(oracle) {
+    prop_assert_eq!(view.len(), oracle.len(), "{}: len", ctx);
+    let qs = probes(oracle);
+    for &q in &qs {
         prop_assert_eq!(
-            idx.rank(q),
+            view.rank(q),
             oracle.range(..q).count(),
             "{}: rank({})",
             ctx,
             q
         );
         prop_assert_eq!(
-            idx.contains(q),
+            view.contains(q),
             oracle.contains(&q),
             "{}: contains({})",
             ctx,
             q
         );
     }
-    let qs = probes(oracle);
     for w in qs.windows(2) {
         let (lo, hi) = (w[0].min(w[1]), w[0].max(w[1]));
         let want: Vec<u64> = oracle.range(lo..hi).copied().collect();
         prop_assert_eq!(
-            idx.range_keys(lo, hi),
+            view.range_keys(lo, hi),
             want,
             "{}: range [{},{})",
             ctx,
@@ -110,10 +148,10 @@ proptest! {
                 compaction_events += usize::from(folded > 0);
             }
             if step % 29 == 0 {
-                assert_matches_oracle(&idx, &oracle, &format!("step {step}"))?;
+                assert_reads_match(&idx, &oracle, &format!("step {step}"))?;
             }
         }
-        assert_matches_oracle(&idx, &oracle, "final")?;
+        assert_reads_match(&idx, &oracle, "final")?;
         // Lifecycle accounting: tiered mode seals instead of merging —
         // exactly one seal per `threshold` fresh keys — and every
         // compaction event was counted exactly once.
@@ -180,7 +218,6 @@ proptest! {
         stream in prop::collection::vec(any::<u64>(), 8..80),
         shards in 1usize..4,
     ) {
-        use li_serve::{ShardedWritable, ShardedWritableConfig};
         let config = ShardedWritableConfig {
             merge_threshold: 4,
             max_runs: 3,
@@ -326,4 +363,231 @@ fn reads_at_the_compaction_bound_are_exact() {
         assert_eq!(idx.contains(q), oracle.contains(&q), "q={q}");
         assert_eq!(idx.rank(q), oracle.range(..q).count(), "q={q}");
     }
+}
+
+// ----------------------------------------------------------------------
+// Run merging: bases big enough that full stacks merge before they fold.
+// ----------------------------------------------------------------------
+
+/// Twice the smallest base on which a full run stack merges instead of
+/// folding: `2 × RUN_TIER_RATIO × threshold × max_runs` keys, spread over
+/// the whole domain so random keys land between them (and in every shard
+/// of a sharded store).
+fn merge_base(threshold: usize, max_runs: usize) -> Vec<u64> {
+    let n = 2 * RUN_TIER_RATIO * threshold * max_runs;
+    let gap = u64::MAX / n as u64;
+    (0..n as u64).map(|i| i * gap).collect()
+}
+
+/// What one maintenance step did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    Merge,
+    Fold,
+}
+
+/// The owner's maintenance policy on a shard whose stack is full, with
+/// its bookkeeping checked: a run merge leaves one run and trains
+/// nothing, a fold leaves none and trains once.
+fn maintain(shard: &WritableShard) -> Result<Option<Step>, TestCaseError> {
+    if !shard.needs_compaction() {
+        return Ok(None);
+    }
+    let (runs, sealed, trains) = (shard.run_count(), shard.sealed_keys(), train_count());
+    let (merges, folds) = (shard.run_merges(), shard.compactions());
+    if shard.fold_due() {
+        prop_assert_eq!(shard.compact(), runs);
+        prop_assert_eq!(shard.compactions(), folds + 1);
+        prop_assert_eq!(train_count(), trains + 1, "a fold trains once");
+        prop_assert_eq!((shard.run_count(), shard.sealed_keys()), (0, 0));
+        Ok(Some(Step::Fold))
+    } else {
+        prop_assert_eq!(shard.merge_runs(), runs);
+        prop_assert_eq!(shard.run_merges(), merges + 1);
+        prop_assert_eq!(train_count(), trains, "a run merge trains nothing");
+        prop_assert_eq!((shard.run_count(), shard.sealed_keys()), (1, sealed));
+        Ok(Some(Step::Merge))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A `WritableShard` whose owner merges full stacks until the run
+    /// tier holds a sixteenth of the base, then folds, stays a
+    /// `BTreeSet` through every merge → merge → fold cycle; the stack
+    /// never exceeds `max_runs`, and only folds train.
+    #[test]
+    fn writable_shard_tracks_oracle_through_merge_and_fold_cycles(
+        stream in prop::collection::vec(any::<u64>(), 0..300),
+        threshold in 2usize..6,
+        max_runs in 2usize..5,
+    ) {
+        let base = merge_base(threshold, max_runs);
+        let shard = WritableShard::tiered(base.clone(), cfg(), threshold, max_runs);
+        let mut oracle: BTreeSet<u64> = base.into_iter().collect();
+        for (i, &k) in stream.iter().enumerate() {
+            prop_assert_eq!(shard.insert(k), oracle.insert(k), "insert {}", k);
+            prop_assert!(shard.run_count() <= max_runs);
+            maintain(&shard)?;
+            prop_assert!(shard.run_count() < max_runs, "maintenance left a full stack");
+            if i % 41 == 0 {
+                assert_reads_match(&shard.snapshot(), &oracle, &format!("step {i}"))?;
+            }
+        }
+        assert_reads_match(&shard.snapshot(), &oracle, "final")?;
+        prop_assert_eq!(shard.merges(), 0, "tiered mode never full-merges on its own");
+    }
+
+    /// The same policy one level up, run by the store itself on every
+    /// insert: each shard merges or folds inline, the store stays a
+    /// `BTreeSet` read live, and no shard is left with a full stack.
+    #[test]
+    fn sharded_writable_tracks_oracle_through_run_merges(
+        stream in prop::collection::vec(any::<u64>(), 0..300),
+        shards in 1usize..4,
+        threshold in 2usize..6,
+        max_runs in 2usize..5,
+    ) {
+        let base: Vec<u64> = merge_base(threshold, max_runs * shards);
+        let config = ShardedWritableConfig {
+            merge_threshold: threshold,
+            max_runs,
+            check_interval: 0,
+            ..ShardedWritableConfig::default()
+        };
+        let sw = ShardedWritable::new(base.clone(), shards, config);
+        let mut oracle: BTreeSet<u64> = base.into_iter().collect();
+        for (i, &k) in stream.iter().enumerate() {
+            prop_assert_eq!(sw.insert(k), oracle.insert(k), "insert {}", k);
+            prop_assert!(sw.run_count() <= (max_runs - 1) * sw.shard_count());
+            if i % 41 == 0 {
+                assert_reads_match(&sw, &oracle, &format!("step {i}"))?;
+            }
+        }
+        assert_reads_match(&sw, &oracle, "final")?;
+        prop_assert_eq!(
+            sw.metrics().counter("li_run_merges_total"),
+            Some(sw.run_merges() as u64)
+        );
+    }
+
+    /// A run merge races the owner: between its cut and its install the
+    /// live index takes more keys and then, by `race`, does nothing
+    /// else, folds, or merges its runs itself. The install lands exactly
+    /// when the captured runs are still the bottom of the stack, trains
+    /// nothing, and the live index stays the oracle; the cut keeps
+    /// answering from its own frozen tiers either way.
+    #[test]
+    fn run_merge_cuts_install_only_while_current_and_stay_frozen(
+        before in prop::collection::vec(any::<u64>(), 0..60),
+        after in prop::collection::vec(any::<u64>(), 0..40),
+        threshold in 2usize..6,
+        max_runs in 2usize..5,
+        race in 0usize..3,
+    ) {
+        let base = merge_base(threshold, max_runs);
+        let mut idx = DeltaIndex::new(base.clone(), cfg(), threshold).with_tiering(max_runs);
+        let mut oracle: BTreeSet<u64> = base.into_iter().collect();
+        for &k in &before {
+            prop_assert_eq!(idx.insert(k), oracle.insert(k));
+        }
+        let mut fresh = 1u64;
+        while idx.run_count() < 2 {
+            if oracle.insert(fresh) {
+                prop_assert!(idx.insert(fresh));
+            }
+            fresh += 2;
+        }
+        let cut = idx.snapshot();
+        let frozen: BTreeSet<u64> = oracle.clone();
+        let merged = cut.merge_runs().unwrap();
+        let mut want: Vec<u64> = cut.runs().iter().flat_map(|r| r.as_slice().iter().copied()).collect();
+        want.sort_unstable();
+        prop_assert_eq!(merged.as_slice(), &want[..], "the merged run is the captured runs' union");
+
+        for &k in &after {
+            prop_assert_eq!(idx.insert(k), oracle.insert(k));
+        }
+        let raced = match race {
+            1 => idx.compact() > 0,
+            2 => {
+                let rival = idx.snapshot();
+                let run = rival.merge_runs().unwrap();
+                idx.install_merged_runs(&rival, run).is_some()
+            }
+            _ => false,
+        };
+        let (trains, runs, sealed) = (train_count(), idx.run_count(), idx.sealed_keys());
+        let installed = idx.install_merged_runs(&cut, merged);
+        prop_assert_eq!(train_count(), trains, "installing a run merge trains nothing");
+        prop_assert_eq!(installed.is_some(), !raced);
+        match installed {
+            Some(k) => {
+                prop_assert_eq!(k, cut.runs().len());
+                prop_assert_eq!(idx.run_count(), runs + 1 - k);
+            }
+            None => prop_assert_eq!(idx.run_count(), runs, "a stale cut installed something"),
+        }
+        prop_assert_eq!(idx.sealed_keys(), sealed);
+        assert_reads_match(&idx, &oracle, "live after the install")?;
+        assert_reads_match(&cut, &frozen, "the cut")?;
+    }
+}
+
+/// The cycle itself, pinned: on a base of twice the merge-only size,
+/// full stacks of `max_runs` go merge, merge, fold — and again — with
+/// exactly one retrain per fold, while a store built the same way does
+/// the same inline and reports it in its registry and event ring.
+#[test]
+fn full_stacks_merge_twice_then_fold() {
+    let (threshold, max_runs) = (4usize, 3usize);
+    let base = merge_base(threshold, max_runs);
+    let shard = WritableShard::tiered(base.clone(), cfg(), threshold, max_runs);
+    let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
+    let mut steps = Vec::new();
+    let mut key = 1u64;
+    while steps.len() < 6 {
+        assert!(shard.insert(key));
+        oracle.insert(key);
+        key += 2;
+        if let Some(step) = maintain(&shard).unwrap() {
+            steps.push(step);
+        }
+    }
+    use Step::{Fold, Merge};
+    assert_eq!(steps, [Merge, Merge, Fold, Merge, Merge, Fold]);
+    assert_reads_match(&shard.snapshot(), &oracle, "after two cycles").unwrap();
+
+    let config = ShardedWritableConfig {
+        merge_threshold: threshold,
+        max_runs,
+        check_interval: 0,
+        ..ShardedWritableConfig::default()
+    };
+    let sw = ShardedWritable::new(base, 1, config);
+    let trains = train_count();
+    for k in (1..key).step_by(2) {
+        assert!(sw.insert(k));
+    }
+    assert_eq!((sw.run_merges(), sw.compactions()), (4, 2));
+    assert_eq!(
+        train_count(),
+        trains + 2,
+        "one retrain per fold, none per merge"
+    );
+    let snap = sw.metrics();
+    assert_eq!(snap.counter("li_run_merges_total"), Some(4));
+    assert_eq!(snap.counter("li_compactions_total"), Some(2));
+    let events = snap.ring("li_events").unwrap();
+    assert_eq!(events.iter().filter(|e| e.name == "run_merge").count(), 4);
+    assert_eq!(
+        events.iter().filter(|e| e.name == "compact_fold").count(),
+        2
+    );
+    assert_eq!(
+        snap.histogram("li_run_merge_ns").map(|h| h.count()),
+        Some(4)
+    );
+    assert_reads_match(&sw, &oracle, "store after two cycles").unwrap();
 }
