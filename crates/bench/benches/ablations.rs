@@ -141,6 +141,9 @@ fn bench_delta_insert(c: &mut Criterion) {
                     let last = 2_000_000_000u64;
                     for i in 0..2_000u64 {
                         idx.insert(last + i);
+                        if idx.needs_compaction() {
+                            idx.compact();
+                        }
                     }
                     idx.len()
                 },

@@ -2,25 +2,20 @@
 //!
 //! ```text
 //! repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S]
-//!       [--modes scalar,batched,bg,tiered]
 //!
 //! experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive
-//!              appendix-a appendix-e scaling write persist gauntlet wal stats all   (default: all)
-//! --modes filters the `write` experiment's measured write modes
-//!         (default: all four)
+//!              appendix-a appendix-e scaling persist gauntlet wal stats all   (default: all)
 //! ```
 //!
 //! Run release builds for meaningful numbers:
 //! `cargo run --release -p li-bench --bin repro -- fig4 --keys 2000000`.
 
 use li_bench::harness::BenchConfig;
-use li_bench::write::WriteMode;
 use li_bench::*;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut experiments: Vec<String> = Vec::new();
-    let mut write_modes: Vec<WriteMode> = WriteMode::ALL.to_vec();
     let mut cfg = BenchConfig {
         keys: resolve_keys(None, 2_000_000),
         queries: 200_000,
@@ -48,24 +43,6 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--seed requires a number"));
             }
-            "--modes" => {
-                let list = it
-                    .next()
-                    .unwrap_or_else(|| die("--modes requires a comma-separated list"));
-                write_modes = list
-                    .split(',')
-                    .map(|name| {
-                        WriteMode::parse(name.trim()).unwrap_or_else(|| {
-                            die(&format!(
-                                "unknown write mode '{name}' (expected scalar, batched, bg, tiered)"
-                            ))
-                        })
-                    })
-                    .collect();
-                if write_modes.is_empty() {
-                    die("--modes requires at least one mode");
-                }
-            }
             "--help" | "-h" => {
                 print_usage();
                 return;
@@ -87,7 +64,6 @@ fn main() {
             "appendix-a",
             "appendix-e",
             "scaling",
-            "write",
             "persist",
             "gauntlet",
             "wal",
@@ -142,16 +118,6 @@ fn main() {
                 };
                 scaling::print(&scaling::run(&scfg), scfg.keys);
             }
-            "write" => {
-                // Same scale reasoning as `scaling`: the write-path
-                // story (routing, merges, rebalancing) is visible well
-                // below paper scale, and every insert retrains models.
-                let wcfg = BenchConfig {
-                    keys: cfg.keys.min(200_000),
-                    ..cfg.clone()
-                };
-                write::print(&write::run_modes(&wcfg, &write_modes), wcfg.keys);
-            }
             "gauntlet" => {
                 let (rows, verdicts) = gauntlet::run(&cfg);
                 gauntlet::print(&rows, &verdicts, cfg.keys);
@@ -167,7 +133,7 @@ fn main() {
                 persist::print(&persist::run(&pcfg), pcfg.keys);
             }
             "wal" => {
-                // Same scale reasoning as `write`: the sync-policy
+                // Same scale reasoning as `scaling`: the sync-policy
                 // economics (fsync amortization) are visible well below
                 // paper scale, and the per-record row pays one fsync
                 // per insert.
@@ -178,7 +144,7 @@ fn main() {
                 wal::print(&wal::run(&wcfg), wcfg.keys);
             }
             "stats" => {
-                // Same scale reasoning as `write`: the metrics story
+                // Same scale reasoning as `scaling`: the metrics story
                 // (counters, gauges, event tail, overhead) is fully
                 // visible well below paper scale.
                 let scfg = BenchConfig {
@@ -194,9 +160,8 @@ fn main() {
 
 fn print_usage() {
     println!(
-        "repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S] [--modes scalar,batched,bg,tiered]\n\
-         experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive appendix-a appendix-e scaling write persist gauntlet wal stats all\n\
-         --modes filters the write experiment's measured write modes (default: all four)"
+        "repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S]\n\
+         experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive appendix-a appendix-e scaling persist gauntlet wal stats all"
     );
 }
 

@@ -101,8 +101,8 @@ pub fn time_batch_ref_ns<Q>(queries: &[Q], mut f: impl FnMut(&Q) -> usize) -> f6
 
 /// Mean/p50/p99 summary of a per-operation latency series, derived
 /// from an [`li_obs::Histogram`] snapshot — the single quantile engine
-/// shared by every latency-reporting experiment (`repro write`,
-/// `repro wal`, `repro stats`), replacing per-bench sort-based
+/// shared by every latency-reporting experiment (`repro wal`,
+/// `repro stats`), replacing per-bench sort-based
 /// percentile code. Quantile estimates inherit the histogram's error
 /// bound: each lands in the same bucket as the true rank-order sample
 /// (within ~3.2% above 64 ns, exact below).

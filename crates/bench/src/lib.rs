@@ -18,7 +18,6 @@
 //! | [`appendix_a`] | Appendix A — O(√N) error scaling |
 //! | [`appendix_e`] | Appendix E — model-hash Bloom filter |
 //! | [`scaling`]  | beyond the paper — sharded serving under multi-thread batched load |
-//! | [`mod@write`] | beyond the paper — sharded write path: scalar/batched/background inserts/sec + lookup-under-writes |
 //! | [`persist`]  | beyond the paper — warm restart: cold build vs mapped snapshot load, with lookup parity |
 //! | [`gauntlet`] | beyond the paper — adaptive per-shard backend selection on SOSD-style adversarial distributions |
 //! | [`mod@wal`]  | beyond the paper — durable live writes: WAL insert overhead per sync policy + crash recovery |
@@ -50,7 +49,6 @@ pub mod stats;
 pub mod table;
 pub mod table1;
 pub mod wal;
-pub mod write;
 
 pub use harness::{
     time_batch_chunked_ns, time_batch_ns, time_each_ns, BenchConfig, LatencySummary,

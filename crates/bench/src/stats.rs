@@ -198,7 +198,6 @@ pub fn print(report: &StatsReport, keys: usize) {
         "li_shard_splits_total",
         "li_shard_merges_total",
         "li_buffer_seals_total",
-        "li_buffer_merges_total",
         "li_compactions_total",
     ] {
         t.row(&[

@@ -1,19 +1,17 @@
-//! Delta-buffered inserts for learned indexes (Appendix D.1), with an
-//! optional LSM-style tiered write path.
+//! Delta-buffered inserts for learned indexes (Appendix D.1), as an
+//! LSM-style tiered write path.
 //!
 //! "There always exists a much simpler alternative to handling inserts
 //! by building a delta-index \[60\]. All inserts are kept in buffer and
 //! from time to time merged with a potential retraining of the model.
 //! This approach is already widely used, for example in Bigtable."
 //!
-//! [`DeltaIndex`] wraps an [`Rmi`] with a sorted insert buffer. In the
-//! classic (untiered) configuration, lookups consult both sides and a
-//! full buffer is merged into the base with a retrain — the paper's D.1
-//! design verbatim. In **tiered** mode ([`DeltaIndex::with_tiering`]),
-//! a full buffer is instead *sealed* into an immutable [`SortedRun`]
-//! with its own fence index (O(buffer), nothing trained), and the index
-//! never shrinks its run stack on its own: once `max_runs` runs have
-//! stacked up its owner maintains it, in one of two ways.
+//! [`DeltaIndex`] wraps an [`Rmi`] with a sorted insert buffer and a
+//! bounded stack of immutable [`SortedRun`]s between them. A full buffer
+//! is *sealed* into a run with its own fence index (O(buffer), nothing
+//! trained), and the index never shrinks its run stack on its own: once
+//! `max_runs` runs have stacked up its owner maintains it, in one of two
+//! ways.
 //!
 //! * **Run merge** ([`DeltaSnapshot::merge_runs`] +
 //!   [`DeltaIndex::install_merged_runs`]): the runs become one longer
@@ -23,8 +21,10 @@
 //!   [`DeltaIndex::install_compacted`]): the runs go into the base with
 //!   ONE retrain, O(base).
 //!
-//! A fold rewrites the whole base, so it waits until the run tier holds
-//! at least 1/[`RUN_TIER_RATIO`] of the base's keys
+//! With `max_runs = 1` this is the paper's cycle verbatim: every full
+//! buffer is sealed and then folded into the base with one retrain.
+//! With more runs, a fold rewrites the whole base, so it waits until the
+//! run tier holds at least 1/[`RUN_TIER_RATIO`] of the base's keys
 //! ([`DeltaIndex::fold_due`]); until then full stacks are merged. The
 //! run *count* stays bounded by `max_runs`; only run *size* grows, up to
 //! a sixteenth of the base. That breaks the merge-threshold /
@@ -32,8 +32,8 @@
 //! pays a base retrain, and the base is rebuilt once per
 //! `base / RUN_TIER_RATIO` inserts instead of once per stack.
 //!
-//! The base RMI and every sealed run live behind `Arc`s, so merges,
-//! run merges and folds are all *whole-tier swaps*: readers holding a
+//! The base RMI and every sealed run live behind `Arc`s, so seals, run
+//! merges and folds are all *whole-tier swaps*: readers holding a
 //! [`DeltaSnapshot`] keep the old trained model, runs and zero-copy
 //! [`KeyStore`] alive for as long as they need them, which is what makes
 //! the `li-serve` write path's snapshot-consistent concurrent reads
@@ -54,6 +54,10 @@ use li_index::{KeyStore, RangeIndex};
 /// `base / RUN_TIER_RATIO` inserts; the price is run probes over runs
 /// up to a sixteenth of the base.
 pub const RUN_TIER_RATIO: usize = 16;
+
+/// The run-stack bound a [`DeltaIndex`] gets unless
+/// [`DeltaIndex::with_tiering`] sets another.
+pub const DEFAULT_MAX_RUNS: usize = 4;
 
 /// The base's keys, then every run's (oldest first), then `delta`: the
 /// tiers as the merge primitive takes them.
@@ -81,8 +85,8 @@ fn merged_store(base: &[u64], runs: &[Arc<SortedRun>], delta: &[u64]) -> KeyStor
     merged.into()
 }
 
-/// An updatable learned index: RMI base + sorted delta buffer, plus (in
-/// tiered mode) a bounded stack of immutable sorted runs between them.
+/// An updatable learned index: RMI base + sorted delta buffer, plus a
+/// bounded stack of immutable sorted runs between them.
 ///
 /// The base keys live in the RMI's shared [`KeyStore`]; only the (small,
 /// bounded) insert buffer is owned, mutable storage. The trained base and
@@ -101,14 +105,12 @@ pub struct DeltaIndex {
     /// Sealed immutable runs, oldest first ([`DeltaIndex::seal`] pushes).
     runs: Vec<Arc<SortedRun>>,
     /// Cached total key count across `runs` (kept in sync by
-    /// seal/compact/merge so `len` is O(1)).
+    /// seal/compact so `len` is O(1)).
     sealed: usize,
     merge_threshold: usize,
-    /// `0` = untiered (classic merge-at-threshold); `> 0` = seal at the
-    /// threshold and report [`DeltaIndex::needs_compaction`] once this
-    /// many runs have stacked up.
+    /// Report [`DeltaIndex::needs_compaction`] once this many runs
+    /// (≥ 1) have stacked up.
     max_runs: usize,
-    merges: usize,
     seals: usize,
     compactions: usize,
     run_merges: usize,
@@ -116,8 +118,9 @@ pub struct DeltaIndex {
 }
 
 impl DeltaIndex {
-    /// Build over initial `data` (sorted, unique); buffer up to
-    /// `merge_threshold` inserts between retrains.
+    /// Build over initial `data` (sorted, unique); seal every
+    /// `merge_threshold` inserts into a run, and ask for maintenance
+    /// once [`DEFAULT_MAX_RUNS`] runs have stacked up.
     pub fn new(data: impl Into<KeyStore>, config: RmiConfig, merge_threshold: usize) -> Self {
         Self::from_trained(Rmi::build(data, &config), config, merge_threshold)
     }
@@ -125,8 +128,8 @@ impl DeltaIndex {
     /// Wrap an already-trained base RMI (no retraining) — for callers
     /// that tune the model before handing it over, e.g. the sharded
     /// write path's per-shard retune loop. `config` is what future
-    /// merge+retrain cycles rebuild with, so pass the configuration the
-    /// base was actually trained under.
+    /// folds retrain with, so pass the configuration the base was
+    /// actually trained under.
     pub fn from_trained(base: Rmi, config: RmiConfig, merge_threshold: usize) -> Self {
         assert!(merge_threshold > 0);
         Self {
@@ -136,8 +139,7 @@ impl DeltaIndex {
             runs: Vec::new(),
             sealed: 0,
             merge_threshold,
-            max_runs: 0,
-            merges: 0,
+            max_runs: DEFAULT_MAX_RUNS,
             seals: 0,
             compactions: 0,
             run_merges: 0,
@@ -145,21 +147,18 @@ impl DeltaIndex {
         }
     }
 
-    /// Switch this index to the LSM-style tiered write path: a full
-    /// buffer is sealed into an immutable [`SortedRun`] (O(buffer), no
-    /// base retrain) instead of merged, and once `max_runs` runs have
-    /// stacked up [`DeltaIndex::needs_compaction`] turns true so the
-    /// owner can shrink the stack: fold it into the base with ONE
-    /// retrain ([`DeltaIndex::compact`]) when [`DeltaIndex::fold_due`],
+    /// Set the run-stack bound (≥ 1; [`DEFAULT_MAX_RUNS`] otherwise):
+    /// once `max_runs` sealed runs have stacked up
+    /// [`DeltaIndex::needs_compaction`] turns true so the owner can
+    /// shrink the stack: fold it into the base with ONE retrain
+    /// ([`DeltaIndex::compact`]) when [`DeltaIndex::fold_due`],
     /// otherwise merge it into one run
     /// ([`DeltaIndex::install_merged_runs`]) — inline, or off-thread the
     /// way `li-serve`'s background worker does.
     ///
-    /// `max_runs == 0` keeps the classic untiered merge-at-threshold
-    /// behavior. The index itself never compacts on its own in tiered
-    /// mode: the run stack only shrinks when the owner asks, which is
-    /// what lets a serving layer prove that compaction runs *only* on
-    /// its background worker.
+    /// The index itself never maintains its stack: it only shrinks when
+    /// the owner asks, which is what lets a serving layer prove that
+    /// maintenance runs *only* on its background worker.
     ///
     /// # Examples
     /// ```
@@ -178,6 +177,7 @@ impl DeltaIndex {
     /// assert_eq!(idx.len(), 10);
     /// ```
     pub fn with_tiering(mut self, max_runs: usize) -> Self {
+        assert!(max_runs >= 1, "max_runs must be >= 1");
         self.max_runs = max_runs;
         self
     }
@@ -185,8 +185,7 @@ impl DeltaIndex {
     /// Insert a key, returning whether it was newly inserted (`false`
     /// for duplicates of existing keys, which are ignored to keep the
     /// unique-sorted-key invariant). At the merge threshold the full
-    /// buffer is merged+retrained (untiered) or sealed into a run
-    /// (tiered).
+    /// buffer is sealed into a run.
     ///
     /// The duplicate check fans across the tiers newest-first: the
     /// O(log pending) sorted-buffer probe runs first and short-circuits,
@@ -197,11 +196,10 @@ impl DeltaIndex {
     /// tiers-before-base order is safe because all tiers are mutually
     /// disjoint at all times: a key only enters the buffer after missing
     /// *every* probe, sealing moves the whole buffer into a run
-    /// verbatim, and merge/compaction move whole tiers into the base
-    /// atomically (under `&mut self`), so no tier can ever hold a key
-    /// another tier has. [`DeltaIndex::merge`] re-checks the invariant
-    /// with a strict sortedness assertion on the merged array in debug
-    /// builds.
+    /// verbatim, and run merges and folds move whole tiers atomically
+    /// (under `&mut self`), so no tier can ever hold a key another tier
+    /// has. A fold re-checks the invariant with a strict sortedness
+    /// assertion on the merged array in debug builds.
     pub fn insert(&mut self, key: u64) -> bool {
         let pos = self.delta.partition_point(|&k| k < key);
         if self.delta.get(pos).is_some_and(|&k| k == key) || self.in_runs(key) {
@@ -228,7 +226,7 @@ impl DeltaIndex {
     /// the buffer is rebuilt with a single linear merge instead of one
     /// `Vec::insert` memmove per key, and the overflow check runs once
     /// at the end instead of per key, so a batch triggers at most one
-    /// retrain (untiered) or seal (tiered).
+    /// seal.
     ///
     /// Keys resolved by the pending-buffer or run probes are excluded
     /// from the base `lower_bound_batch` membership pass entirely — the
@@ -306,14 +304,9 @@ impl DeltaIndex {
         self.runs.iter().rev().any(|r| r.contains(key))
     }
 
-    /// The full-buffer action: merge+retrain when untiered, seal into a
-    /// run when tiered.
+    /// The full-buffer action: seal it into a run.
     fn overflow(&mut self) {
-        if self.max_runs == 0 {
-            self.merge();
-        } else {
-            self.seal();
-        }
+        self.seal();
         // A batch can overfill the buffer far past the threshold (a
         // recovery replays its whole WAL tail as one); keep only the
         // capacity the next fill needs.
@@ -354,11 +347,6 @@ impl DeltaIndex {
         self.delta.len()
     }
 
-    /// How many merge+retrain cycles have run.
-    pub fn merges(&self) -> usize {
-        self.merges
-    }
-
     /// How many buffers have been sealed into immutable runs.
     pub fn seals(&self) -> usize {
         self.seals
@@ -385,17 +373,16 @@ impl DeltaIndex {
         self.sealed
     }
 
-    /// The tiering bound this index was built with (`0` = untiered).
+    /// The run-stack bound this index was built with.
     pub fn max_runs(&self) -> usize {
         self.max_runs
     }
 
     /// Whether the run stack has reached its bound and the owner should
     /// shrink it: with a [`DeltaIndex::compact`] when
-    /// [`DeltaIndex::fold_due`], with a run merge otherwise. Always
-    /// `false` untiered.
+    /// [`DeltaIndex::fold_due`], with a run merge otherwise.
     pub fn needs_compaction(&self) -> bool {
-        self.max_runs > 0 && self.runs.len() >= self.max_runs
+        self.runs.len() >= self.max_runs
     }
 
     /// Whether a full run stack should be folded into the base rather
@@ -435,8 +422,8 @@ impl DeltaIndex {
     /// An immutable, internally consistent view of the index as of now:
     /// the current trained base and sealed runs (shared via `Arc`,
     /// zero-copy) plus a frozen copy of the pending buffer (bounded by
-    /// the merge threshold). Later inserts, seals, compactions and
-    /// merges never disturb an outstanding snapshot — every structural
+    /// the merge threshold). Later inserts, seals, run merges and folds
+    /// never disturb an outstanding snapshot — every structural
     /// change swaps `Arc`s, it never mutates what they point at.
     pub fn snapshot(&self) -> DeltaSnapshot {
         DeltaSnapshot {
@@ -450,9 +437,9 @@ impl DeltaIndex {
 
     /// Seal the current buffer into an immutable [`SortedRun`] (O(buffer)
     /// copy plus fences, **no** base retrain). No-op on an empty
-    /// buffer. Normally driven by the overflow path in tiered mode, but
-    /// callable directly — e.g. to freeze a half-full buffer before a
-    /// planned compaction.
+    /// buffer. Normally driven by the overflow path, but callable
+    /// directly — e.g. to freeze a half-full buffer before a planned
+    /// compaction.
     pub fn seal(&mut self) {
         if self.delta.is_empty() {
             return;
@@ -492,8 +479,8 @@ impl DeltaIndex {
     /// `cut` via [`DeltaSnapshot::train_compacted`]) as the new base and
     /// drop exactly the runs `cut` captured. Returns the number of runs
     /// folded, or `None` — installing nothing — if the base or any
-    /// captured run changed since the cut (a concurrent merge or
-    /// compaction won the race; the caller simply retries later, exactly
+    /// captured run changed since the cut (a concurrent run merge or
+    /// fold won the race; the caller simply retries later, exactly
     /// like the rebalancer's `Raced` outcome). Runs sealed *after* the
     /// cut are unaffected and stay stacked.
     ///
@@ -578,7 +565,7 @@ impl DeltaIndex {
     /// install `rebuilt` — trained from `cut`'s
     /// [`DeltaSnapshot::merged_keys`] under a possibly *different*
     /// configuration than the current base — and make `config` the
-    /// index's configuration from now on (future merge retrains use
+    /// index's configuration from now on (future folds retrain with
     /// it). This is how a serving layer's backend re-selection changes
     /// a shard's family at compaction time: same race rules, same
     /// return value, but the decision sticks.
@@ -591,29 +578,6 @@ impl DeltaIndex {
         let folded = self.install_compacted(cut, rebuilt)?;
         self.config = config;
         Some(folded)
-    }
-
-    /// Force a full collapse now: every sealed run AND the buffer merged
-    /// into the base with one retrain. In untiered mode (no runs) this
-    /// is exactly the classic D.1 merge.
-    pub fn merge(&mut self) {
-        if self.delta.is_empty() && self.runs.is_empty() {
-            return;
-        }
-        let merged = merged_store(self.base.data(), &self.runs, &self.delta);
-        // Retrain BEFORE touching any field: `Rmi::build` is the one
-        // call here that can panic (allocation, model fitting), and at
-        // that point the index must still be exactly its pre-merge self
-        // — the serving layer recovers poisoned locks with
-        // `into_inner`, which is only sound if every panic leaves the
-        // guarded value valid. The whole-base Arc swap afterwards also
-        // keeps outstanding snapshots of the old base intact.
-        let rebuilt = Rmi::build(merged, &self.config);
-        self.base = Arc::new(rebuilt);
-        self.delta.clear();
-        self.runs.clear();
-        self.sealed = 0;
-        self.merges += 1;
     }
 
     /// Range scan over the merged view: all keys in `[lo, hi)`, sorted.
@@ -629,19 +593,9 @@ impl DeltaIndex {
         splice_merge_vec(&tier_slices(self.base.data(), &self.runs, &self.delta))
     }
 
-    /// Split the full merged keyset at `pivot`: `(keys < pivot,
-    /// keys >= pivot)`, both sorted unique. The right half starts the
-    /// sibling shard whose ownership range begins at `pivot`.
-    pub fn split_keys(&self, pivot: u64) -> (Vec<u64>, Vec<u64>) {
-        let mut all = self.export_keys();
-        let at = all.partition_point(|&k| k < pivot);
-        let right = all.split_off(at);
-        (all, right)
-    }
-
     /// Error statistics of the trained base RMI (the per-shard retuning
     /// and split-on-error signals). Buffered and sealed keys are not
-    /// reflected until the next merge or compaction — this reports the
+    /// reflected until the next fold — this reports the
     /// model actually serving the base, which is what retuning
     /// decisions care about.
     pub fn base_stats(&self) -> &crate::rmi::RmiStats {
@@ -653,7 +607,7 @@ impl DeltaIndex {
         self.merge_threshold
     }
 
-    /// The configuration merge+retrain cycles rebuild with.
+    /// The configuration folds retrain with.
     pub fn config(&self) -> &RmiConfig {
         &self.config
     }
@@ -698,6 +652,7 @@ impl DeltaIndex {
         runs: Vec<Vec<u64>>,
         pending: Vec<u64>,
     ) -> Result<Self, RestoreError> {
+        assert!(max_runs >= 1, "max_runs must be >= 1");
         check_tiers(base_keys.as_slice(), merge_threshold, &runs, &pending)?;
         let base = Rmi::from_params(base_keys, params).ok_or(RestoreError::Params)?;
         let sealed = runs.iter().map(Vec::len).sum();
@@ -713,7 +668,6 @@ impl DeltaIndex {
             sealed,
             merge_threshold,
             max_runs,
-            merges: 0,
             seals: 0,
             compactions: 0,
             run_merges: 0,
@@ -727,7 +681,7 @@ impl DeltaIndex {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreError {
     /// The buffer holds `merge_threshold` keys or more; a live index
-    /// seals or merges it when it reaches the threshold.
+    /// seals it when it reaches the threshold.
     FullBuffer,
     /// A sealed run holds no key.
     EmptyRun,
@@ -860,7 +814,7 @@ impl DeltaSnapshot {
     }
 
     /// The snapshot's base key store (for zero-copy assertions: a
-    /// snapshot taken before a merge shares its store with nothing the
+    /// snapshot taken before a fold shares its store with nothing the
     /// live index currently holds, one taken after shares it exactly).
     pub fn base_store(&self) -> &KeyStore {
         self.base.key_store()
@@ -958,15 +912,21 @@ mod tests {
         assert_eq!(idx.len(), 1001);
     }
 
+    /// `max_runs = 1` is the paper's D.1 cycle: every full buffer is
+    /// sealed, and its owner folds it into the base at once.
     #[test]
-    fn merge_triggers_at_threshold_and_preserves_keys() {
+    fn one_run_stacks_fold_every_full_buffer_and_keep_keys() {
         let data: Vec<u64> = (0..500u64).map(|i| i * 3).collect();
-        let mut idx = DeltaIndex::new(data, cfg(), 10);
+        let mut idx = DeltaIndex::new(data, cfg(), 10).with_tiering(1);
         for k in 0..25u64 {
             idx.insert(k * 3 + 1);
+            if idx.needs_compaction() {
+                assert!(idx.fold_due());
+                assert_eq!(idx.compact(), 1);
+            }
         }
-        assert!(idx.merges() >= 2, "merges {}", idx.merges());
-        assert!(idx.pending() < 10);
+        assert_eq!((idx.seals(), idx.compactions()), (2, 2));
+        assert_eq!((idx.run_count(), idx.pending()), (0, 5));
         for k in 0..25u64 {
             assert!(idx.contains(k * 3 + 1), "lost {}", k * 3 + 1);
         }
@@ -985,63 +945,59 @@ mod tests {
     }
 
     #[test]
-    fn export_and_split_round_trip() {
+    fn export_round_trips_through_a_fold() {
         let mut idx = DeltaIndex::new(vec![10u64, 20, 30, 40], cfg(), 100);
         idx.insert(25);
         idx.insert(5);
         assert_eq!(idx.export_keys(), vec![5, 10, 20, 25, 30, 40]);
-
-        let (left, right) = idx.split_keys(25);
-        assert_eq!(left, vec![5, 10, 20]);
-        assert_eq!(right, vec![25, 30, 40]);
-        // Pivot below/above everything: one side empty.
-        assert_eq!(idx.split_keys(0).0, Vec::<u64>::new());
-        assert_eq!(idx.split_keys(u64::MAX).1, Vec::<u64>::new());
-        // Export survives a merge unchanged.
-        idx.merge();
+        idx.seal();
+        assert_eq!(idx.compact(), 1);
         assert_eq!(idx.export_keys(), vec![5, 10, 20, 25, 30, 40]);
     }
 
     #[test]
     fn base_stats_reflect_the_trained_base() {
         let data: Vec<u64> = (0..2000u64).collect();
-        let mut idx = DeltaIndex::new(data, cfg(), 8);
+        let mut idx = DeltaIndex::new(data, cfg(), 8).with_tiering(1);
         // Linear data: the base model is near-exact.
         assert!(idx.base_stats().max_abs_err <= 1);
         assert_eq!(idx.merge_threshold(), 8);
         // Stats follow the base across a retrain.
         for k in 0..16u64 {
             idx.insert(5000 + k * 3);
+            if idx.needs_compaction() {
+                idx.compact();
+            }
         }
-        assert!(idx.merges() >= 1);
+        assert!(idx.compactions() >= 1);
         assert!(idx.base_stats().leaves > 0);
     }
 
     /// Regression for the duplicate-check split: duplicate inserts must
-    /// never occupy buffer slots, so they can neither trigger merges nor
-    /// perturb the merge cadence of the unique inserts around them.
+    /// never occupy buffer slots, so they can neither trigger seals nor
+    /// perturb the seal cadence of the unique inserts around them.
     #[test]
-    fn duplicate_inserts_do_not_affect_merge_counts() {
+    fn duplicate_inserts_do_not_affect_seal_counts() {
         let threshold = 8usize;
         let mut idx = DeltaIndex::new(vec![1000, 2000, 3000], cfg(), threshold);
 
-        // Hammer one buffered key: threshold× re-inserts, zero merges.
+        // Hammer one buffered key: threshold× re-inserts, zero seals.
         idx.insert(5);
         for _ in 0..threshold * 2 {
             idx.insert(5);
         }
-        assert_eq!(idx.merges(), 0);
+        assert_eq!(idx.seals(), 0);
         assert_eq!(idx.pending(), 1);
 
         // Interleave unique inserts with base and buffer duplicates; the
-        // merge count must be exactly what the unique inserts alone give:
-        // 16 unique total (incl. the 5 above) at threshold 8 -> 2 merges.
+        // seal count must be exactly what the unique inserts alone give:
+        // 16 unique total (incl. the 5 above) at threshold 8 -> 2 seals.
         for k in 0..15u64 {
             idx.insert(k * 2 + 11);
             idx.insert(1000); // base duplicate
             idx.insert(5); // previously inserted key
         }
-        assert_eq!(idx.merges(), 2, "pending={}", idx.pending());
+        assert_eq!(idx.seals(), 2, "pending={}", idx.pending());
         assert_eq!(idx.pending(), 0);
         assert_eq!(idx.len(), 3 + 16);
     }
@@ -1050,12 +1006,12 @@ mod tests {
     /// order is only sound if base ∩ buffer == ∅ at all times — a key
     /// living on both sides would be reported "duplicate" correctly but
     /// would double-count in `len`/`rank`. This test drives keys through
-    /// every membership transition (fresh → buffered → merged-to-base →
+    /// every membership transition (fresh → buffered → folded-to-base →
     /// re-inserted) and checks the bookkeeping that any overlap would
-    /// break; `merge` additionally debug_asserts strict sortedness of
+    /// break; a fold additionally debug_asserts strict sortedness of
     /// the merged array, which an overlap would violate.
     #[test]
-    fn base_and_buffer_stay_disjoint_across_merge_cycles() {
+    fn base_and_buffer_stay_disjoint_across_fold_cycles() {
         let threshold = 4usize;
         let mut idx = DeltaIndex::new(vec![100u64, 200, 300], cfg(), threshold);
         let mut oracle: std::collections::BTreeSet<u64> = [100u64, 200, 300].into();
@@ -1071,17 +1027,18 @@ mod tests {
                 );
             }
             // Re-insert keys that earlier rounds already pushed through
-            // a merge (now in the base): the base probe must catch them
+            // a fold (now in the base): the base probe must catch them
             // even though the buffer probe no longer can.
             for k in 0..3u64 {
                 let key = round.saturating_sub(1) * 10 + k;
                 assert!(
                     !idx.insert(key),
-                    "round {round}: merged key {key} re-entered"
+                    "round {round}: folded key {key} re-entered"
                 );
             }
-            idx.merge();
-            assert_eq!(idx.pending(), 0);
+            idx.seal();
+            idx.compact();
+            assert_eq!((idx.pending(), idx.run_count()), (0, 0));
             // Any base/buffer overlap double-counts here.
             assert_eq!(idx.len(), oracle.len(), "round {round}");
             assert_eq!(idx.rank(u64::MAX), oracle.len(), "round {round}");
@@ -1100,7 +1057,7 @@ mod tests {
     #[test]
     fn insert_batch_matches_scalar_inserts() {
         // Same stream applied batched and scalar must agree on flags,
-        // contents, and rank bookkeeping — through multiple merges.
+        // contents, and rank bookkeeping — through multiple seals.
         let base: Vec<u64> = (0..200u64).map(|i| i * 5).collect();
         let mut batched = DeltaIndex::new(base.clone(), cfg(), 16);
         let mut scalar = DeltaIndex::new(base, cfg(), 16);
@@ -1130,14 +1087,17 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_triggers_at_most_one_merge() {
+    fn insert_batch_triggers_at_most_one_seal() {
         let mut idx = DeltaIndex::new(vec![1_000u64], cfg(), 8);
-        // 20 fresh keys at threshold 8: scalar would merge twice,
-        // batched merges exactly once at the end — same final keyset.
+        // 20 fresh keys at threshold 8: scalar would seal twice,
+        // batched seals exactly once at the end — same final keyset.
         let keys: Vec<u64> = (0..20u64).collect();
         let flags = idx.insert_batch(&keys);
         assert!(flags.iter().all(|&f| f));
-        assert_eq!(idx.merges(), 1);
+        assert_eq!(
+            (idx.seals(), idx.run_count(), idx.sealed_keys()),
+            (1, 1, 20)
+        );
         assert_eq!(idx.pending(), 0);
         assert_eq!(idx.len(), 21);
     }
@@ -1149,7 +1109,7 @@ mod tests {
         let flags = idx.insert_batch(&[1, 2, 3, 1]);
         assert_eq!(flags, vec![false; 4]);
         assert_eq!(idx.pending(), 0, "duplicates must not occupy buffer slots");
-        assert_eq!(idx.merges(), 0);
+        assert_eq!(idx.seals(), 0);
     }
 
     /// Satellite regression: keys the pending-buffer (or run) probes
@@ -1267,14 +1227,17 @@ mod tests {
     }
 
     #[test]
-    fn forced_merge_is_idempotent() {
+    fn forced_fold_is_idempotent() {
         let mut idx = DeltaIndex::new(vec![1, 2, 3], cfg(), 100);
-        idx.merge();
-        assert_eq!(idx.merges(), 0); // empty buffer: no-op
+        idx.seal();
+        assert_eq!(idx.compact(), 0); // empty buffer and stack: no-op
+        assert_eq!((idx.seals(), idx.compactions()), (0, 0));
         idx.insert(10);
-        idx.merge();
-        assert_eq!(idx.merges(), 1);
-        assert_eq!(idx.pending(), 0);
+        idx.seal();
+        assert_eq!(idx.compact(), 1);
+        assert_eq!(idx.compact(), 0);
+        assert_eq!(idx.compactions(), 1);
+        assert_eq!((idx.pending(), idx.run_count()), (0, 0));
         assert!(idx.contains(10));
     }
 
@@ -1293,12 +1256,12 @@ mod tests {
         assert!(snap.contains(1) && snap.contains(9) && snap.contains(0));
         assert_eq!(snap.rank(10), 5); // 0, 1, 4, 8, 9
 
-        // Drive the live index through a merge+retrain: the base Arc is
-        // swapped, the snapshot keeps the old one intact.
+        // Drive the live index through a seal and a fold: the base Arc
+        // is swapped, the snapshot keeps the old one intact.
         for k in 0..10u64 {
             idx.insert(k * 4 + 2);
         }
-        assert!(idx.merges() >= 1);
+        assert_eq!(idx.compact(), 1);
         assert!(!snap.base_store().ptr_eq(idx.base.key_store()));
         assert_eq!(snap.len(), 102, "snapshot must not see later inserts");
         assert!(!snap.contains(2));
@@ -1318,11 +1281,11 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Tiered mode.
+    // Run stacks.
     // ------------------------------------------------------------------
 
     #[test]
-    fn tiered_overflow_seals_instead_of_merging() {
+    fn overflow_seals_without_retraining() {
         let before = crate::rmi::train_count();
         let mut idx = DeltaIndex::new(vec![1000u64, 2000], cfg(), 4).with_tiering(3);
         let built = crate::rmi::train_count(); // DeltaIndex::new trained once
@@ -1330,7 +1293,6 @@ mod tests {
             idx.insert(k);
         }
         assert_eq!(idx.seals(), 3);
-        assert_eq!(idx.merges(), 0);
         assert_eq!(idx.run_count(), 3);
         assert_eq!(idx.sealed_keys(), 12);
         assert_eq!(idx.pending(), 0);
@@ -1427,27 +1389,11 @@ mod tests {
         }
         let cut = idx.snapshot();
         let rebuilt = cut.train_compacted(idx.config()).unwrap();
-        // A forced merge swaps the base out from under the cut.
-        idx.merge();
+        // An inline fold swaps the base out from under the cut.
+        assert_eq!(idx.compact(), 2);
         assert_eq!(idx.install_compacted(&cut, rebuilt), None);
-        assert_eq!(idx.compactions(), 0);
+        assert_eq!(idx.compactions(), 1);
         assert_eq!(idx.len(), 5);
-    }
-
-    #[test]
-    fn merge_collapses_all_tiers_in_tiered_mode() {
-        let mut idx = DeltaIndex::new(vec![900u64], cfg(), 3).with_tiering(4);
-        for k in 0..8u64 {
-            idx.insert(k * 3);
-        }
-        assert!(idx.run_count() >= 2);
-        assert!(idx.pending() > 0);
-        idx.merge();
-        assert_eq!(idx.run_count(), 0);
-        assert_eq!(idx.pending(), 0);
-        assert_eq!(idx.sealed_keys(), 0);
-        assert_eq!(idx.len(), 9);
-        assert_eq!(idx.rank(u64::MAX), 9);
     }
 
     #[test]

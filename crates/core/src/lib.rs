@@ -22,11 +22,11 @@
 //!   an RMI over vector-input models.
 //! * [`Lif`] (§3.1) — the Learning Index Framework: grid-search index
 //!   synthesis over configurations, choosing by measured lookup cost.
-//! * [`DeltaIndex`] (Appendix D.1) — delta-buffered inserts with
-//!   merge-and-retrain, plus an LSM-style tiered mode where full buffers
-//!   seal into immutable [`SortedRun`]s (fence-indexed), full run stacks
-//!   merge into one run, and compaction folds the run tier into the base
-//!   with one retrain once it holds a sixteenth of it.
+//! * [`DeltaIndex`] (Appendix D.1) — delta-buffered inserts as an
+//!   LSM-style tiered write path: full buffers seal into immutable
+//!   [`SortedRun`]s (fence-indexed), full run stacks merge into one run,
+//!   and compaction folds the run tier into the base with one retrain
+//!   once it holds a sixteenth of it.
 //! * [`merge`] — the one splice-merge every tier operation (compaction,
 //!   export, split, range scan) goes through: small sorted slices into a
 //!   large one, written once.

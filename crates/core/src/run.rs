@@ -1,8 +1,8 @@
 //! Immutable sorted runs — the middle tier of the LSM-style write path.
 //!
-//! When a [`DeltaIndex`](crate::delta::DeltaIndex) buffer fills in tiered
-//! mode it is *sealed* into a [`SortedRun`] instead of being merged into
-//! the base: the keys are frozen as-is and every [`FENCE`]-th key is
+//! When a [`DeltaIndex`](crate::delta::DeltaIndex) buffer fills it is
+//! *sealed* into a [`SortedRun`] instead of being merged into the base:
+//! the keys are frozen as-is and every [`FENCE`]-th key is
 //! copied into a small fence array in one O(run) pass. Sealing never
 //! retrains the base RMI — that cost is deferred to compaction, which
 //! merges full run stacks into one run and folds the run tier into the

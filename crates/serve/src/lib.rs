@@ -20,16 +20,17 @@
 //!   path: scoped threads fan contiguous sub-batches out, each running
 //!   the per-shard bucketed batch plan.
 //! * [`WritableShard`] — the single-shard write path: a `DeltaIndex`
-//!   (Appendix D.1) behind an `RwLock`; merges retrain and swap the
-//!   whole base behind an `Arc`, so readers on a [`DeltaSnapshot`] are
-//!   never torn across a retrain.
+//!   (Appendix D.1) behind an `RwLock`; full buffers seal into runs, and
+//!   folds retrain and swap the whole base behind an `Arc`, so readers
+//!   on a [`DeltaSnapshot`] are never torn across a retrain.
 //! * [`ShardedWritable`] — the *sharded* write path: N
 //!   [`WritableShard`]s behind an `Arc`-swapped topology (ownership
 //!   bounds + router + shards published as one unit), with concurrent
 //!   key-routed inserts (scalar and batched —
 //!   [`ShardedWritable::insert_batch`] takes the topology lock once and
 //!   hands each touched shard its whole bucket), consistent cross-shard
-//!   snapshots ([`ShardedSnapshot`]), and a dynamic rebalancer
+//!   snapshots ([`ShardedSnapshot`]), and one maintenance pass that
+//!   folds or merges full run stacks, then runs the dynamic rebalancer
 //!   ([`rebalance`]) that splits hot shards, merges cold neighbors,
 //!   and retunes each rebuilt shard's model density to its keys.
 //! * [`select`] — adaptive per-shard backend selection:
@@ -44,8 +45,8 @@
 //!   snapshot file (coefficients + key payload, checksummed, published
 //!   atomically) and load it back with the key array **mapped** and
 //!   zero models retrained — a warm restart.
-//! * [`RebalanceWorker`] — background rebalancing: a dedicated thread
-//!   that owns split/merge execution while attached, so inserts only
+//! * [`RebalanceWorker`] — background maintenance: a dedicated thread
+//!   that runs the maintenance pass while attached, so inserts only
 //!   record pressure into lock-free counters and signal over a channel;
 //!   rebuilds happen off the insert path and are published with an
 //!   incremental straggler hand-off ([`rebalance_worker`]).

@@ -56,9 +56,8 @@ pub mod events {
     /// A write buffer sealed into an immutable sorted run: `a` = run
     /// length, `b` = run-stack depth after the seal.
     pub const BUFFER_SEAL: u32 = 4;
-    /// A write buffer merged into the base (legacy non-tiered mode):
-    /// `a` = keys merged, `b` = shard length after.
-    pub const BUFFER_MERGE: u32 = 5;
+    // Kind 5 is retired (it traced a write buffer merged straight into
+    // the base, a mode that no longer exists) and not reused.
     /// The WAL was truncated at a snapshot publish: `a` = LSN
     /// watermark, `b` = log bytes discarded.
     pub const WAL_TRUNCATE: u32 = 6;
@@ -89,7 +88,6 @@ pub fn event_name(kind: u32) -> &'static str {
         events::SHARD_MERGE => "shard_merge",
         events::COMPACT_FOLD => "compact_fold",
         events::BUFFER_SEAL => "buffer_seal",
-        events::BUFFER_MERGE => "buffer_merge",
         events::WAL_TRUNCATE => "wal_truncate",
         events::WAL_LATCH => "wal_latch",
         events::SNAPSHOT_SAVE => "snapshot_save",
@@ -135,8 +133,6 @@ pub struct ServeMetrics {
     pub run_merges: Arc<Counter>,
     /// `li_buffer_seals_total`: buffers sealed into runs.
     pub buffer_seals: Arc<Counter>,
-    /// `li_buffer_merges_total`: legacy-mode buffer merges.
-    pub buffer_merges: Arc<Counter>,
     /// `li_wal_appends_total`: WAL records appended.
     pub wal_appends: Arc<Counter>,
     /// `li_wal_syncs_total`: WAL fsyncs issued.
@@ -174,8 +170,6 @@ pub struct ServeMetrics {
     pub insert_ns: Arc<Histogram>,
     /// `li_batch_insert_ns`: per-key average over each insert batch.
     pub batch_insert_ns: Arc<Histogram>,
-    /// `li_merge_ns`: buffer-merge (retrain + swap) duration.
-    pub merge_ns: Arc<Histogram>,
     /// `li_compact_train_ns`: off-lock fold retrain duration.
     pub compact_train_ns: Arc<Histogram>,
     /// `li_compact_install_ns`: under-write-lock fold install duration.
@@ -183,15 +177,20 @@ pub struct ServeMetrics {
     /// `li_run_merge_ns`: run merge duration (cut, off-lock merge,
     /// install).
     pub run_merge_ns: Arc<Histogram>,
-    /// `li_pass_observe_ns`: worker pass — under-read-lock observe.
+    // The `li_pass_*` phases time every rebalance step, whichever
+    // thread runs the pass: the worker, an inserter that ran it inline,
+    // or an explicit `rebalance()`.
+    /// `li_pass_observe_ns`: rebalance step — under-read-lock observe.
     pub pass_observe_ns: Arc<Histogram>,
-    /// `li_pass_plan_ns`: worker pass — split/merge planning.
+    /// `li_pass_plan_ns`: rebalance step — split/merge planning.
     pub pass_plan_ns: Arc<Histogram>,
-    /// `li_pass_retrain_ns`: worker pass — off-lock shard rebuild.
+    /// `li_pass_retrain_ns`: rebalance step — off-lock shard rebuild
+    /// (one sample per split or shard merge built).
     pub pass_retrain_ns: Arc<Histogram>,
-    /// `li_pass_publish_ns`: worker pass — write-lock topology publish.
+    /// `li_pass_publish_ns`: rebalance step — write-lock topology
+    /// publish.
     pub pass_publish_ns: Arc<Histogram>,
-    /// `li_pass_drain_ns`: worker pass — straggler drain inside the
+    /// `li_pass_drain_ns`: rebalance step — straggler drain inside the
     /// publish critical section.
     pub pass_drain_ns: Arc<Histogram>,
     /// `li_wal_append_ns`: WAL record append (write + bookkeeping).
@@ -224,7 +223,6 @@ impl ServeMetrics {
             runs_compacted: c("li_runs_compacted_total"),
             run_merges: c("li_run_merges_total"),
             buffer_seals: c("li_buffer_seals_total"),
-            buffer_merges: c("li_buffer_merges_total"),
             wal_appends: c("li_wal_appends_total"),
             wal_syncs: c("li_wal_syncs_total"),
             wal_truncates: c("li_wal_truncates_total"),
@@ -240,7 +238,6 @@ impl ServeMetrics {
             batch_lookup_ns: h("li_batch_lookup_ns"),
             insert_ns: h("li_insert_ns"),
             batch_insert_ns: h("li_batch_insert_ns"),
-            merge_ns: h("li_merge_ns"),
             compact_train_ns: h("li_compact_train_ns"),
             compact_install_ns: h("li_compact_install_ns"),
             run_merge_ns: h("li_run_merge_ns"),
@@ -303,9 +300,10 @@ mod tests {
 
     #[test]
     fn every_kind_has_a_catalog_name() {
-        for k in 1..=12u32 {
+        for k in (1..=12u32).filter(|&k| k != 5) {
             assert_ne!(event_name(k), "unknown", "kind {k}");
         }
         assert_eq!(event_name(0), "unknown");
+        assert_eq!(event_name(5), "unknown", "retired");
     }
 }

@@ -36,8 +36,8 @@
 //!   zero-copy on 64-bit little-endian unix, decoded-copy elsewhere),
 //!   verifies all three checksums, rebuilds each shard's RMI from its saved
 //!   coefficients with [`Rmi::from_params`], and — for the write path —
-//!   replays the saved delta buffer — and, in tiered mode, the sealed
-//!   run stack — into a fresh [`DeltaIndex`] ([`DeltaIndex::restore`],
+//!   restores the saved delta buffer and sealed run stack into a
+//!   fresh [`DeltaIndex`] ([`DeltaIndex::restore`],
 //!   which proves every tier sorted and the tiers disjoint in one
 //!   linear pass before it assembles anything). Run fences are rebuilt
 //!   on load (like the B-Tree leaves they are structure, not trained
@@ -563,7 +563,10 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
         t => return Err(format_err(format!("bad max_mean_err flag {t}"))),
     };
     let max_shards = dec.usize()?;
-    let max_runs = dec.usize()?;
+    // A file saved when `max_runs = 0` meant "merge every full buffer
+    // into the base with a retrain" loads with a one-run stack, which
+    // folds every full buffer with one retrain: the same policy.
+    let max_runs = dec.usize()?.max(1);
     let backend_tag = dec.u8()?;
     let backend = Backend::from_tag(backend_tag)
         .ok_or_else(|| format_err(format!("bad backend tag {backend_tag}")))?;
@@ -1020,11 +1023,6 @@ impl ShardedWritable {
             let params = decode_rmi_params(&mut dec)?;
             let delta = dec.keys()?;
             let n_runs = dec.count(16)?;
-            if config.max_runs == 0 && n_runs > 0 {
-                return Err(format_err(
-                    "sealed runs present but the configuration disables tiering",
-                ));
-            }
             let runs = (0..n_runs)
                 .map(|_| dec.keys())
                 .collect::<Result<Vec<_>, _>>()?;

@@ -1,30 +1,33 @@
-//! Background rebalancing: shard rebuilds off the insert path.
+//! Background maintenance: shard rebuilds and run-stack folds off the
+//! insert path.
 //!
-//! PR 4's rebalancer ran **inline**: the insert that pushed a shard
-//! over its threshold executed the split — export, retrain, router
-//! refit — under the topology *write* lock, stalling every concurrent
-//! insert and snapshot for the duration of the rebuild. Both
-//! *Benchmarking Learned Indexes* (Marcus et al.) and Google's
-//! disk-based learned-index deployment report exactly this shape of
-//! problem: background reorganization, not steady-state lookup, is
-//! where write-heavy deployments spend their tail latency.
+//! With no worker attached, the insert that fills a run stack, pushes a
+//! shard over its threshold or crosses the periodic scan cadence runs
+//! the structure's maintenance pass itself, on its own thread. Rebuilds
+//! run off the topology lock, so other writers keep going, but that one
+//! insert pays the whole pass. Both *Benchmarking Learned Indexes*
+//! (Marcus et al.) and Google's disk-based learned-index deployment
+//! report exactly this shape of problem: background reorganization, not
+//! steady-state lookup, is where write-heavy deployments spend their
+//! tail latency.
 //!
-//! [`RebalanceWorker`] moves that work to a dedicated thread:
+//! [`RebalanceWorker`] runs the **same pass** on a dedicated thread:
 //!
 //! ```text
 //!  insert(k) ──▶ owner shard           (topology READ lock only)
 //!      │
 //!      ├─ record(len watermark, hot)──▶ WorkerLink   (lock-free atomics)
-//!      └─ hot or periodic? ──────────▶ signal()      (mpsc wake, collapsed
+//!      └─ due? ──────────────────────▶ signal()      (mpsc wake, collapsed
 //!                                          │          to one in-flight msg)
 //!                                          ▼
 //!                                   rebalance worker thread
-//!                                   loop per pass:
-//!                                     0. maintain full run stacks (tiered
-//!                                        mode: K sealed runs → one run,
-//!                                        or → base with ONE retrain once
+//!                                   per wake, one maintenance pass:
+//!                                     0. maintain full run stacks (K
+//!                                        sealed runs → one run, or →
+//!                                        base with ONE retrain once
 //!                                        they hold 1/16 of it; no
 //!                                        topology lock)
+//!                                   then per step, until stable:
 //!                                     1. observe + plan      (read lock)
 //!                                     2. export + retrain    (NO lock —
 //!                                        inserts keep flowing into the
@@ -35,21 +38,20 @@
 //!                                        the Arc<Topology>)
 //! ```
 //!
-//! The worker owns [`crate::rebalance::plan`] execution while attached:
-//! inserts never rebalance inline, they only record pressure into the
-//! link's lock-free counters and (rarely — when a shard runs hot or the
-//! periodic cadence is crossed) send one wake message. Dropping the
+//! The worker owns maintenance while attached: inserts never run the
+//! pass inline, they only record pressure into the link's lock-free
+//! counters and (rarely — when a run stack fills, a shard runs hot or
+//! the periodic cadence is crossed) send one wake message. Dropping the
 //! worker detaches the link, joins the thread, and returns the
-//! structure to inline rebalancing.
+//! structure to inline maintenance.
 //!
-//! Snapshot consistency is unchanged from the inline path: a topology
-//! is still published as one `Arc` swap under the write lock, so a
+//! Snapshot consistency is the same whichever thread runs the pass: a
+//! topology is published as one `Arc` swap under the write lock, so a
 //! reader observes a pre- or post-rebalance topology, never a torn
-//! mixture. What changes is *who waits*: the expensive rebuild happens
-//! with no topology lock held, and the write lock is held only for the
-//! straggler drain — O(1) length checks when nothing raced in (the
-//! common case), a linear diff of the touched shard otherwise — never
-//! for the retrain.
+//! mixture, and the write lock is held only for the straggler drain —
+//! O(1) length checks when nothing raced in (the common case), a linear
+//! diff of the touched shard otherwise — never for the retrain. What
+//! the worker changes is *who waits*: no insert pays for a pass.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -57,8 +59,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::rebalance::RebalanceAction;
-use crate::sharded_writable::{BackgroundStep, Due, ShardedWritable};
+use crate::sharded_writable::ShardedWritable;
 
 /// Wake-channel message from inserters (or the handle) to the worker.
 enum Wake {
@@ -138,7 +139,7 @@ impl WorkerLink {
             *self.idle_lock() = false;
             // A send error means the worker already exited (handle
             // dropped mid-signal); pressure is then simply dropped —
-            // the structure is back in inline mode for future inserts.
+            // future inserts run maintenance inline again.
             let _ = self.tx.send(Wake::Work);
         }
     }
@@ -240,19 +241,20 @@ struct WorkerStats {
     max_len_seen: AtomicUsize,
     /// Set if the worker thread panicked (the panic is contained: the
     /// worker detaches itself so the structure returns to inline
-    /// rebalancing, and waiters are woken instead of hanging).
+    /// maintenance, and waiters are woken instead of hanging).
     panicked: AtomicBool,
 }
 
 /// A dedicated background rebalance thread for a [`ShardedWritable`].
 ///
-/// While the worker is attached, it **owns** rebalancing: inserts only
+/// While the worker is attached, it **owns** maintenance: inserts only
 /// record pressure into lock-free counters and signal the worker over
-/// a channel; the worker rebuilds split/merge topologies *off* the
-/// insert path and publishes them with an incremental hand-off (writes
-/// that raced into a shard mid-rebuild are re-routed by the new
-/// topology's ownership bounds). Dropping the handle shuts the thread
-/// down, joins it, and re-enables inline rebalancing.
+/// a channel; the worker runs the structure's maintenance pass — run
+/// merges, folds, and split/merge rebuilds published with an
+/// incremental hand-off (writes that raced into a shard mid-rebuild are
+/// re-routed by the new topology's ownership bounds) — *off* the insert
+/// path. Dropping the handle shuts the thread down, joins it, and
+/// re-enables inline maintenance.
 ///
 /// # Examples
 /// ```
@@ -274,7 +276,7 @@ struct WorkerStats {
 /// worker.kick(); // force a scan now rather than waiting for a trigger
 /// assert!(worker.wait_until_stable(Duration::from_secs(10)));
 ///
-/// drop(worker); // detach: rebalancing is inline again
+/// drop(worker); // detach: maintenance is inline again
 /// assert!(!sw.has_background_worker());
 /// ```
 #[derive(Debug)]
@@ -307,8 +309,8 @@ struct Baseline {
 
 impl RebalanceWorker {
     /// Spawn the worker thread and attach it to `sw`. From this moment
-    /// until the handle is dropped, inserts on `sw` never rebalance
-    /// inline.
+    /// until the handle is dropped, inserts on `sw` never run
+    /// maintenance inline.
     ///
     /// # Panics
     /// If another worker is already attached to `sw`.
@@ -337,7 +339,7 @@ impl RebalanceWorker {
                 .name("li-rebalance".into())
                 .spawn(move || {
                     // Contain panics to this thread: a worker that dies
-                    // mid-pass must hand rebalancing back to the insert
+                    // mid-pass must hand maintenance back to the insert
                     // path (self-detach) and wake anyone blocked in
                     // `wait_until_stable` (mark_dead) — never strand
                     // the structure with a phantom worker attached.
@@ -390,9 +392,9 @@ impl RebalanceWorker {
     }
 
     /// Whether the worker thread panicked. A panicked worker has
-    /// already detached itself — inserts rebalance inline again — and
-    /// [`wait_until_stable`](Self::wait_until_stable) returns `false`
-    /// rather than blocking on it.
+    /// already detached itself — inserts run maintenance inline again —
+    /// and [`wait_until_stable`](Self::wait_until_stable) returns
+    /// `false` rather than blocking on it.
     pub fn panicked(&self) -> bool {
         self.stats.panicked.load(Ordering::Acquire)
     }
@@ -403,9 +405,10 @@ impl RebalanceWorker {
     /// against the attach-time baseline — the same counter
     /// [`ShardedWritable::splits`](crate::ShardedWritable::splits)
     /// reports, so the two can never drift. While attached, the worker
-    /// owns rebalancing, so this is exactly the worker's own tally
-    /// (plus any manual [`ShardedWritable::rebalance`]
-    /// (crate::ShardedWritable::rebalance) calls the owner raced in).
+    /// owns maintenance, so this is exactly the worker's own tally
+    /// (plus what any manual [`ShardedWritable::rebalance`]
+    /// (crate::ShardedWritable::rebalance) calls applied between its
+    /// passes).
     pub fn splits(&self) -> usize {
         (self.sw.metrics_handle().splits.value()).saturating_sub(self.base.splits) as usize
     }
@@ -417,9 +420,9 @@ impl RebalanceWorker {
     }
 
     /// Run-stack compactions applied since this worker attached
-    /// (tiered mode: shards whose sealed runs were folded into the
-    /// base with one retrain). While attached, the worker is the
-    /// *only* compactor, so this equals the structure's own
+    /// (shards whose sealed runs were folded into the base with one
+    /// retrain). While attached, the worker is the *only* compactor, so
+    /// this equals the structure's own
     /// [`ShardedWritable::compactions`](crate::ShardedWritable::compactions)
     /// counter — both are thin reads of `li_compactions_total`.
     pub fn compactions(&self) -> usize {
@@ -467,8 +470,9 @@ impl RebalanceWorker {
     }
 
     /// Rebuilds discarded because the topology changed between observe
-    /// and publish (another publisher won the race; the worker
-    /// re-planned from the fresh topology).
+    /// and publish (the worker re-planned from the fresh topology).
+    /// Passes are serialized, so this stays 0 unless that guard ever
+    /// fires.
     pub fn races(&self) -> usize {
         self.stats.races.load(Ordering::Relaxed)
     }
@@ -499,7 +503,7 @@ impl RebalanceWorker {
 
 impl Drop for RebalanceWorker {
     fn drop(&mut self) {
-        // Detach first: inserts fall back to inline rebalancing and no
+        // Detach first: inserts fall back to inline maintenance and no
         // new Work messages are produced; then unblock the thread. A
         // panicked worker already detached itself — `detach_worker` is
         // a plain slot clear, so the second call is a no-op.
@@ -518,9 +522,9 @@ impl Drop for RebalanceWorker {
     }
 }
 
-/// The worker thread body: sleep on the channel, and per wake run
-/// rebalance steps until the topology is stable (bounded by the same
-/// backstop budget as the inline loop).
+/// The worker thread body: sleep on the channel, and per wake run one
+/// maintenance pass — the same pass an insert runs inline when no
+/// worker is attached.
 fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, stats: &WorkerStats) {
     while let Ok(Wake::Work) = rx.recv() {
         let pressure = link.begin_pass();
@@ -534,52 +538,24 @@ fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, sta
         if pressure.hot {
             stats.hot_wakes.fetch_add(1, Ordering::Relaxed);
         }
-        // The watermark is diagnostic; the pass below re-observes exact
-        // lens under the read lock before planning.
+        // The watermark is diagnostic; the pass re-observes exact lens
+        // under the read lock before planning.
         stats
             .max_len_seen
             .fetch_max(pressure.max_len_seen, Ordering::Relaxed);
-        // Tiered mode: maintain full run stacks first — a run merge, or
-        // a fold with one retrain once the runs hold 1/16 of the base —
-        // off the insert path, before split/merge planning looks at
-        // shard shapes. Inserters never maintain stacks while we are
-        // attached (they only signal); the merges and folds land in the
-        // structure's metrics registry, which the handle's accessors
-        // read back.
-        sw.compact_pending(Due::FullStacks);
-        // Run steps until the topology is stable. The per-round budget
-        // is the same backstop as the inline loop; a round that
-        // exhausts it with work remaining (a giant backlog, or a storm
-        // of publish races) gets a few more bounded rounds instead of
-        // stranding an unstable topology as "idle".
-        let budget = sw.rebalance_budget();
-        let mut stable = false;
-        'pass: for _round in 0..4 {
-            for _ in 0..budget {
-                match sw.rebalance_step_background() {
-                    // Applied actions are already counted by the
-                    // publish path into the metrics registry.
-                    BackgroundStep::Applied(RebalanceAction::Split { .. })
-                    | BackgroundStep::Applied(RebalanceAction::Merge { .. }) => {}
-                    BackgroundStep::Raced => {
-                        stats.races.fetch_add(1, Ordering::Relaxed);
-                    }
-                    BackgroundStep::Stable => {
-                        stable = true;
-                        break 'pass;
-                    }
-                }
-            }
-        }
+        // Inserters never run a pass while we are attached (they only
+        // signal); its folds, merges and splits land in the structure's
+        // metrics registry, which the handle's accessors read back.
+        let pass = sw.maintenance_pass();
+        stats.races.fetch_add(pass.races, Ordering::Relaxed);
         stats.passes.fetch_add(1, Ordering::Relaxed);
-        if !stable {
-            // Even the extra rounds ran out with work remaining: re-
-            // signal ourselves so the backlog resumes on the next wake
-            // instead of stranding an over-budget topology as "idle"
-            // until some future insert happens to signal. Each resumed
-            // pass applies real actions (or observes a newer
-            // generation), so this converges — it is a continuation,
-            // not a spin.
+        if !pass.stable {
+            // The step bound ran out with work remaining (a giant
+            // backlog): re-signal ourselves so the backlog resumes on
+            // the next wake instead of stranding an over-budget topology
+            // as "idle" until some future insert happens to signal.
+            // Each resumed pass applies real actions, so this converges
+            // — it is a continuation, not a spin.
             link.signal();
         }
         link.finish_pass();
@@ -641,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn drop_detaches_and_restores_inline_rebalancing() {
+    fn drop_detaches_and_restores_inline_maintenance() {
         let sw = Arc::new(ShardedWritable::new(vec![0u64], 1, small_cfg()));
         {
             let worker = RebalanceWorker::spawn(Arc::clone(&sw));
@@ -650,8 +626,7 @@ mod tests {
             assert!(worker.wait_until_stable(Duration::from_secs(30)));
         }
         assert!(!sw.has_background_worker());
-        // Inline mode again: this load rebalances on the inserting
-        // thread, exactly like PR 4.
+        // Inline again: this load rebalances on the inserting thread.
         for k in 1..=300u64 {
             sw.insert(k * 2);
         }
@@ -667,10 +642,10 @@ mod tests {
     }
 
     #[test]
-    fn manual_rebalance_races_are_absorbed() {
-        // A manual rebalance() call while the worker runs can win the
-        // publish race; the worker must discard its stale rebuild and
-        // re-plan, never publish over the newer topology.
+    fn manual_rebalance_takes_turns_with_the_worker() {
+        // A manual rebalance() call while the worker runs waits for the
+        // worker's pass (and vice versa): no rebuild is ever discarded,
+        // and every publication is accounted for exactly once.
         let sw = Arc::new(ShardedWritable::new(vec![0u64], 1, small_cfg()));
         let worker = RebalanceWorker::spawn(Arc::clone(&sw));
         std::thread::scope(|scope| {
@@ -691,16 +666,24 @@ mod tests {
         let all = sw.range_keys(0, u64::MAX);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(all.len(), 501);
-        // Every publication is accounted for exactly once.
+        // Every publication is accounted for exactly once, and every
+        // rebuild was published.
         assert_eq!(
             sw.generation(),
             (sw.splits() + sw.shard_merges()) as u64,
             "torn generation accounting"
         );
+        assert_eq!(worker.races(), 0, "serialized passes never race");
+        assert_eq!(
+            sw.metrics()
+                .histogram("li_pass_retrain_ns")
+                .map(|h| h.count()),
+            Some(sw.generation())
+        );
     }
 
     #[test]
-    fn worker_panic_is_contained_and_restores_inline_mode() {
+    fn worker_panic_is_contained_and_restores_inline_maintenance() {
         let sw = Arc::new(ShardedWritable::new(
             (0..64u64).map(|i| i * 3).collect::<Vec<_>>(),
             2,
@@ -719,7 +702,7 @@ mod tests {
             "wait_until_stable must report failure for a dead worker"
         );
         assert!(worker.panicked());
-        // The dying worker detached itself: rebalancing is inline again
+        // The dying worker detached itself: maintenance is inline again
         // even though the handle is still alive.
         assert!(!sw.has_background_worker());
 

@@ -11,8 +11,8 @@
 //! * **Inserts** take the topology *read* lock (so many writers run
 //!   concurrently), route the key to its owner shard with
 //!   [`ShardRouter::route_owner`], and insert there; each shard
-//!   serializes its own writes and runs its own Appendix-D.1
-//!   buffer-merge-retrain cycle independently.
+//!   serializes its own writes and seals its own full buffers into
+//!   runs independently.
 //! * **Snapshots** ([`ShardedWritable::snapshot`]) also take the read
 //!   lock, clone the router and capture one [`DeltaSnapshot`] per shard
 //!   — a consistent router + snapshot-vector *pair* from a single
@@ -22,14 +22,16 @@
 //!   [`ShardedWritable::rank`]) take no snapshot: under the same read
 //!   guard they read-lock only the shards the answer needs, all at once
 //!   and in ascending shard order, and answer from them in place.
-//! * **Rebalancing** takes the topology *write* lock: with all inserts
-//!   excluded, a hot shard is split at its balanced
+//! * **Rebalancing** is one step function: observe and plan under the
+//!   read lock, rebuild off-lock — a hot shard is split at its balanced
 //!   [`li_index::partition::split_point`] (handing the upper half of
-//!   its keys to a new sibling), or two cold neighbors are merged; the
-//!   boundary vector is updated, the router refitted, and the whole
-//!   topology published as one new `Arc`. A snapshot therefore always
-//!   observes a *pre-* or *post-*rebalance topology, never a torn
-//!   mixture — the property the stress and property suites pin down.
+//!   its keys to a new sibling), or two cold neighbors are merged — and
+//!   publish under a brief *write* lock: writes that raced in are
+//!   re-routed, the boundary vector updated, the router refitted, and
+//!   the whole topology published as one new `Arc`. A snapshot
+//!   therefore always observes a *pre-* or *post-*rebalance topology,
+//!   never a torn mixture — the property the stress and property
+//!   suites pin down.
 //!
 //! # Ownership invariant
 //!
@@ -41,20 +43,24 @@
 //! `rank`, `range_keys` — a one-shard (plus O(1) bookkeeping) affair,
 //! and what keeps cross-shard concatenation globally sorted.
 //!
-//! # Tiered write path
+//! # Tiered write path and maintenance
 //!
-//! With [`ShardedWritableConfig::max_runs`] `> 0` every shard runs the
-//! LSM-style tiered cycle instead of merge-at-threshold: a full buffer
-//! is *sealed* into an immutable [`li_core::SortedRun`] (O(buffer), no
-//! base retrain), and once `max_runs` runs stack up the shard is
-//! maintained: its runs are *merged* into one run (no retrain) until
-//! they hold 1/[`li_core::delta::RUN_TIER_RATIO`] of the base's keys,
-//! and then *compacted* — all runs folded into the base with ONE
-//! retrain. The insert that fills a run stack never maintains it inline
-//! while a [`crate::RebalanceWorker`] is attached; it only signals, and
-//! the worker does the work off the insert path (with no worker
-//! attached, the insert does it inline — the same owner-driven
-//! fallback as inline rebalancing).
+//! Every shard runs the LSM-style tiered cycle: a full buffer is
+//! *sealed* into an immutable [`li_core::SortedRun`] (O(buffer), no
+//! base retrain), and once [`ShardedWritableConfig::max_runs`] runs
+//! stack up the shard is maintained: its runs are *merged* into one run
+//! (no retrain) until they hold 1/[`li_core::delta::RUN_TIER_RATIO`] of
+//! the base's keys, and then *compacted* — all runs folded into the
+//! base with ONE retrain.
+//!
+//! Run maintenance and rebalancing are one **maintenance pass**: fold
+//! or merge every full run stack, then run rebalance steps until the
+//! topology is stable. Two kinds of thread run it. With a
+//! [`crate::RebalanceWorker`] attached, the insert that fills a run
+//! stack, runs a shard hot or crosses the periodic scan cadence only
+//! signals, and the worker runs the pass off the insert path; with no
+//! worker, that insert runs the same pass on its own thread. Passes are
+//! serialized on one mutex, whoever drives them.
 //!
 //! # Per-shard retuning
 //!
@@ -73,7 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
-use li_core::delta::{DeltaIndex, DeltaSnapshot};
+use li_core::delta::{DeltaIndex, DeltaSnapshot, DEFAULT_MAX_RUNS};
 use li_core::rmi::{RmiConfig, TopModel};
 use li_index::partition::{boundaries, even_offsets, split_point};
 use li_index::KeyStore;
@@ -96,7 +102,7 @@ use crate::writable::WritableShard;
 /// use li_serve::{RebalanceConfig, ShardedWritable, ShardedWritableConfig};
 ///
 /// let config = ShardedWritableConfig {
-///     merge_threshold: 256, // buffered inserts per shard between retrains
+///     merge_threshold: 256, // buffered inserts per shard between seals
 ///     check_interval: 512,  // periodic rebalance scan cadence
 ///     rebalance: RebalanceConfig {
 ///         max_shard_len: 4096, // split a shard beyond this
@@ -110,7 +116,8 @@ use crate::writable::WritableShard;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ShardedWritableConfig {
-    /// Per-shard delta-buffer capacity between merge+retrain cycles.
+    /// Per-shard delta-buffer capacity: a full buffer is sealed into a
+    /// run.
     pub merge_threshold: usize,
     /// RMI leaf models per key when (re)building a shard (min 1 leaf).
     pub leaf_fraction: f64,
@@ -122,13 +129,13 @@ pub struct ShardedWritableConfig {
     /// (in addition to the immediate check when an insert pushes its
     /// shard over the split threshold). `0` disables periodic scans.
     pub check_interval: usize,
-    /// LSM-style tiering bound: `0` (the default) keeps the classic
-    /// merge-at-threshold write path; `> 0` makes every shard seal a
-    /// full buffer into an immutable sorted run (O(buffer), no base
-    /// retrain) and, once this many runs have stacked up, either merge
-    /// them into one run or — when they hold 1/16 of the base
-    /// ([`li_core::delta::RUN_TIER_RATIO`]) — fold them into the base
-    /// with ONE retrain. That maintenance runs on the attached
+    /// Run-stack bound, at least 1 (default
+    /// [`li_core::delta::DEFAULT_MAX_RUNS`] = 4): once this many sealed
+    /// runs have stacked up in a shard, the next maintenance pass either
+    /// merges them into one run or — when they hold 1/16 of the base
+    /// ([`li_core::delta::RUN_TIER_RATIO`]), or the bound is 1 — folds
+    /// them into the base with ONE retrain. `1` is the paper's D.1
+    /// cycle: every full buffer is folded. The pass runs on the attached
     /// [`crate::RebalanceWorker`] when there is one, inline otherwise.
     pub max_runs: usize,
     /// How every shard (re)build trains its base (default
@@ -160,7 +167,7 @@ impl Default for ShardedWritableConfig {
             leaf_fraction: 1.0 / 200.0,
             retune: RetunePolicy::default(),
             check_interval: 1024,
-            max_runs: 0,
+            max_runs: DEFAULT_MAX_RUNS,
             backend: Backend::Rmi,
             observe: true,
             rebalance: RebalanceConfig::default(),
@@ -171,6 +178,7 @@ impl Default for ShardedWritableConfig {
 impl ShardedWritableConfig {
     fn validate(&self) {
         assert!(self.merge_threshold > 0, "merge_threshold must be > 0");
+        assert!(self.max_runs >= 1, "max_runs must be >= 1");
         assert!(
             self.leaf_fraction > 0.0 && self.leaf_fraction.is_finite(),
             "leaf_fraction must be positive and finite"
@@ -206,17 +214,17 @@ struct Topology {
 /// rebalancing with per-shard model retuning. See the module docs (and
 /// `ARCHITECTURE.md` at the repository root) for the architecture.
 ///
-/// Rebalancing runs in one of two modes:
+/// Maintenance — run merges, folds, splits and shard merges — is one
+/// pass, run in one of two places:
 ///
-/// * **Inline** (the default): the insert that pushes a shard over its
-///   threshold — or that crosses the periodic scan cadence — runs
-///   [`ShardedWritable::rebalance`] itself, paying the shard-rebuild
-///   latency under the topology write lock.
+/// * **Inline** (the default): the insert that fills a run stack, pushes
+///   a shard over its threshold or crosses the periodic scan cadence
+///   runs the pass on its own thread, paying its latency. Other writers
+///   keep going: rebuilds run with no topology lock held, and only the
+///   publish takes the write lock briefly.
 /// * **Background**: with a [`crate::RebalanceWorker`] attached,
 ///   inserts only record pressure into lock-free counters and signal
-///   the worker; splits and merges are rebuilt *off* the insert path
-///   and published under a brief write lock (see
-///   `rebalance_step_background`).
+///   the worker, which runs the same pass off the insert path.
 ///
 /// # Examples
 /// ```
@@ -253,9 +261,13 @@ pub struct ShardedWritable {
     /// clones) with every shard, the WAL and the background worker.
     obs: Arc<ServeMetrics>,
     /// Link to an attached background rebalance worker. `None` (the
-    /// default) means inserts rebalance inline; `Some` means inserts
-    /// only record pressure and signal — the worker owns rebalancing.
+    /// default) means inserts run maintenance inline; `Some` means
+    /// inserts only record pressure and signal — the worker owns it.
     worker: RwLock<Option<Arc<WorkerLink>>>,
+    /// Serializes maintenance passes: N writers that see the same hot
+    /// shard run one split between them, not N rebuilds of which all
+    /// but one lose the publish race.
+    maintenance: Mutex<()>,
     /// The attached write-ahead log, when this structure is durable
     /// (see [`ShardedWritable::enable_wal`] /
     /// [`ShardedWritable::recover`]). Writers hold this mutex across
@@ -299,6 +311,7 @@ impl ShardedWritable {
             inserts: AtomicUsize::new(0),
             obs,
             worker: RwLock::new(None),
+            maintenance: Mutex::new(()),
             wal: Mutex::new(None),
             durable: AtomicBool::new(false),
         }
@@ -307,10 +320,10 @@ impl ShardedWritable {
     /// Insert a key, returning whether it was newly inserted (`false`
     /// for duplicates). Routes to the owner shard under the topology
     /// read lock — concurrent inserts to different shards proceed in
-    /// parallel. When the owner runs hot or the periodic scan comes
-    /// due, either rebalances inline or (with a
-    /// [`crate::RebalanceWorker`] attached) signals the background
-    /// worker.
+    /// parallel. When the owner's run stack fills, it runs hot or the
+    /// periodic scan comes due, either runs a maintenance pass inline
+    /// or (with a [`crate::RebalanceWorker`] attached) signals the
+    /// background worker.
     ///
     /// With a WAL attached the key is logged **before** it touches the
     /// in-memory tiers. This signature stays infallible: a WAL I/O
@@ -384,8 +397,8 @@ impl ShardedWritable {
             let guard = self.topo_guard();
             let s = guard.router.route_owner(key);
             guard.shards[s].insert_observed(key)
-            // Guard drops here, before any inline rebalance or
-            // compaction takes further locks.
+            // Guard drops here, before an inline maintenance pass
+            // takes further locks.
         };
         if obs.inserted || obs.needs_compaction {
             self.note_inserts(
@@ -406,9 +419,9 @@ impl ShardedWritable {
     /// The batch is bucketed per owner shard (mirroring the read path's
     /// `lower_bound_batch` plan): the topology read lock is taken
     /// **once** for the whole batch, and each touched shard gets **one**
-    /// write-lock handoff and at most one merge+retrain, instead of one
-    /// of each per key. Rebalance pressure is accounted once at the
-    /// end, so a batch triggers at most one inline rebalance (or one
+    /// write-lock handoff and at most one seal, instead of one of each
+    /// per key. Maintenance pressure is accounted once at the end, so a
+    /// batch triggers at most one inline maintenance pass (or one
     /// worker signal).
     ///
     /// With a WAL attached the whole batch is logged as **one atomic
@@ -543,14 +556,15 @@ impl ShardedWritable {
     /// paths: bump the global insert counter, then either record
     /// pressure on the attached background worker's lock-free board
     /// (signaling it when a shard ran hot, a run stack filled, or the
-    /// periodic scan cadence was crossed) or run the inline rebalancer
-    /// and compactor for the same triggers.
+    /// periodic scan cadence was crossed) or run the maintenance pass
+    /// inline for the same triggers.
     fn note_inserts(&self, newly: usize, max_owner_len: usize, compaction_due: bool) {
         let before = self.inserts.fetch_add(newly, Ordering::Relaxed);
         let after = before + newly;
         let owner_hot = max_owner_len > self.config.rebalance.max_shard_len;
         let periodic = self.config.check_interval > 0
             && before / self.config.check_interval != after / self.config.check_interval;
+        let due = owner_hot || periodic || compaction_due;
         // Poison-tolerant: the slot is a plain Option pointer, valid
         // even if a panicking thread died while holding the lock.
         if let Some(link) = self
@@ -560,17 +574,48 @@ impl ShardedWritable {
             .as_ref()
         {
             link.record(newly, max_owner_len, owner_hot);
-            if owner_hot || periodic || compaction_due {
+            if due {
                 link.signal();
             }
             return;
         }
-        if compaction_due {
-            self.compact_pending(Due::FullStacks);
+        if due {
+            self.maintenance_pass();
         }
-        if owner_hot || periodic {
-            self.rebalance();
+    }
+
+    /// One maintenance pass: maintain every full run stack
+    /// ([`ShardedWritable::compact_pending`]), then run
+    /// [`ShardedWritable::rebalance_step_background`] until the
+    /// topology is stable, within `4 × rebalance_budget` steps.
+    ///
+    /// This is the one body behind all three callers: the attached
+    /// [`crate::RebalanceWorker`] runs it per wake, an insert with no
+    /// worker attached runs it on its own thread, and
+    /// [`ShardedWritable::rebalance`] runs it on the caller's. Passes
+    /// are serialized on the maintenance mutex (lock order: WAL mutex →
+    /// maintenance mutex → topology → shards; an inline pass may run
+    /// under a durable writer's WAL mutex, and nothing holding the
+    /// topology or a shard lock ever waits on the maintenance mutex).
+    pub(crate) fn maintenance_pass(&self) -> Pass {
+        // Poison-tolerant: the mutex guards no data, only turns.
+        let _turn = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
+        self.compact_pending(Due::FullStacks);
+        let mut pass = Pass::default();
+        // The hysteresis in `plan` prevents oscillation; the bound is a
+        // backstop so a policy bug cannot spin forever, four budgets
+        // deep so a giant backlog still settles in one pass.
+        for _ in 0..4 * self.rebalance_budget() {
+            match self.rebalance_step_background() {
+                BackgroundStep::Applied(action) => pass.applied.push(action),
+                BackgroundStep::Raced => pass.races += 1,
+                BackgroundStep::Stable => {
+                    pass.stable = true;
+                    break;
+                }
+            }
         }
+        pass
     }
 
     /// Maintain the run stack of every shard `due` selects. A shard
@@ -583,11 +628,10 @@ impl ShardedWritable {
     /// held (only the shard's own brief read/write locks), so
     /// concurrent inserts and snapshots keep flowing.
     ///
-    /// This is the single maintenance entry point — the attached
-    /// [`crate::RebalanceWorker`] and the inline insert path pass
-    /// [`Due::FullStacks`], recovery passes [`Due::Replayed`] — so the
-    /// global [`ShardedWritable::compactions`] and
-    /// [`ShardedWritable::run_merges`] counters and `Backend::Auto`
+    /// This is the single run-maintenance entry point — every
+    /// maintenance pass passes [`Due::FullStacks`], recovery passes
+    /// [`Due::Replayed`] — so the global [`ShardedWritable::compactions`]
+    /// and [`ShardedWritable::run_merges`] counters and `Backend::Auto`
     /// re-selection account every fold and run merge exactly once.
     pub(crate) fn compact_pending(&self, due: Due) {
         // The Arc (not the guard) suffices: compaction never touches
@@ -639,8 +683,8 @@ impl ShardedWritable {
     }
 
     /// Attach a background worker's link: from now on inserts record
-    /// pressure and signal instead of rebalancing inline. Panics if a
-    /// worker is already attached.
+    /// pressure and signal instead of running maintenance inline.
+    /// Panics if a worker is already attached.
     pub(crate) fn attach_worker(&self, link: Arc<WorkerLink>) {
         let mut slot = self.worker.write().unwrap_or_else(|e| e.into_inner());
         if slot.is_some() {
@@ -652,15 +696,15 @@ impl ShardedWritable {
         *slot = Some(link);
     }
 
-    /// Detach the background worker's link: inserts rebalance inline
-    /// again. Runs from `RebalanceWorker::drop`, so it must never
-    /// panic (poison-tolerant).
+    /// Detach the background worker's link: inserts run maintenance
+    /// inline again. Runs from `RebalanceWorker::drop`, so it must
+    /// never panic (poison-tolerant).
     pub(crate) fn detach_worker(&self) {
         *self.worker.write().unwrap_or_else(|e| e.into_inner()) = None;
     }
 
     /// Whether a background rebalance worker currently owns
-    /// rebalancing (inserts then only record pressure and signal).
+    /// maintenance (inserts then only record pressure and signal).
     pub fn has_background_worker(&self) -> bool {
         self.worker
             .read()
@@ -822,11 +866,10 @@ impl ShardedWritable {
 
     /// How many run-stack compactions have been applied (shards whose
     /// sealed runs were folded into the base with one retrain; run
-    /// merges are not counted here). Always `0` when `max_runs == 0`.
-    /// While a [`crate::RebalanceWorker`] is attached, every compaction
-    /// happens on the worker, so this equals the worker's own
-    /// compaction counter. (Thin read of `li_compactions_total`; see
-    /// [`ShardedWritable::splits`].)
+    /// merges are not counted here). While a [`crate::RebalanceWorker`]
+    /// is attached, every compaction happens on the worker, so this
+    /// equals the worker's own compaction counter. (Thin read of
+    /// `li_compactions_total`; see [`ShardedWritable::splits`].)
     pub fn compactions(&self) -> usize {
         self.obs.compactions.value() as usize
     }
@@ -888,13 +931,6 @@ impl ShardedWritable {
         self.topo_guard().shards.iter().map(|s| s.pending()).sum()
     }
 
-    /// Force a delta merge + retrain on every shard now.
-    pub fn merge_all(&self) {
-        for shard in self.topo_guard().shards.iter() {
-            shard.merge();
-        }
-    }
-
     /// A consistent view: the router and one [`DeltaSnapshot`] per
     /// shard, captured from a *single* topology (the topology read lock
     /// is held across the capture, so a concurrent rebalance can never
@@ -925,47 +961,24 @@ impl ShardedWritable {
         }
     }
 
-    /// Run the rebalancer until the topology is stable: repeatedly ask
-    /// [`plan`] for the next action (split the hottest overloaded or
-    /// mispredicting shard / merge the coldest adjacent pair), apply it
-    /// under the topology write lock, and publish the new topology
-    /// atomically. Returns the actions applied (empty when already
+    /// Run one maintenance pass on the calling thread: fold or merge
+    /// every full run stack, then repeatedly ask [`plan`] for the next
+    /// action (split the hottest overloaded or mispredicting shard /
+    /// merge the coldest adjacent pair), rebuild it off-lock and
+    /// publish the new topology atomically, until the topology is
+    /// stable. Returns the topology actions applied (empty when already
     /// stable).
     ///
-    /// Safe to call from any thread at any time; inserts block only for
-    /// the duration of the shard rebuilds actually performed.
+    /// Safe to call from any thread at any time, with or without a
+    /// worker attached (passes take turns); inserts never wait for a
+    /// rebuild, only for the brief publish.
     pub fn rebalance(&self) -> Vec<RebalanceAction> {
-        let mut guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
-        let mut applied = Vec::new();
-        // The hysteresis in `plan` prevents oscillation; the explicit
-        // bound is a backstop so a policy bug cannot hold the write
-        // lock forever.
-        let budget = self.rebalance_budget();
-        for _ in 0..budget {
-            let topo = &**guard;
-            let (lens, err_hot) = self.observe(topo);
-            let Some(action) = plan(&lens, &err_hot, &self.config.rebalance) else {
-                break;
-            };
-            let Some(next) = (match action {
-                RebalanceAction::Split { shard } => self.apply_split(topo, shard),
-                RebalanceAction::Merge { left } => Some(self.apply_merge(topo, left)),
-            }) else {
-                // Unsplittable in practice (e.g. a single giant
-                // duplicate-free run shorter than 2 keys cannot occur,
-                // but stay defensive): stop rather than spin.
-                break;
-            };
-            *guard = Arc::new(next);
-            self.note_rebalance(&action, &guard);
-            applied.push(action);
-        }
-        applied
+        self.maintenance_pass().applied
     }
 
-    /// One **background** rebalance step, designed to be driven by a
-    /// [`crate::RebalanceWorker`] so that inserts never pay shard
-    /// rebuild latency:
+    /// One rebalance step — what every maintenance pass repeats — with
+    /// the shard rebuild **off** the topology lock, so concurrent
+    /// inserts never wait for it:
     ///
     /// 1. **Observe** under the read lock: snapshot lens/error stats,
     ///    ask [`plan`] for the next action, remember the topology
@@ -980,17 +993,17 @@ impl ShardedWritable {
     ///    the replacement shards by the *new* topology's ownership
     ///    bounds, then swap in the new `Arc<Topology>`.
     ///
-    /// The write lock is never held for the rebuild — that is the
-    /// whole point of the background mode. When no writes raced in
-    /// (shard lengths unchanged — the common case), the drain is a
-    /// pair of O(1) length checks; otherwise it re-exports the touched
-    /// shard for a linear diff plus the buffered straggler re-inserts.
+    /// The write lock is never held for the rebuild. When no writes
+    /// raced in (shard lengths unchanged — the common case), the drain
+    /// is a pair of O(1) length checks; otherwise it re-exports the
+    /// touched shard for a linear diff plus the buffered straggler
+    /// re-inserts.
     pub(crate) fn rebalance_step_background(&self) -> BackgroundStep {
         // Every phase below is timed into its own histogram
-        // (`li_pass_*_ns`) unconditionally — this is the cold worker
-        // path, where a pair of clock reads per phase is noise against
-        // an export + retrain, and the phase breakdown is exactly the
-        // tail-latency story the background mode exists to tell.
+        // (`li_pass_*_ns`) unconditionally — this is the cold
+        // maintenance path, where a pair of clock reads per phase is
+        // noise against an export + retrain, and the phase breakdown is
+        // exactly the tail-latency story maintenance has to tell.
 
         // Phase 1 — observe (read lock, released immediately).
         let t_observe = Instant::now();
@@ -1008,25 +1021,21 @@ impl ShardedWritable {
 
         match action {
             RebalanceAction::Split { shard: s } => {
-                // Phase 2 — rebuild off-lock. The export is kept (as a
-                // zero-copy KeyStore the two halves slice) for the
-                // phase-3 straggler diff.
+                // Phase 2 — rebuild off-lock. The export is kept for the
+                // phase-3 straggler diff; each half gets an allocation
+                // of its own, so a half that later folds frees its share
+                // of the keys instead of keeping the whole export alive.
                 let t_retrain = Instant::now();
-                let exported = KeyStore::new(topo.shards[s].export_keys());
-                let Some(m) = split_point(exported.as_slice()) else {
+                let exported = topo.shards[s].export_keys();
+                let Some(m) = split_point(&exported) else {
                     // Fewer than two distinct keys: nothing to split.
                     return BackgroundStep::Stable;
                 };
                 let boundary = exported[m];
                 let was_hybrid = Some(topo.shards[s].is_hybrid());
-                let left =
-                    build_selected_shard(exported.slice(0..m), &self.config, &self.obs, was_hybrid);
-                let right = build_selected_shard(
-                    exported.slice(m..exported.len()),
-                    &self.config,
-                    &self.obs,
-                    was_hybrid,
-                );
+                let (lower, upper) = exported.split_at(m);
+                let left = build_selected_shard(lower, &self.config, &self.obs, was_hybrid);
+                let right = build_selected_shard(upper, &self.config, &self.obs, was_hybrid);
                 self.obs.pass_retrain_ns.record_since(t_retrain);
 
                 // Phase 3 — publish + drain.
@@ -1044,7 +1053,7 @@ impl ShardedWritable {
                 // raced in and the O(shard) re-export is skipped.
                 if guard.shards[s].len() > exported.len() {
                     let t_drain = Instant::now();
-                    for k in straggler_diff(&guard.shards[s].export_keys(), exported.as_slice()) {
+                    for k in straggler_diff(&guard.shards[s].export_keys(), &exported) {
                         let target = if k < boundary { &left } else { &right };
                         target.insert(k);
                     }
@@ -1143,55 +1152,11 @@ impl ShardedWritable {
         (lens, err_hot)
     }
 
-    /// Backstop iteration bound for a rebalance pass (inline loop or
-    /// one background worker pass): generous enough for any cascade the
-    /// hysteresis admits, small enough that a policy bug cannot spin
-    /// forever.
-    pub(crate) fn rebalance_budget(&self) -> usize {
+    /// Backstop step bound for one round of a maintenance pass:
+    /// generous enough for any cascade the hysteresis admits, small
+    /// enough that a policy bug cannot spin forever.
+    fn rebalance_budget(&self) -> usize {
         2 * self.config.rebalance.max_shards + 4
-    }
-
-    /// Split shard `s` at its balanced split point: the upper half of
-    /// its keys becomes a new sibling shard whose ownership range
-    /// starts at the recomputed boundary key. `None` when the shard has
-    /// no valid split point (fewer than two distinct keys). Runs under
-    /// the topology write lock (the inline path — the background path
-    /// rebuilds off-lock in `rebalance_step_background`).
-    fn apply_split(&self, topo: &Topology, s: usize) -> Option<Topology> {
-        let mut keys = topo.shards[s].export_keys();
-        let m = split_point(&keys)?;
-        let right_keys = keys.split_off(m);
-        let boundary = right_keys[0];
-        let was_hybrid = Some(topo.shards[s].is_hybrid());
-        let left = Arc::new(build_selected_shard(
-            keys,
-            &self.config,
-            &self.obs,
-            was_hybrid,
-        ));
-        let right = Arc::new(build_selected_shard(
-            right_keys,
-            &self.config,
-            &self.obs,
-            was_hybrid,
-        ));
-        Some(split_topology(topo, s, boundary, left, right))
-    }
-
-    /// Merge shards `left` and `left + 1`. Their ownership ranges are
-    /// adjacent, so concatenating their exports is already globally
-    /// sorted. Runs under the topology write lock (the inline path).
-    fn apply_merge(&self, topo: &Topology, left: usize) -> Topology {
-        let mut keys = topo.shards[left].export_keys();
-        keys.extend(topo.shards[left + 1].export_keys());
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "merge tore order");
-        let merged = Arc::new(build_selected_shard(
-            keys,
-            &self.config,
-            &self.obs,
-            Some(topo.shards[left].is_hybrid()),
-        ));
-        merge_topology(topo, left, merged)
     }
 
     // Poison recovery (all `self.topo` lock sites): the only mutation
@@ -1206,10 +1171,12 @@ impl ShardedWritable {
     // one panicking thread into a process-wide outage. (The `worker`
     // slot makes the same argument for its plain `Option` pointer.)
     //
-    // Lock order: WAL mutex → topology → shards in ascending index.
-    // Nothing that holds a shard lock ever waits on the topology, and a
-    // thread holding this guard must never take it again: `std`'s
-    // RwLock queues new readers behind a waiting rebalance writer.
+    // Lock order: WAL mutex → maintenance mutex → topology → shards in
+    // ascending index. Nothing that holds a shard lock ever waits on the
+    // topology, nothing that holds either waits on the maintenance
+    // mutex, and a thread holding this guard must never take it again:
+    // `std`'s RwLock queues new readers behind a waiting rebalance
+    // writer.
     fn topo_guard(&self) -> RwLockReadGuard<'_, Arc<Topology>> {
         self.topo.read().unwrap_or_else(|e| e.into_inner())
     }
@@ -1253,6 +1220,7 @@ impl ShardedWritable {
             inserts: AtomicUsize::new(0),
             obs,
             worker: RwLock::new(None),
+            maintenance: Mutex::new(()),
             wal: Mutex::new(None),
             durable: AtomicBool::new(false),
         }
@@ -1387,8 +1355,8 @@ impl ShardedWritable {
     /// 3. **Replay** the keys of every record with `lsn > snapshot_lsn`
     ///    as ONE unlogged batch (replay must not re-append) through the
     ///    routed per-shard batch path: one `insert_batch` per owner
-    ///    shard, so each shard seals or merges at most once. Then every
-    ///    shard whose replayed keys overflowed its buffer — it sealed
+    ///    shard, so each shard seals at most once. Then every shard
+    ///    whose replayed keys overflowed its buffer — it sealed
     ///    during replay — folds its whole run stack into its base with
     ///    one retrain through the ordinary compaction entry point,
     ///    however small its run tier (a run merge would keep the
@@ -1489,8 +1457,8 @@ pub struct RecoveryReport {
     /// across it — exact, because recovery runs on the caller's
     /// thread). 0 when a snapshot loaded and every shard's replayed
     /// keys fit in its buffer; otherwise the retrains of the shards
-    /// that merged or folded, of any rebalance the replayed keys
-    /// triggered, and a first boot's empty base.
+    /// that folded, of any rebalance the replayed keys triggered, and a
+    /// first boot's empty base.
     pub trained: u64,
 }
 
@@ -1506,14 +1474,28 @@ pub(crate) enum Due {
     Replayed,
 }
 
+/// What one [`ShardedWritable::maintenance_pass`] did.
+#[derive(Debug, Default)]
+pub(crate) struct Pass {
+    /// The splits and shard merges it published, in order.
+    pub applied: Vec<RebalanceAction>,
+    /// Steps whose rebuild was discarded because the topology moved
+    /// between observe and publish.
+    pub races: usize,
+    /// Whether it ended on a stable topology (`false`: the step bound
+    /// ran out with work left).
+    pub stable: bool,
+}
+
 /// Outcome of one [`ShardedWritable::rebalance_step_background`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BackgroundStep {
     /// An action was applied and a new topology published.
     Applied(RebalanceAction),
-    /// The topology generation changed between observe and publish
-    /// (e.g. a manual [`ShardedWritable::rebalance`] call won the
-    /// race); the rebuild was discarded — observe again and re-plan.
+    /// The topology generation changed between observe and publish;
+    /// the rebuild was discarded — observe again and re-plan. Passes
+    /// are serialized and only a step publishes, so this is a guard
+    /// that should never fire.
     Raced,
     /// The policy proposes nothing: the topology is stable.
     Stable,
@@ -1607,7 +1589,7 @@ fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) 
 ///   hybrid at the reference page size.
 ///
 /// Either way the shard keeps the chosen configuration for its future
-/// delta merge retrains, so the decision sticks until the next rebuild.
+/// folds, so the decision sticks until the next rebuild.
 fn build_retuned_shard(
     keys: impl Into<KeyStore>,
     config: &ShardedWritableConfig,
@@ -1759,20 +1741,17 @@ mod tests {
         }
     }
 
-    fn tiered_cfg(max_runs: usize) -> ShardedWritableConfig {
-        ShardedWritableConfig {
-            max_runs,
-            ..small_cfg()
-        }
-    }
-
     #[test]
     fn tiered_inserts_seal_runs_and_compact_inline_without_a_worker() {
         // Threshold 8, max_runs 2: every 8 fresh keys seal a run, every
         // second seal fills the stack — with no worker attached the
         // same insert compacts inline.
         let data: Vec<u64> = (0..64u64).map(|i| i * 100).collect();
-        let sw = ShardedWritable::new(data.clone(), 2, tiered_cfg(2));
+        let config = ShardedWritableConfig {
+            max_runs: 2,
+            ..small_cfg()
+        };
+        let sw = ShardedWritable::new(data.clone(), 2, config);
         let mut oracle: std::collections::BTreeSet<u64> = data.iter().copied().collect();
         for k in 0..400u64 {
             let key = k * 7 + 1;
@@ -1803,14 +1782,13 @@ mod tests {
     }
 
     #[test]
-    fn untiered_mode_never_seals_or_compacts() {
-        let sw = ShardedWritable::new(vec![0u64], 1, small_cfg());
-        for k in 1..=300u64 {
-            sw.insert(k * 2);
-        }
-        assert_eq!(sw.run_count(), 0);
-        assert_eq!(sw.sealed_keys(), 0);
-        assert_eq!(sw.compactions(), 0);
+    #[should_panic(expected = "max_runs must be >= 1")]
+    fn a_zero_run_bound_is_rejected() {
+        let config = ShardedWritableConfig {
+            max_runs: 0,
+            ..small_cfg()
+        };
+        ShardedWritable::new(vec![1u64], 1, config);
     }
 
     #[test]
@@ -1930,7 +1908,7 @@ mod tests {
                 ..RetunePolicy::default()
             },
             check_interval: 0,
-            max_runs: 0,
+            max_runs: DEFAULT_MAX_RUNS,
             backend: Backend::Rmi,
             observe: true,
             rebalance: RebalanceConfig {

@@ -12,19 +12,17 @@
 //! a copy of the (threshold-bounded) pending buffer — and then runs
 //! them with **no** lock held.
 //!
-//! Merge+retrain inside the `DeltaIndex` is a whole-base swap (the base
-//! RMI lives behind an `Arc`), so a snapshot taken before a merge keeps
-//! serving the exact pre-merge state: reads are never torn across a
-//! retrain, which is what the concurrent stress suite asserts.
-//!
-//! In **tiered** mode ([`WritableShard::tiered`]) the shard also carries
-//! a stack of immutable sorted runs between the buffer and the base.
+//! A full buffer is sealed into an immutable sorted run, and the shard
+//! carries a stack of them between the buffer and the base.
 //! [`WritableShard::compact`] folds them into the base and
 //! [`WritableShard::merge_runs`] merges them into one run, both with the
 //! work running **off-lock**: writers are only excluded for the final
 //! pointer-swap publish, never for the `Rmi::build` or the merge — the
-//! same observe / rebuild-off-lock / publish discipline the background
-//! rebalancer uses for topology changes.
+//! same observe / rebuild-off-lock / publish discipline the rebalancer
+//! uses for topology changes. Every publish is a whole-tier `Arc` swap,
+//! so a snapshot taken before a fold keeps serving the exact pre-fold
+//! state: reads are never torn across a retrain, which is what the
+//! concurrent stress suite asserts.
 
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -44,14 +42,15 @@ pub struct WritableShard {
     inner: RwLock<DeltaIndex>,
     /// The owning structure's observability bundle, attached once at
     /// build/load time (standalone shards stay unattached — they pay
-    /// one `OnceLock` load per write and record nothing). Seals,
-    /// buffer merges and compaction phases report here.
+    /// one `OnceLock` load per write and record nothing). Seals and
+    /// compaction phases report here.
     obs: OnceLock<Arc<ServeMetrics>>,
 }
 
 impl WritableShard {
-    /// Build over initial sorted unique `data`; buffer up to
-    /// `merge_threshold` inserts between retrains.
+    /// Build over initial sorted unique `data`; seal every
+    /// `merge_threshold` inserts into a run, with the default run-stack
+    /// bound ([`li_core::delta::DEFAULT_MAX_RUNS`]).
     pub fn new(data: impl Into<KeyStore>, config: RmiConfig, merge_threshold: usize) -> Self {
         Self {
             inner: RwLock::new(DeltaIndex::new(data, config, merge_threshold)),
@@ -60,7 +59,7 @@ impl WritableShard {
     }
 
     /// Wrap an already-trained base RMI (no retraining); `config` is
-    /// what future merge+retrain cycles rebuild with.
+    /// what future folds retrain with.
     pub fn from_trained(base: Rmi, config: RmiConfig, merge_threshold: usize) -> Self {
         Self {
             inner: RwLock::new(DeltaIndex::from_trained(base, config, merge_threshold)),
@@ -68,14 +67,13 @@ impl WritableShard {
         }
     }
 
-    /// Build a **tiered** shard: a full buffer is sealed into an
-    /// immutable sorted run (O(buffer), no base retrain) instead of
-    /// merged, and once `max_runs` runs have stacked up
+    /// Build a shard with run-stack bound `max_runs` (≥ 1): a full
+    /// buffer is sealed into an immutable sorted run (O(buffer), no base
+    /// retrain), and once `max_runs` runs have stacked up
     /// [`WritableShard::needs_compaction`] turns true so the owner can
     /// fold them with one [`WritableShard::compact`] call — or, while
     /// [`WritableShard::fold_due`] is false, merge them into one run
     /// with [`WritableShard::merge_runs`].
-    /// `max_runs == 0` is the classic untiered shard.
     ///
     /// # Examples
     /// ```
@@ -106,9 +104,8 @@ impl WritableShard {
     }
 
     /// Insert a key, returning whether it was newly inserted (`false`
-    /// for duplicates, which are no-ops). May trigger a merge + retrain,
-    /// which swaps the shard's base wholesale; outstanding snapshots are
-    /// unaffected.
+    /// for duplicates, which are no-ops). May seal the buffer into a
+    /// run; outstanding snapshots are unaffected.
     pub fn insert(&self, key: u64) -> bool {
         self.write_lock().insert(key)
     }
@@ -116,9 +113,8 @@ impl WritableShard {
     /// Insert a whole batch under **one** write-lock acquisition,
     /// returning one newly-inserted flag per key in input order (see
     /// [`DeltaIndex::insert_batch`](li_core::delta::DeltaIndex::insert_batch)
-    /// for the flag semantics). One lock handoff and at most one
-    /// merge+retrain for the whole batch, instead of one of each per
-    /// key.
+    /// for the flag semantics). One lock handoff and at most one seal
+    /// for the whole batch, instead of one of each per key.
     ///
     /// # Examples
     /// ```
@@ -138,19 +134,6 @@ impl WritableShard {
     /// wins; later calls are no-ops (a shard never changes owners).
     pub(crate) fn attach_obs(&self, obs: Arc<ServeMetrics>) {
         let _ = self.obs.set(obs);
-    }
-
-    /// Force a full collapse + retrain now (sealed runs and the buffer
-    /// both fold into the base).
-    pub fn merge(&self) {
-        let mut guard = self.write_lock();
-        // Forced merges always arm the watch's timer: there is no
-        // buffer-fullness precondition to infer it from.
-        let watch = self.obs.get().map(|obs| TierWatch::armed(obs, &guard));
-        guard.merge();
-        if let Some(watch) = watch {
-            watch.finish(&guard);
-        }
     }
 
     /// Fold every sealed run into the base with one retrain, training
@@ -283,8 +266,7 @@ impl WritableShard {
         self.read_lock().config().hybrid_threshold.is_some()
     }
 
-    /// Whether the run stack has reached its tiering bound (always
-    /// `false` for untiered shards).
+    /// Whether the run stack has reached its bound.
     pub fn needs_compaction(&self) -> bool {
         self.read_lock().needs_compaction()
     }
@@ -343,11 +325,6 @@ impl WritableShard {
         self.len() == 0
     }
 
-    /// How many merge+retrain cycles have run.
-    pub fn merges(&self) -> usize {
-        self.read_lock().merges()
-    }
-
     /// Keys waiting in the delta buffer.
     pub fn pending(&self) -> usize {
         self.read_lock().pending()
@@ -359,21 +336,16 @@ impl WritableShard {
         self.read_lock().base_stats().clone()
     }
 
-    /// Export every key (base + buffer) as one sorted unique vector —
-    /// the hand-off when this shard splits or merges with a sibling.
+    /// Export every key (base + runs + buffer) as one sorted unique
+    /// vector — the hand-off when this shard splits or merges with a
+    /// sibling.
     pub fn export_keys(&self) -> Vec<u64> {
         self.read_lock().export_keys()
     }
 
-    /// Split the merged keyset at `pivot`: `(keys < pivot, keys >=
-    /// pivot)`, both sorted unique.
-    pub fn split_keys(&self, pivot: u64) -> (Vec<u64>, Vec<u64>) {
-        self.read_lock().split_keys(pivot)
-    }
-
     /// Wrap a fully reconstructed [`DeltaIndex`] — the persistence
     /// layer's load path, where the base RMI was rebuilt from saved
-    /// parameters and the delta buffer replayed, with no retraining.
+    /// parameters and the runs and buffer restored, with no retraining.
     pub(crate) fn from_delta(delta: DeltaIndex) -> Self {
         Self {
             inner: RwLock::new(delta),
@@ -386,38 +358,49 @@ impl WritableShard {
     /// call would pay a second lock handoff per insert).
     pub(crate) fn insert_observed(&self, key: u64) -> InsertObs {
         let mut guard = self.write_lock();
-        let watch = self.obs.get().map(|obs| TierWatch::begin(obs, &guard, 1));
+        let seals = guard.seals();
         let inserted = guard.insert(key);
-        let out = InsertObs {
+        self.note_seals(&guard, seals);
+        InsertObs {
             inserted,
             len: guard.len(),
             needs_compaction: guard.needs_compaction(),
-        };
-        if let Some(watch) = watch {
-            watch.finish(&guard);
         }
-        out
     }
 
     /// Batched [`WritableShard::insert_observed`]: flags in input order
     /// plus the shard observations, one lock acquisition.
     pub(crate) fn insert_batch_observed(&self, keys: &[u64]) -> (Vec<bool>, InsertObs) {
         let mut guard = self.write_lock();
-        let watch = self
-            .obs
-            .get()
-            .map(|obs| TierWatch::begin(obs, &guard, keys.len()));
+        let seals = guard.seals();
         let flags = guard.insert_batch(keys);
-        let inserted = flags.iter().any(|&f| f);
+        self.note_seals(&guard, seals);
         let out = InsertObs {
-            inserted,
+            inserted: flags.iter().any(|&f| f),
             len: guard.len(),
             needs_compaction: guard.needs_compaction(),
         };
-        if let Some(watch) = watch {
-            watch.finish(&guard);
-        }
         (flags, out)
+    }
+
+    /// Report the seals a write just made (the index counts its own, so
+    /// `before` is the count taken under the same write lock before the
+    /// write) to the attached bundle, if any.
+    fn note_seals(&self, guard: &DeltaIndex, before: usize) {
+        let sealed = guard.seals() - before;
+        if sealed == 0 {
+            return;
+        }
+        if let Some(obs) = self.obs.get() {
+            obs.buffer_seals.add(sealed as u64);
+            // A run is sealed exactly when the buffer hits capacity, so
+            // the run length is the threshold.
+            obs.event(
+                events::BUFFER_SEAL,
+                guard.merge_threshold() as u64,
+                guard.run_count() as u64,
+            );
+        }
     }
 
     /// The base snapshot, retrain configuration and merge threshold,
@@ -436,8 +419,9 @@ impl WritableShard {
     // poisoned, but the guarded `DeltaIndex` is still valid — every
     // `&mut` entry point leaves it consistent at all panic points
     // (`insert`/`insert_batch` mutate the buffer with single
-    // completed-or-not `Vec` operations, and `merge` builds the new
-    // base *before* touching any field — see `DeltaIndex::merge`). So a
+    // completed-or-not `Vec` operations, a seal builds its run *before*
+    // touching any field — see `DeltaIndex::seal` — and folds and run
+    // merges are trained off-lock and installed by `Arc` swaps). So a
     // panicking writer must not condemn every later reader and writer:
     // recover the guard with `into_inner` and keep serving.
 
@@ -451,70 +435,6 @@ impl WritableShard {
 
     fn write_lock(&self) -> std::sync::RwLockWriteGuard<'_, DeltaIndex> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Captures a shard's tier counters under the write lock *before* a
-/// write, so the seal or buffer merge the write may trigger can be
-/// detected — and its duration attributed — *after* it, all within the
-/// same critical section. Detection is by counter diff (the `DeltaIndex`
-/// already counts its own seals and merges), so no tiering logic is
-/// duplicated here.
-struct TierWatch<'a> {
-    obs: &'a Arc<ServeMetrics>,
-    seals0: usize,
-    merges0: usize,
-    threshold: usize,
-    /// Armed only when the buffer can actually fill during this write —
-    /// the plain buffered-insert fast path never pays a clock read.
-    started: Option<Instant>,
-}
-
-impl<'a> TierWatch<'a> {
-    fn begin(obs: &'a Arc<ServeMetrics>, guard: &DeltaIndex, incoming: usize) -> Self {
-        let threshold = guard.merge_threshold();
-        let armed = guard.pending().saturating_add(incoming) >= threshold;
-        Self {
-            obs,
-            seals0: guard.seals(),
-            merges0: guard.merges(),
-            threshold,
-            started: armed.then(Instant::now),
-        }
-    }
-
-    /// A watch whose timer is unconditionally running (forced merges).
-    fn armed(obs: &'a Arc<ServeMetrics>, guard: &DeltaIndex) -> Self {
-        Self {
-            started: Some(Instant::now()),
-            ..Self::begin(obs, guard, 0)
-        }
-    }
-
-    fn finish(self, guard: &DeltaIndex) {
-        let seals = guard.seals() - self.seals0;
-        let merges = guard.merges() - self.merges0;
-        if seals > 0 {
-            self.obs.buffer_seals.add(seals as u64);
-            // A run is sealed exactly when the buffer hits capacity, so
-            // the run length is the threshold.
-            self.obs.event(
-                events::BUFFER_SEAL,
-                self.threshold as u64,
-                guard.run_count() as u64,
-            );
-        }
-        if merges > 0 {
-            self.obs.buffer_merges.add(merges as u64);
-            if let Some(t) = self.started {
-                self.obs.merge_ns.record_since(t);
-            }
-            self.obs.event(
-                events::BUFFER_MERGE,
-                self.threshold as u64,
-                guard.len() as u64,
-            );
-        }
     }
 }
 
@@ -557,23 +477,21 @@ mod tests {
         let all = shard.export_keys();
         assert_eq!(all.len(), 501);
         assert!(all.windows(2).all(|w| w[0] < w[1]));
-        let (left, right) = shard.split_keys(250);
-        assert_eq!(left.len(), 250);
-        assert_eq!(right.first(), Some(&250));
     }
 
     #[test]
-    fn snapshots_survive_merges() {
-        let shard = WritableShard::new(vec![10u64, 20, 30], cfg(), 4);
+    fn snapshots_survive_folds() {
+        let shard = WritableShard::tiered(vec![10u64, 20, 30], cfg(), 4, 1);
         shard.insert(15);
         let snap = shard.snapshot();
         assert_eq!(snap.len(), 4);
-        // Push through a merge cycle.
+        // Push through a seal and a fold.
         for k in [11u64, 12, 13, 14, 16, 17] {
             shard.insert(k);
         }
-        assert!(shard.merges() >= 1);
-        assert_eq!(snap.len(), 4, "snapshot must keep its pre-merge view");
+        assert!(shard.needs_compaction());
+        assert_eq!(shard.compact(), 1);
+        assert_eq!(snap.len(), 4, "snapshot must keep its pre-fold view");
         assert!(snap.contains(15) && !snap.contains(11));
         assert_eq!(shard.len(), 10);
     }
@@ -612,12 +530,16 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..250u64 {
                         shard.insert((t * 250 + i) * 10 + 1);
+                        if shard.needs_compaction() {
+                            shard.compact();
+                        }
                     }
                 });
             }
         });
         assert_eq!(shard.len(), 2000);
-        assert!(shard.merges() >= 2);
+        assert_eq!(shard.seals(), 1000 / 64);
+        assert!(shard.compactions() >= 2);
         for k in (0..1000u64).step_by(97) {
             assert!(shard.contains(k * 10 + 1));
         }

@@ -42,7 +42,7 @@ pub fn run(n: usize) {
         fresh.len()
     );
 
-    // Tiered write path under real split pressure, so the storm
+    // The write path under real split pressure, so the storm
     // provokes seals, compactions and topology changes for the
     // metrics to see.
     let shards = 4;
@@ -52,7 +52,6 @@ pub fn run(n: usize) {
         shards,
         ShardedWritableConfig {
             merge_threshold: 1_000,
-            max_runs: 4,
             rebalance: RebalanceConfig {
                 max_shard_len,
                 merge_max_len: (max_shard_len / 4).max(1),

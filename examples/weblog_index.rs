@@ -84,22 +84,28 @@ pub fn run(n: usize) {
         btree_ns / rmi_ns
     );
 
-    // Appendix D.1: appends with increasing timestamps via a delta index.
+    // Appendix D.1: appends with increasing timestamps via a delta index
+    // whose one-run stack folds every full buffer into the base with a
+    // retrain.
     let mut live = DeltaIndex::new(
         keys.clone(),
         RmiConfig::two_stage(TopModel::Linear, (n / 500).max(1)),
         (n / 10).max(1),
-    );
+    )
+    .with_tiering(1);
     let last = *keys.last().expect("non-empty");
     let t0 = Instant::now();
     let appended = (n / 5) as u64;
     for i in 0..appended {
         live.insert(last + 1 + i * 1_000); // new requests, 1ms apart
+        if live.needs_compaction() {
+            live.compact();
+        }
     }
     println!(
-        "appended {appended} new entries in {:.0} ms ({} merges, {} pending)",
+        "appended {appended} new entries in {:.0} ms ({} folds, {} pending)",
         t0.elapsed().as_secs_f64() * 1e3,
-        live.merges(),
+        live.compactions(),
         live.pending()
     );
     assert_eq!(live.len(), n + appended as usize);

@@ -1,6 +1,6 @@
 //! Multi-threaded stress: concurrent readers must always observe a
-//! consistent snapshot while a writer drives inserts through multiple
-//! merge/retrain cycles.
+//! consistent snapshot while writers drive inserts through multiple
+//! seal/fold cycles.
 //!
 //! Two pressure points:
 //!
@@ -9,7 +9,7 @@
 //!    flat sorted-array oracle. The index is immutable, so any torn
 //!    answer would be a `Send`/`Sync` violation in a backend.
 //! 2. **Write path** — a writer drives `WritableShard::insert` through
-//!    at least two merge+retrain cycles while readers take
+//!    at least two seal+fold cycles while readers take
 //!    `DeltaSnapshot`s and check internal consistency with no lock
 //!    held: ranks monotone in the key, no torn rank (base swapped
 //!    mid-read would break `rank(∞) == len`), and the initial keyset
@@ -21,9 +21,9 @@
 //!    (each shard's keys inside its ownership range), lengths
 //!    monotone, the initial keyset permanently visible, and every
 //!    snapshot's bookkeeping exactly self-consistent.
-//! 4. **Tiered write path** — with tiering on and a worker attached,
-//!    writers seal runs while the worker compacts full stacks into
-//!    the base. Readers validate the three-tier bookkeeping of every
+//! 4. **Tiered write path** — with a worker attached, writers seal runs
+//!    while the worker compacts full stacks into the base. Readers
+//!    validate the three-tier bookkeeping of every
 //!    snapshot (base + sealed runs + pending buffer partition the
 //!    keyset) with no lock held; compaction is proven worker-only by
 //!    counter equality.
@@ -50,6 +50,12 @@
 //!    worker-attached cases must finish (a lock-order cycle would hang
 //!    them). A two-shard case witnesses that one live scan reads one
 //!    instant of both shards.
+//! 8. **Inline maintenance under concurrent writers** — with no worker,
+//!    several writers each run the maintenance pass on their own thread
+//!    when they fill a run stack or run a shard hot. Through shard
+//!    merges, splits and folds the contents stay exact, and every
+//!    rebuild the passes timed was published: serialized passes never
+//!    rebuild the same shard twice.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -138,9 +144,11 @@ fn writer_through_merge_cycles_never_tears_reader_snapshots() {
     // even key's membership is an invariant of every snapshot.
     let initial = 20_000usize;
     let inserts = 4_000u64;
-    let threshold = 512usize; // 4_000 / 512 -> at least 7 merges
+    let threshold = 512usize; // ~3_500 distinct keys / 512 -> 6 folds
     let base: Vec<u64> = (0..initial as u64).map(|i| i * 2).collect();
-    let shard = WritableShard::new(base, cfg(), threshold);
+    // A one-run stack: the writer folds every full buffer (the paper's
+    // D.1 cycle).
+    let shard = WritableShard::tiered(base, cfg(), threshold, 1);
 
     let done = AtomicBool::new(false);
     let snapshots_checked = AtomicUsize::new(0);
@@ -218,22 +226,23 @@ fn writer_through_merge_cycles_never_tears_reader_snapshots() {
             });
         }
 
-        // Writer: odd keys, spread over the domain, through >= 2 merge
+        // Writer: odd keys, spread over the domain, through >= 2 fold
         // cycles (asserted below).
         scope.spawn(move || {
             for i in 0..inserts {
                 shard_ref.insert((i * 13 % (initial as u64 * 2)) | 1);
+                if shard_ref.needs_compaction() {
+                    shard_ref.compact();
+                }
             }
-            // Flush the tail so the final state is fully merged.
-            shard_ref.merge();
             done_ref.store(true, Ordering::Release);
         });
     });
 
     assert!(
-        shard.merges() >= 2,
-        "writer must run through at least two merge/retrain cycles, got {}",
-        shard.merges()
+        shard.compactions() >= 2,
+        "writer must run through at least two fold cycles, got {}",
+        shard.compactions()
     );
     assert!(
         snapshots_checked.load(Ordering::Relaxed) > 0,
@@ -245,7 +254,7 @@ fn writer_through_merge_cycles_never_tears_reader_snapshots() {
         .map(|i| (i * 13 % (initial as u64 * 2)) | 1)
         .collect();
     assert_eq!(shard.len(), initial + distinct_odd.len());
-    assert_eq!(shard.pending(), 0);
+    assert_eq!(shard.run_count(), 0, "every full buffer was folded");
     for &k in distinct_odd.iter().step_by(97) {
         assert!(shard.contains(k), "lost inserted key {k}");
     }
@@ -406,6 +415,71 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
     assert!(dump.iter().eq(expect.iter()), "final contents diverged");
     // The generation trail accounts for every topology publication.
     assert_eq!(sw.generation(), (sw.splits() + sw.shard_merges()) as u64);
+}
+
+/// Case 8: inline maintenance under concurrent writers, no worker. The
+/// cold eight-shard start merges on the first periodic pass; four
+/// writers then pile fresh keys past the last bound, so the top shard
+/// folds its run stacks and splits again and again, each pass run by
+/// whichever writer's insert called for it. While one writer rebuilds
+/// the hot shard the others keep inserting into it and see it hot too;
+/// passes take turns on one mutex, so they find it already split
+/// instead of rebuilding it again. Every rebuild a pass timed
+/// (`li_pass_retrain_ns`) was therefore published: the count equals
+/// splits + shard merges, which overlapping passes break by discarding
+/// the rebuilds that lose the publish race.
+#[test]
+fn inline_passes_from_concurrent_writers_take_turns() {
+    let initial: Vec<u64> = (0..32u64).map(|i| i * 1024).collect();
+    let writers = 4u64;
+    let per_writer = 600u64;
+    let config = ShardedWritableConfig {
+        merge_threshold: 32,
+        leaf_fraction: 1.0 / 32.0,
+        check_interval: 64,
+        rebalance: RebalanceConfig {
+            max_shard_len: 256,
+            merge_max_len: 16,
+            max_mean_err: None,
+            max_shards: 24,
+        },
+        ..ShardedWritableConfig::default()
+    };
+    let sw = ShardedWritable::new(initial.clone(), 8, config);
+    // Above every initial key: all of it lands in the last shard.
+    let top = 1u64 << 20;
+    let key = |j: u64| top + j * 3;
+    std::thread::scope(|scope| {
+        for w in 0..writers {
+            let sw = &sw;
+            scope.spawn(move || {
+                for i in 0..per_writer {
+                    assert!(sw.insert(key(i * writers + w)));
+                }
+            });
+        }
+    });
+
+    assert!(!sw.has_background_worker());
+    assert!(sw.shard_merges() >= 1, "the cold start must merge");
+    assert!(sw.splits() >= 1, "the hot top shard must split");
+    assert!(sw.compactions() >= 1, "full run stacks must fold");
+    assert_eq!(sw.generation(), (sw.splits() + sw.shard_merges()) as u64);
+    let retrains = sw
+        .metrics()
+        .histogram("li_pass_retrain_ns")
+        .map(|h| h.count());
+    assert_eq!(
+        retrains,
+        Some(sw.generation()),
+        "a rebuild was thrown away: two passes overlapped"
+    );
+
+    let mut expect: std::collections::BTreeSet<u64> = initial.into_iter().collect();
+    expect.extend((0..writers * per_writer).map(key));
+    assert_eq!(sw.len(), expect.len());
+    let dump = sw.range_keys(0, u64::MAX);
+    assert!(dump.iter().eq(expect.iter()), "final contents diverged");
 }
 
 /// Case 7's witness that one live scan reads one instant of every shard
@@ -639,7 +713,7 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
     assert!(snapshots_checked.load(Ordering::Relaxed) > 0);
 
     // EVERY topology change was executed by the worker thread: the
-    // inserting threads recorded pressure only. (Any inline rebalance
+    // inserting threads recorded pressure only. (Any inline pass
     // would make the structure's counters exceed the worker's.)
     assert_eq!(worker.splits(), sw.splits(), "a non-worker thread split");
     assert_eq!(
@@ -974,15 +1048,23 @@ fn metrics_snapshots_stay_monotone_and_untorn_under_writer_storm() {
 
 #[test]
 fn snapshot_taken_before_merges_serves_the_old_state_forever() {
-    let shard = WritableShard::new((0..1000u64).map(|i| i * 2).collect::<Vec<_>>(), cfg(), 64);
+    let shard = WritableShard::tiered(
+        (0..1000u64).map(|i| i * 2).collect::<Vec<_>>(),
+        cfg(),
+        64,
+        1,
+    );
     let before = shard.snapshot();
     assert_eq!(before.len(), 1000);
 
-    // Two full merge cycles after the snapshot.
+    // Three seal + fold cycles after the snapshot.
     for k in 0..200u64 {
         shard.insert(k * 2 + 1);
+        if shard.needs_compaction() {
+            shard.compact();
+        }
     }
-    assert!(shard.merges() >= 2, "merges {}", shard.merges());
+    assert_eq!(shard.compactions(), 3);
 
     assert_eq!(before.len(), 1000, "snapshot must be frozen");
     assert!(!before.contains(1));

@@ -123,14 +123,17 @@ fn updatable_index_pipeline() {
     let mut idx = DeltaIndex::new(
         keyset.keys().to_vec(),
         RmiConfig::two_stage(TopModel::Linear, 128),
-        2_000,
+        500,
     );
     let last = *keyset.keys().last().unwrap();
     for i in 0..5_000u64 {
         idx.insert(last + 1 + i);
+        if idx.needs_compaction() {
+            idx.compact();
+        }
     }
     assert_eq!(idx.len(), 25_000);
-    assert!(idx.merges() >= 2);
+    assert_eq!((idx.seals(), idx.compactions()), (10, 2));
     assert_eq!(idx.rank(last + 1), 20_000);
     assert_eq!(idx.rank(u64::MAX), 25_000);
 }

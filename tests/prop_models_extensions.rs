@@ -203,6 +203,9 @@ proptest! {
         for k in inserts {
             idx.insert(k);
             model.insert(k);
+            if idx.needs_compaction() {
+                idx.compact();
+            }
         }
         prop_assert_eq!(idx.len(), model.len());
         for q in probes.iter().copied().chain(model.iter().copied().take(20)) {

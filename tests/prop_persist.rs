@@ -639,6 +639,57 @@ fn v3_snapshots_load_and_older_versions_are_refused() {
     }
 }
 
+/// A file saved when `max_runs = 0` meant "merge every full buffer into
+/// the base with a retrain" — made here by patching the field of a fresh
+/// save and re-sealing it — loads key for key, training nothing, with a
+/// one-run stack: the same policy, so its next full buffer is sealed and
+/// folded exactly once.
+#[test]
+fn a_zero_run_bound_loads_as_one_run_that_folds_every_buffer() {
+    let path = tmp_path("zero-runs");
+    let _guard = Cleanup(path.clone());
+    let base: Vec<u64> = (0..3_000u64).map(|i| i * 4).collect();
+    let sw = ShardedWritable::new(base.clone(), 1, tiered_cfg());
+    for k in 0..8u64 {
+        assert!(sw.insert(k * 40 + 1));
+    }
+    assert_eq!((sw.run_count(), sw.pending()), (0, 8));
+    sw.save(&path).unwrap();
+
+    // The manifest opens with the store's configuration: eight 8-byte
+    // fields, the error-split flag byte and value, `max_shards`, then
+    // `max_runs`.
+    let mut bytes = std::fs::read(&path).unwrap();
+    const HEADER_LEN: usize = 4096;
+    let keys_end = HEADER_LEN + base.len() * 8;
+    let at = keys_end + 8 * 8 + 1 + 8 + 8;
+    assert_eq!(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()), 4);
+    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+    let manifest_sum = xxh64(&bytes[keys_end..]);
+    bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
+    let header_sum = xxh64(&bytes[0..56]);
+    bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let trains = train_count();
+    let loaded = ShardedWritable::load(&path).unwrap();
+    assert_eq!(train_count(), trains, "load must not train");
+    assert_eq!(loaded.range_keys(0, u64::MAX), sw.range_keys(0, u64::MAX));
+    assert_eq!(loaded.pending(), 8);
+
+    for k in 8..16u64 {
+        assert!(loaded.insert(k * 40 + 1));
+    }
+    assert_eq!(
+        (loaded.compactions(), loaded.run_merges()),
+        (1, 0),
+        "the full buffer folds once"
+    );
+    assert_eq!((loaded.run_count(), loaded.pending()), (0, 0));
+    assert_eq!(train_count(), trains + 1, "one fold, one retrain");
+    assert_eq!(loaded.len(), base.len() + 16);
+}
+
 /// Tiered stores whose base is large enough that full run stacks are
 /// merged into one run instead of folded (a sixteenth of the base is
 /// more than one stack).

@@ -1,13 +1,12 @@
-//! Property suite for the LSM-style tiered write path: a
-//! `DeltaIndex` in tiered mode (`with_tiering`) must agree with a
-//! `BTreeSet` oracle across every tier state the insert/compact
-//! lifecycle can produce — empty run stacks, partially filled stacks,
-//! stacks at the compaction bound, freshly compacted bases — and
-//! snapshots cut mid-stream (including mid-compaction) must stay
-//! frozen and internally consistent while the live index keeps
-//! sealing and compacting. Edge cases pinned deterministically:
-//! all-duplicate streams (no seal ever fires) and `u64::MAX` keys in
-//! every tier.
+//! Property suite for the LSM-style tiered write path of Appendix D.1:
+//! a `DeltaIndex` must agree with a `BTreeSet` oracle across every tier
+//! state the insert/compact lifecycle can produce — empty run stacks,
+//! partially filled stacks, stacks at the compaction bound, freshly
+//! compacted bases — duplicate inserts must never take buffer space, and
+//! snapshots cut mid-stream (including mid-compaction) must stay frozen
+//! and internally consistent while the live index keeps sealing and
+//! compacting. Edge cases pinned deterministically: all-duplicate
+//! streams (no seal ever fires) and `u64::MAX` keys in every tier.
 //!
 //! Run merging has suites of its own: bases of at least
 //! `RUN_TIER_RATIO × threshold × max_runs` keys, so a full run stack is
@@ -112,11 +111,58 @@ fn assert_reads_match(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
+    /// Appendix D.1 as a standalone user drives it: an arbitrary
+    /// initial keyset, an arbitrary insert stream (with natural
+    /// duplicates) at arbitrary buffer thresholds, and a fold whenever
+    /// `needs_compaction()` says so. The view tracks the set oracle
+    /// exactly, duplicate inserts never occupy buffer space, seals are a
+    /// pure function of the unique inserts, and re-inserting every key
+    /// is a complete no-op.
+    #[test]
+    fn delta_index_tracks_btreeset_oracle(
+        initial in prop::collection::vec(any::<u64>(), 0..200),
+        inserts in prop::collection::vec(any::<u64>(), 0..120),
+        threshold in 1usize..64,
+    ) {
+        let initial = sorted_unique(initial);
+        let mut oracle: BTreeSet<u64> = initial.iter().copied().collect();
+        let mut idx = DeltaIndex::new(initial, cfg(), threshold);
+
+        let mut unique_new = 0usize;
+        let mut folds = 0usize;
+        for (step, &k) in inserts.iter().enumerate() {
+            let fresh = oracle.insert(k);
+            unique_new += usize::from(fresh);
+            prop_assert_eq!(idx.insert(k), fresh, "insert {}", k);
+            // Duplicate inserts must not occupy buffer slots.
+            prop_assert!(idx.pending() < threshold);
+            if idx.needs_compaction() {
+                idx.compact();
+                folds += 1;
+            }
+            if step % 17 == 0 {
+                assert_reads_match(&idx, &oracle, &format!("step {step}"))?;
+            }
+        }
+        assert_reads_match(&idx, &oracle, "final")?;
+
+        // Seal and fold cadence is a pure function of the unique inserts.
+        prop_assert_eq!(idx.seals(), unique_new / threshold, "seal count");
+        prop_assert_eq!(idx.compactions(), folds, "fold count");
+
+        // Re-inserting every key is a complete no-op.
+        let (len0, pending0, seals0) = (idx.len(), idx.pending(), idx.seals());
+        for &k in oracle.iter().take(50) {
+            prop_assert!(!idx.insert(k), "re-insert of {}", k);
+        }
+        prop_assert_eq!((idx.len(), idx.pending(), idx.seals()), (len0, pending0, seals0));
+        assert_reads_match(&idx, &oracle, "after re-inserts")?;
+    }
+
     /// Interleaved inserts and owner-driven compactions track the
     /// oracle through every tier transition, and the tier counters
-    /// obey the lifecycle: tiered mode never auto-merges, seals are
-    /// `unique_inserts / threshold`, and the run stack only exceeds
-    /// the bound until the owner compacts it.
+    /// obey the lifecycle: seals are `unique_inserts / threshold`, and
+    /// the run stack only exceeds the bound until the owner compacts it.
     #[test]
     fn tiered_index_tracks_oracle_through_seal_and_compact_cycles(
         initial in prop::collection::vec(any::<u64>(), 0..120),
@@ -152,10 +198,8 @@ proptest! {
             }
         }
         assert_reads_match(&idx, &oracle, "final")?;
-        // Lifecycle accounting: tiered mode seals instead of merging —
-        // exactly one seal per `threshold` fresh keys — and every
-        // compaction event was counted exactly once.
-        prop_assert_eq!(idx.merges(), 0, "tiered mode never full-merges on its own");
+        // Lifecycle accounting: exactly one seal per `threshold` fresh
+        // keys, and every compaction event counted exactly once.
         let unique_inserts = oracle.len() - init.len();
         prop_assert_eq!(idx.seals(), unique_inserts / threshold);
         prop_assert_eq!(idx.compactions(), compaction_events);
@@ -209,8 +253,8 @@ proptest! {
         prop_assert_eq!(exported.len(), oracle.len());
     }
 
-    /// The same partition pin one level up: a `ShardedWritable` in
-    /// tiered mode routes the duplicate to the owner shard, whose
+    /// The same partition pin one level up: a `ShardedWritable`
+    /// routes the duplicate to the owner shard, whose
     /// sealed run must answer it — across shard boundaries, batched
     /// and scalar.
     #[test]
@@ -285,6 +329,38 @@ proptest! {
             prop_assert!(cut.contains(k), "snapshot lost {}", k);
             prop_assert_eq!(cut.rank(k), i, "rank {}", k);
         }
+    }
+
+    /// A forced fold at an arbitrary point — seal the half-full buffer,
+    /// then fold every run — never changes the observable set, and a
+    /// snapshot taken before it keeps answering from the pre-fold state.
+    #[test]
+    fn forced_folds_and_snapshots_preserve_the_view(
+        initial in prop::collection::vec(any::<u64>(), 1..150),
+        inserts in prop::collection::vec(any::<u64>(), 1..60),
+        threshold in 8usize..64,
+    ) {
+        let init = sorted_unique(initial);
+        let mut oracle: BTreeSet<u64> = init.iter().copied().collect();
+        let mut idx = DeltaIndex::new(init, cfg(), threshold);
+
+        let mid = inserts.len() / 2;
+        for &k in &inserts[..mid] {
+            prop_assert_eq!(idx.insert(k), oracle.insert(k));
+        }
+        let snap = idx.snapshot();
+        let snap_oracle = oracle.clone();
+
+        idx.seal();
+        idx.compact();
+        prop_assert_eq!((idx.pending(), idx.run_count()), (0, 0));
+        assert_reads_match(&idx, &oracle, "after forced fold")?;
+
+        for &k in &inserts[mid..] {
+            prop_assert_eq!(idx.insert(k), oracle.insert(k));
+        }
+        assert_reads_match(&idx, &oracle, "after second half")?;
+        assert_reads_match(&snap, &snap_oracle, "the pre-fold snapshot")?;
     }
 }
 
@@ -436,7 +512,6 @@ proptest! {
             }
         }
         assert_reads_match(&shard.snapshot(), &oracle, "final")?;
-        prop_assert_eq!(shard.merges(), 0, "tiered mode never full-merges on its own");
     }
 
     /// The same policy one level up, run by the store itself on every
