@@ -4,7 +4,7 @@
 //! repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S]
 //!
 //! experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive
-//!              appendix-a appendix-e scaling persist gauntlet wal stats all   (default: all)
+//!              appendix-a appendix-e gauntlet all   (default: all)
 //! ```
 //!
 //! Run release builds for meaningful numbers:
@@ -63,11 +63,7 @@ fn main() {
             "table1",
             "appendix-a",
             "appendix-e",
-            "scaling",
-            "persist",
             "gauntlet",
-            "wal",
-            "stats",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -109,49 +105,9 @@ fn main() {
             "naive" => naive::print(&naive::run(&cfg), cfg.keys),
             "appendix-a" => appendix_a::print(&appendix_a::run(&cfg)),
             "appendix-e" => appendix_e::print(&appendix_e::run(&cfg), cfg.keys),
-            "scaling" => {
-                // The paper-level defaults are tuned for 200M-key hosts;
-                // the serving-scaling story is already visible at 200k.
-                let scfg = BenchConfig {
-                    keys: cfg.keys.min(200_000),
-                    ..cfg.clone()
-                };
-                scaling::print(&scaling::run(&scfg), scfg.keys);
-            }
             "gauntlet" => {
                 let (rows, verdicts) = gauntlet::run(&cfg);
                 gauntlet::print(&rows, &verdicts, cfg.keys);
-            }
-            "persist" => {
-                // Training dominates the cold side, so the warm-load
-                // advantage is already unambiguous at 1M keys; cap to
-                // keep the snapshot files small.
-                let pcfg = BenchConfig {
-                    keys: cfg.keys.min(1_000_000),
-                    ..cfg.clone()
-                };
-                persist::print(&persist::run(&pcfg), pcfg.keys);
-            }
-            "wal" => {
-                // Same scale reasoning as `scaling`: the sync-policy
-                // economics (fsync amortization) are visible well below
-                // paper scale, and the per-record row pays one fsync
-                // per insert.
-                let wcfg = BenchConfig {
-                    keys: cfg.keys.min(200_000),
-                    ..cfg.clone()
-                };
-                wal::print(&wal::run(&wcfg), wcfg.keys);
-            }
-            "stats" => {
-                // Same scale reasoning as `scaling`: the metrics story
-                // (counters, gauges, event tail, overhead) is fully
-                // visible well below paper scale.
-                let scfg = BenchConfig {
-                    keys: cfg.keys.min(200_000),
-                    ..cfg.clone()
-                };
-                stats::print(&stats::run(&scfg), scfg.keys);
             }
             other => die(&format!("unknown experiment {other}")),
         }
@@ -161,7 +117,7 @@ fn main() {
 fn print_usage() {
     println!(
         "repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S]\n\
-         experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive appendix-a appendix-e scaling persist gauntlet wal stats all"
+         experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive appendix-a appendix-e gauntlet all"
     );
 }
 

@@ -3,7 +3,7 @@
 //! One module per table/figure of the paper's evaluation, each exposing
 //! a `run(cfg)` function that generates the workload, builds every
 //! structure the paper compares, measures it, and returns printable rows
-//! (used both by the `repro` binary and the Criterion benches):
+//! (used by the `repro` binary):
 //!
 //! | module       | reproduces |
 //! |--------------|------------|
@@ -17,11 +17,7 @@
 //! | [`naive`]    | §2.3 — naïve TF-style learned index vs B-Tree |
 //! | [`appendix_a`] | Appendix A — O(√N) error scaling |
 //! | [`appendix_e`] | Appendix E — model-hash Bloom filter |
-//! | [`scaling`]  | beyond the paper — sharded serving under multi-thread batched load |
-//! | [`persist`]  | beyond the paper — warm restart: cold build vs mapped snapshot load, with lookup parity |
 //! | [`gauntlet`] | beyond the paper — adaptive per-shard backend selection on SOSD-style adversarial distributions |
-//! | [`mod@wal`]  | beyond the paper — durable live writes: WAL insert overhead per sync policy + crash recovery |
-//! | [`stats`]    | beyond the paper — live observability: mixed workload metrics snapshot + instrumentation overhead |
 //!
 //! Scale: every experiment takes a key count; the defaults target a
 //! laptop (≈2M keys, seconds per experiment). The paper's absolute
@@ -43,16 +39,10 @@ pub mod fig8;
 pub mod gauntlet;
 pub mod harness;
 pub mod naive;
-pub mod persist;
-pub mod scaling;
-pub mod stats;
 pub mod table;
 pub mod table1;
-pub mod wal;
 
-pub use harness::{
-    time_batch_chunked_ns, time_batch_ns, time_each_ns, BenchConfig, LatencySummary,
-};
+pub use harness::{time_batch_chunked_ns, time_batch_ns, BenchConfig};
 pub use table::Table;
 
 /// Resolve the key-count scale: CLI override > `LI_KEYS` env > default.

@@ -39,8 +39,6 @@
 pub mod delta;
 pub mod lif;
 pub mod merge;
-pub mod multidim;
-pub mod paging;
 pub mod rmi;
 pub mod run;
 pub mod search;
@@ -52,8 +50,6 @@ pub use lif::{Lif, LifCandidate, LifReport, LifSpec};
 // The shared vocabulary comes straight from the foundation crate —
 // li-core no longer reaches through its own baseline for it.
 pub use li_index::{KeyStore, Prediction, RangeIndex};
-pub use multidim::ZOrderRmi;
-pub use paging::{PagedRmi, PagedStore};
 pub use rmi::{
     train_count, Leaf, LeafKind, LeafModelParams, LeafParams, Rmi, RmiConfig, RmiParams, RmiStats,
     TopModel,

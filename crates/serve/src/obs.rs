@@ -7,26 +7,26 @@
 //! one structure lands in **one registry** — and
 //! [`ShardedWritable::metrics`](crate::ShardedWritable::metrics) /
 //! `render_text` read it all back as a consistent point-in-time
-//! snapshot. A standalone [`ShardedIndex`](crate::ShardedIndex) can
-//! attach a bundle with `attach_metrics` (read-path instrumentation is
-//! opt-in there; unattached lookups pay one atomic load).
+//! snapshot.
 //!
 //! ## Cost model
 //!
-//! * Every operation is **counted**: one relaxed striped add.
+//! * Every write is **counted**: one relaxed striped add. Reads are
+//!   not instrumented.
 //! * Structural events (split, merge, fold, run merge, seal, WAL
 //!   truncation, recovery) are rare; they always record a counter bump
 //!   and a ring event regardless of the `observe` config flag — the registry is
 //!   the single source of truth for the structure's own accessors
 //!   (`splits()`, `compactions()`, …).
-//! * Per-op **latency** is *sampled* (1-in-[`INSERT_SAMPLE`] inserts,
-//!   1-in-[`LOOKUP_SAMPLE`] scalar lookups): two `Instant::now` calls
-//!   cost ~50 ns, which would dominate a ~100–300 ns hot path if paid
-//!   on every call. The sampling decision is *fused* into the op
-//!   counter ([`li_obs::Counter::incr_sampled`]) so counting + the
-//!   1-in-N choice cost one thread-local stripe lookup and one relaxed
-//!   `fetch_add` total. Batched paths time the whole batch and record
-//!   the per-key average — one timer pair amortized over the batch.
+//! * Per-insert **latency** is *sampled* (1-in-[`INSERT_SAMPLE`]
+//!   scalar inserts): two `Instant::now` calls cost ~50 ns, which
+//!   would dominate a ~100–300 ns hot path if paid on every call. The
+//!   sampling decision is *fused* into the op counter
+//!   ([`li_obs::Counter::incr_sampled`]) so counting + the 1-in-N
+//!   choice cost one thread-local stripe lookup and one relaxed
+//!   `fetch_add` total. `insert_batch` times the whole batch and
+//!   records the per-key average — one timer pair amortized over the
+//!   batch.
 
 use std::sync::Arc;
 
@@ -34,8 +34,6 @@ use li_obs::{Counter, Gauge, GaugeSet, Histogram, MetricsRegistry, TraceRing};
 
 /// Latency sampling period for scalar inserts (power of two).
 pub const INSERT_SAMPLE: u64 = 8;
-/// Latency sampling period for scalar lookups (power of two).
-pub const LOOKUP_SAMPLE: u64 = 32;
 /// Structural-event ring capacity.
 pub const EVENT_RING_CAPACITY: usize = 256;
 
@@ -107,12 +105,6 @@ pub struct ServeMetrics {
     registry: MetricsRegistry,
 
     // ---- op counters (every op, hot path: one relaxed add) ----
-    /// `li_lookups_total`: scalar lookups served.
-    pub lookups: Arc<Counter>,
-    /// `li_batch_lookup_queries_total`: queries served by batch paths.
-    pub batch_lookups: Arc<Counter>,
-    /// `li_parallel_batches_total`: parallel batch-lookup fan-outs.
-    pub parallel_batches: Arc<Counter>,
     /// `li_inserts_total`: scalar inserts acknowledged.
     pub inserts: Arc<Counter>,
     /// `li_batch_insert_keys_total`: keys accepted via `insert_batch`.
@@ -162,10 +154,6 @@ pub struct ServeMetrics {
     pub shard_pending: Arc<GaugeSet>,
 
     // ---- latency histograms (ns) ----
-    /// `li_lookup_ns`: sampled scalar lookup latency.
-    pub lookup_ns: Arc<Histogram>,
-    /// `li_batch_lookup_ns`: per-query average over each batch lookup.
-    pub batch_lookup_ns: Arc<Histogram>,
     /// `li_insert_ns`: sampled scalar insert latency.
     pub insert_ns: Arc<Histogram>,
     /// `li_batch_insert_ns`: per-key average over each insert batch.
@@ -211,9 +199,6 @@ impl ServeMetrics {
         let c = |n: &str| registry.counter(n);
         let h = |n: &str| registry.histogram(n);
         ServeMetrics {
-            lookups: c("li_lookups_total"),
-            batch_lookups: c("li_batch_lookup_queries_total"),
-            parallel_batches: c("li_parallel_batches_total"),
             inserts: c("li_inserts_total"),
             batch_inserts: c("li_batch_insert_keys_total"),
             durable_inserts: c("li_durable_inserts_total"),
@@ -234,8 +219,6 @@ impl ServeMetrics {
             shard_len: registry.gauge_set("li_shard_len", "shard"),
             shard_runs: registry.gauge_set("li_shard_runs", "shard"),
             shard_pending: registry.gauge_set("li_shard_pending", "shard"),
-            lookup_ns: h("li_lookup_ns"),
-            batch_lookup_ns: h("li_batch_lookup_ns"),
             insert_ns: h("li_insert_ns"),
             batch_insert_ns: h("li_batch_insert_ns"),
             compact_train_ns: h("li_compact_train_ns"),
@@ -288,11 +271,11 @@ mod tests {
     fn bundle_registers_under_one_registry() {
         let m = ServeMetrics::new();
         m.inserts.add(3);
-        m.lookup_ns.record(120);
+        m.insert_ns.record(120);
         m.event(events::SHARD_SPLIT, 1, 5);
         let snap = m.registry().snapshot();
         assert_eq!(snap.counter("li_inserts_total"), Some(3));
-        assert_eq!(snap.histogram("li_lookup_ns").unwrap().count(), 1);
+        assert_eq!(snap.histogram("li_insert_ns").unwrap().count(), 1);
         let tail = snap.ring("li_events").unwrap();
         assert_eq!(tail.len(), 1);
         assert_eq!(tail[0].name, "shard_split");

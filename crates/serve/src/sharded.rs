@@ -8,15 +8,10 @@
 //! figure in the workspace runs against it unchanged — sharding is an
 //! implementation detail behind the same trait.
 
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
-
 use crate::builder::ShardBuilder;
-use crate::obs::ServeMetrics;
 use crate::router::ShardRouter;
 use li_index::partition::{boundaries, even_offsets};
 use li_index::{KeyStore, Prediction, RangeIndex};
-use li_obs::MetricsSnapshot;
 
 /// A range-partitioned index over one shared key array.
 ///
@@ -39,10 +34,6 @@ pub struct ShardedIndex {
     router: ShardRouter,
     shards: Vec<Box<dyn RangeIndex>>,
     backend_name: String,
-    /// Opt-in observability: unattached, every lookup pays exactly one
-    /// atomic load on this cell; attached, lookups are counted (one
-    /// relaxed add) and latency-sampled (see `crate::obs`).
-    obs: OnceLock<Arc<ServeMetrics>>,
 }
 
 impl ShardedIndex {
@@ -64,26 +55,7 @@ impl ShardedIndex {
             router,
             shards: shard_indexes,
             backend_name: builder.name(),
-            obs: OnceLock::new(),
         }
-    }
-
-    /// Attach an observability bundle: from here on, lookups are
-    /// counted and latency-sampled into it. A no-op if a bundle is
-    /// already attached (the first one wins).
-    pub fn attach_metrics(&self, metrics: Arc<ServeMetrics>) {
-        let _ = self.obs.set(metrics);
-    }
-
-    /// The attached observability bundle, if any.
-    pub fn metrics_handle(&self) -> Option<&Arc<ServeMetrics>> {
-        self.obs.get()
-    }
-
-    /// A consistent point-in-time snapshot of the attached metrics
-    /// (`None` when no bundle is attached).
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.obs.get().map(|m| m.registry().snapshot())
     }
 
     /// Number of shards.
@@ -144,7 +116,6 @@ impl ShardedIndex {
             router,
             shards,
             backend_name,
-            obs: OnceLock::new(),
         }
     }
 
@@ -164,9 +135,6 @@ impl ShardedIndex {
         );
         if queries.is_empty() {
             return;
-        }
-        if let Some(m) = self.obs.get() {
-            m.parallel_batches.incr();
         }
         let threads = threads.clamp(1, queries.len());
         if threads == 1 {
@@ -199,17 +167,6 @@ impl RangeIndex for ShardedIndex {
     }
 
     fn lower_bound(&self, key: u64) -> usize {
-        // Counting and the 1-in-N sampling decision share one relaxed
-        // striped add (`incr_sampled`); only sampled calls pay clocks.
-        if let Some(m) = self.obs.get() {
-            if m.lookups.incr_sampled(crate::obs::LOOKUP_SAMPLE) {
-                let t = Instant::now();
-                let s = self.router.route(key);
-                let r = self.offsets[s] + self.shards[s].lower_bound(key);
-                m.lookup_ns.record_since(t);
-                return r;
-            }
-        }
         let s = self.router.route(key);
         self.offsets[s] + self.shards[s].lower_bound(key)
     }
@@ -220,42 +177,6 @@ impl RangeIndex for ShardedIndex {
             out.len(),
             "lower_bound_batch: queries and out must have equal length"
         );
-        // One timer pair amortized over the whole batch: count every
-        // query, record the per-query average latency.
-        let timed = self.obs.get().filter(|_| !queries.is_empty()).map(|m| {
-            m.batch_lookups.add(queries.len() as u64);
-            (m, Instant::now())
-        });
-        self.lower_bound_batch_inner(queries, out);
-        if let Some((m, t)) = timed {
-            let per_query = t.elapsed().as_nanos() as u64 / queries.len() as u64;
-            m.batch_lookup_ns.record(per_query);
-        }
-    }
-
-    fn size_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.size_bytes()).sum::<usize>()
-            + self.router.size_bytes()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-    }
-
-    fn name(&self) -> String {
-        format!(
-            "sharded(n={}, backend={}, router={})",
-            self.shards.len(),
-            self.backend_name,
-            if self.router.is_learned() {
-                "learned"
-            } else {
-                "binary"
-            }
-        )
-    }
-}
-
-impl ShardedIndex {
-    /// The uninstrumented bucketed batch plan.
-    fn lower_bound_batch_inner(&self, queries: &[u64], out: &mut [usize]) {
         if self.shards.len() == 1 {
             self.shards[0].lower_bound_batch(queries, out);
             return;
@@ -284,6 +205,25 @@ impl ShardedIndex {
                 out[slot] = o + r;
             }
         }
+    }
+
+    fn size_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.size_bytes()).sum::<usize>()
+            + self.router.size_bytes()
+            + self.offsets.len() * std::mem::size_of::<usize>()
+    }
+
+    fn name(&self) -> String {
+        format!(
+            "sharded(n={}, backend={}, router={})",
+            self.shards.len(),
+            self.backend_name,
+            if self.router.is_learned() {
+                "learned"
+            } else {
+                "binary"
+            }
+        )
     }
 }
 

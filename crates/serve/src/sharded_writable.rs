@@ -151,8 +151,8 @@ pub struct ShardedWritableConfig {
     /// Hot-path observability (default `true`): count every insert and
     /// latency-sample 1-in-N of them into the structure's
     /// [`ServeMetrics`]. `false` strips the per-op instrumentation from
-    /// the insert fast path (one branch remains) — the `repro stats`
-    /// overhead benchmark compares the two. Structural metrics (splits,
+    /// the insert fast path (one branch remains) — the benchmark's
+    /// `obs.insert_overhead_ratio` layer compares the two. Structural metrics (splits,
     /// merges, compactions, WAL and worker activity) record regardless:
     /// they are cold-path and double as the structure's own counters.
     pub observe: bool,
@@ -801,10 +801,8 @@ impl ShardedWritable {
     }
 
     /// The structure's observability bundle — shared (by `Arc` clone)
-    /// with its shards, WAL and background worker. Hand it to a
-    /// [`crate::ShardedIndex::attach_metrics`] to fold a read-only
-    /// structure's lookups into the same registry, or walk it directly
-    /// for typed access to individual counters and histograms.
+    /// with its shards, WAL and background worker. Walk it for typed
+    /// access to individual counters and histograms.
     pub fn metrics_handle(&self) -> &Arc<ServeMetrics> {
         &self.obs
     }
@@ -824,8 +822,12 @@ impl ShardedWritable {
     ///
     /// let sw = ShardedWritable::new(vec![1u64, 2, 3], 2, ShardedWritableConfig::default());
     /// sw.insert(10);
+    /// sw.insert_batch(&[20, 30, 40]);
     /// let snap = sw.metrics();
+    /// // Scalar inserts and batch keys are counted apart, every key once.
     /// assert_eq!(snap.counter("li_inserts_total"), Some(1));
+    /// assert_eq!(snap.counter("li_batch_insert_keys_total"), Some(3));
+    /// assert_eq!(snap.histogram("li_batch_insert_ns").map(|h| h.count()), Some(1));
     /// assert_eq!(snap.gauge("li_shard_count"), Some(2));
     /// assert!(snap.render_text().contains("li_shard_len{shard=\"0\"}"));
     /// ```
@@ -1312,8 +1314,8 @@ impl ShardedWritable {
     }
 
     /// Number of `fsync` sync points the WAL has issued (0 without a
-    /// WAL) — the group-commit diagnostic `repro wal` reports per
-    /// [`WalSyncPolicy`].
+    /// WAL) — the group-commit diagnostic, one count per sync point of
+    /// the active [`WalSyncPolicy`].
     pub fn wal_sync_count(&self) -> u64 {
         self.wal
             .lock()

@@ -104,8 +104,7 @@ pub enum WalSyncPolicy {
 }
 
 impl Default for WalSyncPolicy {
-    /// Group commit every 64 records — the setting `repro wal`
-    /// benchmarks against the inline scalar write path.
+    /// Group commit every 64 records.
     fn default() -> Self {
         WalSyncPolicy::EveryN(64)
     }
@@ -334,7 +333,7 @@ pub struct Wal {
     /// Records appended since the last sync point.
     unsynced: usize,
     last_sync: Instant,
-    /// Syncs issued (diagnostics; `repro wal` reports it).
+    /// Syncs issued (diagnostics; [`Wal::sync_count`]).
     syncs: u64,
     /// Latched failure: once an append or sync fails, every later
     /// append refuses until the log is truncated (see module docs).
@@ -749,6 +748,18 @@ mod tests {
         assert_eq!(wal.sync_count(), 3);
         wal.sync().unwrap();
         assert_eq!(wal.sync_count(), 3, "sync with nothing unsynced is a no-op");
+
+        // PerRecord is the group of one: exactly one sync per record,
+        // a batch record included.
+        let path = tmp("per-record");
+        let _g = Cleanup(path.clone());
+        let mut wal = Wal::create(&path, WalSyncPolicy::PerRecord).unwrap();
+        for i in 0..5u64 {
+            wal.append_insert(i).unwrap();
+            assert_eq!(wal.sync_count(), i + 1);
+        }
+        wal.append_batch(&[10, 11, 12]).unwrap();
+        assert_eq!(wal.sync_count(), 6, "a batch is one record");
     }
 
     #[test]

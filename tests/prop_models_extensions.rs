@@ -1,13 +1,9 @@
 //! Property tests for the model substrate and the extension modules
-//! (string RMI, Z-order index, delta index, paging, quantization,
-//! isotonic calibration).
+//! (string RMI, delta index, quantization, isotonic calibration).
 
 use learned_indexes::models::rng::SplitMix64;
 use learned_indexes::models::{Codebook, IsotonicModel, LinearModel, Model, QuantizedLinear};
-use learned_indexes::rmi::multidim::{morton_decode, morton_encode, ZOrderRmi};
-use learned_indexes::rmi::{
-    DeltaIndex, PagedRmi, PagedStore, RmiConfig, StringRmi, StringRmiConfig, TopModel,
-};
+use learned_indexes::rmi::{DeltaIndex, RmiConfig, StringRmi, StringRmiConfig, TopModel};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -164,29 +160,6 @@ proptest! {
     }
 
     #[test]
-    fn morton_roundtrips(x in any::<u32>(), y in any::<u32>()) {
-        prop_assert_eq!(morton_decode(morton_encode(x, y)), (x, y));
-    }
-
-    #[test]
-    fn zorder_range_query_matches_filter(
-        points in prop::collection::btree_set((0u32..200, 0u32..200), 0..150),
-        x0 in 0u32..200, dx in 0u32..100,
-        y0 in 0u32..200, dy in 0u32..100,
-    ) {
-        let points: Vec<(u32, u32)> = points.into_iter().collect();
-        let idx = ZOrderRmi::build(points.clone(), &RmiConfig::two_stage(TopModel::Linear, 8));
-        let (x1, y1) = (x0 + dx, y0 + dy);
-        let mut expect: Vec<(u32, u32)> = points
-            .iter()
-            .copied()
-            .filter(|&(x, y)| (x0..=x1).contains(&x) && (y0..=y1).contains(&y))
-            .collect();
-        expect.sort_unstable_by_key(|&(x, y)| morton_encode(x, y));
-        prop_assert_eq!(idx.range_query(x0, y0, x1, y1), expect);
-    }
-
-    #[test]
     fn delta_index_matches_btreeset_model(
         initial in prop::collection::btree_set(any::<u64>(), 1..100),
         inserts in prop::collection::vec(any::<u64>(), 0..100),
@@ -211,24 +184,6 @@ proptest! {
         for q in probes.iter().copied().chain(model.iter().copied().take(20)) {
             prop_assert_eq!(idx.contains(q), model.contains(&q), "q={}", q);
             prop_assert_eq!(idx.rank(q), model.range(..q).count(), "rank q={}", q);
-        }
-    }
-
-    #[test]
-    fn paged_rmi_finds_exactly_the_stored_keys(
-        keys in prop::collection::btree_set(any::<u64>(), 2..300),
-        page in 2usize..32,
-        probes in prop::collection::vec(any::<u64>(), 1..30),
-    ) {
-        let keys: Vec<u64> = keys.into_iter().collect();
-        let store = PagedStore::new(&keys, page, 7);
-        let idx = PagedRmi::build(&store, &RmiConfig::two_stage(TopModel::Linear, 8));
-        for &k in &keys {
-            prop_assert!(idx.lookup(k).is_some(), "lost {}", k);
-        }
-        let set: BTreeSet<u64> = keys.iter().copied().collect();
-        for q in probes {
-            prop_assert_eq!(idx.lookup(q).is_some(), set.contains(&q), "q={}", q);
         }
     }
 
