@@ -852,15 +852,19 @@ impl DeltaSnapshot {
 
     /// Train the compacted base this snapshot implies: base keys plus
     /// every captured run, merged and trained with ONE `Rmi::build`
-    /// (leaving out the pending buffer, which stays live). Returns
-    /// `None` when the snapshot captured no runs. This is the off-lock
-    /// half of background compaction; publish the result with
+    /// (leaving out the pending buffer, which stays live). An ε-corridor
+    /// `config` climbs its ladder from the captured base's ε, so the
+    /// fold keeps that ε whenever the merged keys still fit the leaf
+    /// count and costs one greedy pass then. Returns `None` when the
+    /// snapshot captured no runs. This is the off-lock half of
+    /// background compaction; publish the result with
     /// [`DeltaIndex::install_compacted`].
     pub fn train_compacted(&self, config: &RmiConfig) -> Option<Rmi> {
         if self.runs.is_empty() {
             return None;
         }
-        Some(Rmi::build(self.merged_keys(), config))
+        let from_eps = self.base.stats().eps.unwrap_or(1);
+        Some(Rmi::build_from(self.merged_keys(), config, from_eps))
     }
 
     /// Merge every captured run into one sealed run: one splice-merge
@@ -933,6 +937,50 @@ mod tests {
         for k in 0..500u64 {
             assert!(idx.contains(k * 3));
         }
+    }
+
+    /// A corridor fold climbs the ladder from its base's ε: it keeps that
+    /// ε exactly when the merged keys fit the leaf count at it, and lands
+    /// on the first higher rung that fits otherwise.
+    #[test]
+    fn a_corridor_fold_keeps_the_base_eps_while_the_merged_keys_fit() {
+        let config = RmiConfig::corridor(16);
+        let data: Vec<u64> = (0..4_000u64).map(|i| i * i).collect();
+        let mut idx = DeltaIndex::new(data, config.clone(), 64).with_tiering(1);
+        let (mut kept, mut raised) = (0, 0);
+        for k in 0..3_000u64 {
+            idx.insert(k.wrapping_mul(0x9E37_79B9_7F4A_7C15) % 16_000_000);
+            if !idx.needs_compaction() {
+                continue;
+            }
+            let eps = idx.base_stats().eps.expect("a corridor base");
+            let at_eps = Rmi::build_from(idx.snapshot().merged_keys(), &config, eps);
+            assert_eq!(idx.compact(), 1);
+            let folded = idx.base_stats();
+            assert!(folded.leaves <= 16);
+            assert_eq!(folded.eps, at_eps.stats().eps);
+            if folded.eps == Some(eps) {
+                kept += 1;
+            } else {
+                raised += 1;
+            }
+        }
+        assert!(kept > 0 && raised > 0, "kept {kept}, raised {raised}");
+
+        // The ladder never descends: merged keys that would now fit ε = 1
+        // keep the base's ε.
+        let squares: Vec<u64> = (0..=100u64).map(|i| i * i).collect();
+        let mut idx = DeltaIndex::new(squares, RmiConfig::corridor(1), 20_000);
+        let eps = idx.base_stats().eps.expect("a corridor base");
+        assert!(eps > 1, "squares need more than ε = 1 in one segment");
+        for k in 0..=10_000u64 {
+            idx.insert(k);
+        }
+        idx.seal();
+        let fresh = Rmi::build(idx.snapshot().merged_keys(), &RmiConfig::corridor(1));
+        assert_eq!(fresh.stats().eps, Some(1));
+        assert_eq!(idx.compact(), 1);
+        assert_eq!(idx.base_stats().eps, Some(eps));
     }
 
     #[test]

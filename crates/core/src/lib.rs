@@ -6,7 +6,9 @@
 //!   where "at each stage the model takes the key as an input and based
 //!   on it picks another model, until the final stage predicts the
 //!   position", trained stage-wise exactly as Algorithm 1, with per-leaf
-//!   min-/max-/std-error bookkeeping.
+//!   min-/max-/std-error bookkeeping — or, as [`LeafLayout::Corridor`],
+//!   greedy ε-bounded leaf segments whose last-mile window holds at most
+//!   2ε + 2 keys by construction.
 //! * [`RmiConfig`]/[`TopModel`] — the §3.3 model zoo for stage 0 (linear,
 //!   multivariate with feature engineering, 0–2-hidden-layer ReLU nets)
 //!   over linear inner/leaf stages.
@@ -51,8 +53,8 @@ pub use lif::{Lif, LifCandidate, LifReport, LifSpec};
 // li-core no longer reaches through its own baseline for it.
 pub use li_index::{KeyStore, Prediction, RangeIndex};
 pub use rmi::{
-    train_count, Leaf, LeafKind, LeafModelParams, LeafParams, Rmi, RmiConfig, RmiParams, RmiStats,
-    TopModel,
+    train_count, CascadeParams, CorridorParams, Leaf, LeafKind, LeafLayout, LeafModelParams,
+    LeafParams, Rmi, RmiConfig, RmiParams, RmiStats, Segment, TopModel,
 };
 pub use run::SortedRun;
 pub use search::SearchStrategy;

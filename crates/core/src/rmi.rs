@@ -22,8 +22,18 @@
 //! then do a §3.4 last-mile search inside `[pos + min_err, pos +
 //! max_err]`, with automatic window widening so non-monotonic models are
 //! still exact for every query.
+//!
+//! The leaf stage has a second layout, [`LeafLayout::Corridor`]: greedy
+//! ε-bounded segments found by a binary search over their first keys
+//! (see `corridor.rs`). The cascade's window is whatever error envelope
+//! its leaves came out with; the corridor's holds at most 2ε + 2 keys by
+//! construction, with ε the smallest that fits the same leaf budget.
+
+mod corridor;
 
 use crate::search::{search_with_widening, SearchStrategy};
+use corridor::{Corridor, SEGMENT_BYTES};
+pub use corridor::{CorridorParams, Segment};
 use li_btree::BTreeIndex;
 use li_index::{KeyStore, Prediction, RangeIndex};
 use li_models::{
@@ -122,15 +132,37 @@ impl TrainedTop {
     }
 }
 
+/// How an [`Rmi`]'s leaf stage is laid out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum LeafLayout {
+    /// Algorithm 1: stage 0 and any intermediate stages route each key
+    /// to one of the leaf count's linear leaves; the window is the
+    /// leaf's error envelope.
+    #[default]
+    Cascade,
+    /// ε-bounded segments, at most the leaf count of them, found by a
+    /// binary search over their first keys. ε is derived, not set: it is
+    /// the smallest rung on the ladder 1, 2, 3, 4, 6, 8, 12, 16, 24, …
+    /// whose segment count fits the leaf count, and the window holds at
+    /// most 2ε + 2 keys. A fold climbs the ladder from its base's ε
+    /// ([`crate::delta::DeltaSnapshot::train_compacted`]), so a shard's ε
+    /// never falls while its leaf count stays. `top`, intermediate
+    /// stages and the hybrid settings are unused.
+    Corridor,
+}
+
 /// Configuration of an [`Rmi`].
 #[derive(Debug, Clone)]
 pub struct RmiConfig {
     /// Stage-0 model.
     pub top: TopModel,
     /// Models per stage after stage 0. The last entry is the leaf count
-    /// (the paper's "second stage size": 10k–200k); earlier entries are
-    /// optional intermediate linear stages.
+    /// (the paper's "second stage size": 10k–200k) — for
+    /// [`LeafLayout::Corridor`], the most segments the build may cut;
+    /// earlier entries are optional intermediate linear stages.
     pub stages: Vec<usize>,
+    /// The leaf stage's layout (default [`LeafLayout::Cascade`]).
+    pub layout: LeafLayout,
     /// Last-mile search strategy (§3.4).
     pub search: SearchStrategy,
     /// Hybrid threshold (Algorithm 1 line 13): replace a leaf with a
@@ -146,6 +178,7 @@ impl Default for RmiConfig {
         Self {
             top: TopModel::Linear,
             stages: vec![1024],
+            layout: LeafLayout::Cascade,
             search: SearchStrategy::ModelBiasedBinary,
             hybrid_threshold: None,
             hybrid_page_size: 128,
@@ -162,6 +195,26 @@ impl RmiConfig {
             stages: vec![leaves],
             ..Self::default()
         }
+    }
+
+    /// An ε-corridor leaf stage of at most `leaves` segments, searched
+    /// by galloping from the prediction ([`SearchStrategy::Exponential`]).
+    /// Every answer lies in the window, within ε + 2 positions of the
+    /// prediction, so the gallop brackets it in O(log ε) probes; unlike a
+    /// binary search over the whole window, it reads only the cache lines
+    /// the error actually spans.
+    pub fn corridor(leaves: usize) -> Self {
+        Self {
+            stages: vec![leaves],
+            layout: LeafLayout::Corridor,
+            search: SearchStrategy::Exponential,
+            ..Self::default()
+        }
+    }
+
+    /// The leaf count: the last entry of `stages`.
+    pub fn leaf_count(&self) -> usize {
+        self.stages.last().copied().unwrap_or(0)
     }
 
     /// Set the search strategy.
@@ -214,7 +267,8 @@ pub struct Leaf {
 pub struct RmiStats {
     /// Keys the index was trained over.
     pub keys: usize,
-    /// Leaf-model count (the "2nd stage size").
+    /// Leaf-model count (the "2nd stage size"); for an ε-corridor, the
+    /// segment count, which never exceeds the configured leaf count.
     pub leaves: usize,
     /// Leaves replaced by B-Trees (hybrid mode).
     pub btree_leaves: usize,
@@ -225,14 +279,20 @@ pub struct RmiStats {
     /// below the mean absolute error and equals it only when every key
     /// of a leaf misses by the same distance. `RetunePolicy`'s and the
     /// rebalancer's error thresholds in `li-serve` are tuned against
-    /// the value as computed here.
+    /// the value as computed here. For an ε-corridor it is the RMS of
+    /// every key's error.
     pub mean_abs_err: f64,
     /// Largest absolute prediction error over all keys.
     pub max_abs_err: u64,
-    /// Index size in bytes (deployment accounting; excludes data).
+    /// Index size in bytes (deployment accounting; excludes data). An
+    /// ε-corridor segment is 16 bytes: its first key, start and slope.
     pub size_bytes: usize,
-    /// Arithmetic ops for one stage-0 + leaf prediction.
+    /// Arithmetic ops for one stage-0 + leaf prediction (an ε-corridor's
+    /// one multiply-add after its segment search).
     pub op_count: usize,
+    /// The ε-corridor's ε: every key's window holds at most 2ε + 2
+    /// keys. `None` for the cascade.
+    pub eps: Option<u32>,
 }
 
 /// The serializable parameters of one trained leaf (see [`RmiParams`]).
@@ -273,18 +333,26 @@ pub enum LeafModelParams {
     },
 }
 
-/// Everything a trained [`Rmi`] knows beyond the key array itself: the
-/// fitted coefficients of every stage plus per-leaf error envelopes.
-/// This is what the persistence layer writes into a snapshot manifest —
-/// warm restart is "map the key file, deserialize these, rebuild
-/// structure" with **no retraining** ([`Rmi::from_params`] never fits a
-/// model; [`train_count`] witnesses that).
-///
-/// Format v1 covers linear-top RMIs (the workspace's serving default);
-/// [`Rmi::to_params`] returns `None` for multivariate/MLP tops, which
-/// save paths surface as an unsupported-backend error.
+/// Everything a trained [`Rmi`] knows beyond the key array itself. This
+/// is what the persistence layer writes into a snapshot manifest — warm
+/// restart is "map the key file, deserialize these, rebuild structure"
+/// with **no retraining** ([`Rmi::from_params`] never fits a model;
+/// [`train_count`] witnesses that).
 #[derive(Debug, Clone, PartialEq)]
-pub struct RmiParams {
+pub enum RmiParams {
+    /// A [`LeafLayout::Cascade`] index.
+    Cascade(CascadeParams),
+    /// A [`LeafLayout::Corridor`] index.
+    Corridor(CorridorParams),
+}
+
+/// The parameters of a cascade: the fitted coefficients of every stage
+/// plus per-leaf error envelopes. They cover linear-top RMIs (the
+/// workspace's serving default); [`Rmi::to_params`] returns `None` for
+/// multivariate/MLP tops, which save paths surface as an
+/// unsupported-backend error.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CascadeParams {
     /// Stage-0 linear model as `(slope, intercept)`.
     pub top: (f64, f64),
     /// Intermediate linear stages as `(slope, intercept)` lists.
@@ -323,13 +391,22 @@ pub fn train_count() -> u64 {
 #[derive(Debug, Clone)]
 pub struct Rmi {
     data: KeyStore,
-    top: TrainedTop,
-    /// Intermediate linear stages (usually empty; the paper's default is
-    /// two stages total).
-    mids: Vec<Vec<LinearModel>>,
-    leaves: Vec<Leaf>,
+    stages: Stages,
     search: SearchStrategy,
     stats_cache: RmiStats,
+}
+
+/// What an [`Rmi`] predicts with, one variant per [`LeafLayout`].
+#[derive(Debug, Clone)]
+enum Stages {
+    Cascade {
+        top: TrainedTop,
+        /// Intermediate linear stages (usually empty; the paper's
+        /// default is two stages total).
+        mids: Vec<Vec<LinearModel>>,
+        leaves: Vec<Leaf>,
+    },
+    Corridor(Corridor),
 }
 
 impl Rmi {
@@ -348,7 +425,19 @@ impl Rmi {
     /// (lines 13–14). With a linear stage 0 and two stages that is three
     /// reads of the array. The result is bit-identical to fitting each
     /// member with [`LinearModel::fit`] over its keys in position order.
+    ///
+    /// A [`LeafLayout::Corridor`] build is one greedy pass per ladder
+    /// rung tried instead, each abandoned once its segments outnumber
+    /// the leaf count; it is counted as one training run all the same.
     pub fn build(data: impl Into<KeyStore>, config: &RmiConfig) -> Self {
+        Self::build_from(data, config, 1)
+    }
+
+    /// [`Rmi::build`], with a [`LeafLayout::Corridor`] ladder that starts
+    /// at rung `from_eps` instead of 1 (a cascade ignores it). A fold
+    /// passes its base's ε, so it keeps that ε whenever the merged keys
+    /// still fit the leaf count.
+    pub(crate) fn build_from(data: impl Into<KeyStore>, config: &RmiConfig, from_eps: u32) -> Self {
         TRAIN_EVENTS.with(|n| n.set(n.get() + 1));
         let data: KeyStore = data.into();
         let (&leaf_count, inner_stages) = config
@@ -360,6 +449,10 @@ impl Rmi {
             data.windows(2).all(|w| w[0] < w[1]),
             "data must be sorted unique"
         );
+        if config.layout == LeafLayout::Corridor {
+            let corridor = Corridor::build(&data, from_eps, leaf_count);
+            return Self::assemble(data, Stages::Corridor(corridor), config.search);
+        }
         let n = data.len();
 
         let top = config.top.fit(&data);
@@ -434,53 +527,36 @@ impl Rmi {
             });
         }
 
-        Self::assemble(data, top, mids, leaves, config.search)
+        Self::assemble(data, Stages::Cascade { top, mids, leaves }, config.search)
     }
 
     /// Put trained parts together and compute the summary statistics.
-    fn assemble(
-        data: KeyStore,
-        top: TrainedTop,
-        mids: Vec<Vec<LinearModel>>,
-        leaves: Vec<Leaf>,
-        search: SearchStrategy,
-    ) -> Self {
-        let mut rmi = Self {
+    fn assemble(data: KeyStore, stages: Stages, search: SearchStrategy) -> Self {
+        let stats_cache = compute_stats(&stages, data.len());
+        Self {
             data,
-            top,
-            mids,
-            leaves,
+            stages,
             search,
-            stats_cache: RmiStats {
-                keys: 0,
-                leaves: 0,
-                btree_leaves: 0,
-                mean_abs_err: 0.0,
-                max_abs_err: 0,
-                size_bytes: 0,
-                op_count: 0,
-            },
-        };
-        rmi.stats_cache = rmi.compute_stats();
-        rmi
-    }
-
-    /// Route a key through the cascade to its leaf index.
-    #[inline]
-    fn leaf_index(&self, x: f64) -> usize {
-        let pred = predict_through(&self.top, &self.mids, x, self.data.len());
-        route(pred, self.leaves.len(), self.data.len())
+            stats_cache,
+        }
     }
 
     /// The full per-query model phase: cascade + leaf prediction +
-    /// error-window arithmetic, producing the last-mile search plan
-    /// `(pos, lo, hi, sigma)`. Shared by the scalar path, `predict`, and
-    /// the phase-split batched path. Requires a non-empty key array.
+    /// error-window arithmetic — or segment search + one multiply —
+    /// producing the last-mile search plan `(pos, lo, hi, sigma)`.
+    /// Shared by the scalar path, `predict`, and the phase-split batched
+    /// path. Requires a non-empty key array.
     #[inline]
     fn plan(&self, key: u64) -> (usize, usize, usize, usize) {
         let n = self.data.len();
         let x = key as f64;
-        let leaf = &self.leaves[self.leaf_index(x)];
+        let leaf = match &self.stages {
+            Stages::Cascade { top, mids, leaves } => cascade_leaf(top, mids, leaves, x, n),
+            Stages::Corridor(c) => {
+                let (pos, lo, hi) = c.plan(key, n);
+                return (pos, lo, hi, c.sigma);
+            }
+        };
         match &leaf.kind {
             LeafKind::Linear(m) => {
                 let pos = clamp_position(m.predict(x), n);
@@ -499,9 +575,13 @@ impl Rmi {
         }
     }
 
-    /// The leaf a key routes to (for inspection/tests).
-    pub fn leaf_for(&self, key: u64) -> &Leaf {
-        &self.leaves[self.leaf_index(key as f64)]
+    /// The cascade leaf a key routes to (for inspection/tests); `None`
+    /// for an ε-corridor, whose segments are not [`Leaf`]s.
+    pub fn leaf_for(&self, key: u64) -> Option<&Leaf> {
+        let Stages::Cascade { top, mids, leaves } = &self.stages else {
+            return None;
+        };
+        Some(cascade_leaf(top, mids, leaves, key as f64, self.data.len()))
     }
 
     /// Summary statistics.
@@ -520,55 +600,23 @@ impl Rmi {
         self.search = s;
     }
 
-    fn compute_stats(&self) -> RmiStats {
-        let n = self.data.len();
-        let mut sum_abs = 0.0f64;
-        let mut max_abs = 0u64;
-        let mut btree_leaves = 0usize;
-        for leaf in &self.leaves {
-            if matches!(leaf.kind, LeafKind::BTree { .. }) {
-                btree_leaves += 1;
-            }
-            let worst = leaf.min_err.unsigned_abs().max(leaf.max_err.unsigned_abs());
-            max_abs = max_abs.max(worst);
-            sum_abs += leaf.std_err * leaf.n_keys as f64;
-        }
-        let size_bytes = self.top.size_bytes()
-            + self.mids.iter().map(|s| s.len() * (4 + 4)).sum::<usize>()
-            + self
-                .leaves
-                .iter()
-                .map(|l| match &l.kind {
-                    LeafKind::Linear(_) => LEAF_DEPLOY_BYTES,
-                    LeafKind::BTree { tree, .. } => LEAF_DEPLOY_BYTES + tree.size_bytes(),
-                })
-                .sum::<usize>();
-        RmiStats {
-            keys: n,
-            leaves: self.leaves.len(),
-            btree_leaves,
-            mean_abs_err: if n == 0 { 0.0 } else { sum_abs / n as f64 },
-            max_abs_err: max_abs,
-            size_bytes,
-            op_count: self.top.op_count() + 2 + self.mids.len() * 4,
-        }
-    }
-
     /// Extract the serializable parameters of this trained index (for
     /// the persistence layer). Returns `None` when the stage-0 model is
-    /// not linear — format v1 does not encode multivariate/MLP tops.
+    /// not linear — the format does not encode multivariate/MLP tops.
     pub fn to_params(&self) -> Option<RmiParams> {
-        let top = match &self.top {
+        let (top, mids, leaves) = match &self.stages {
+            Stages::Corridor(c) => return Some(RmiParams::Corridor(c.to_params(self.search))),
+            Stages::Cascade { top, mids, leaves } => (top, mids, leaves),
+        };
+        let top = match top {
             TrainedTop::Linear(m) => (m.slope(), m.intercept()),
             _ => return None,
         };
-        let mids = self
-            .mids
+        let mids = mids
             .iter()
             .map(|stage| stage.iter().map(|m| (m.slope(), m.intercept())).collect())
             .collect();
-        let leaves = self
-            .leaves
+        let leaves = leaves
             .iter()
             .map(|leaf| LeafParams {
                 model: match &leaf.kind {
@@ -588,12 +636,12 @@ impl Rmi {
                 n_keys: leaf.n_keys as u64,
             })
             .collect();
-        Some(RmiParams {
+        Some(RmiParams::Cascade(CascadeParams {
             top,
             mids,
             leaves,
             search: self.search,
-        })
+        }))
     }
 
     /// Reassemble a trained index from its serialized parameters and
@@ -604,10 +652,20 @@ impl Rmi {
     ///
     /// Returns `None` when the parameters cannot describe a valid index
     /// over `data`: no leaves, a B-Tree leaf range out of bounds, or a
-    /// `page_size < 2`.
+    /// `page_size < 2`; for an ε-corridor, anything its O(segments)
+    /// check refuses — ε = 0, a segment start that does not increase or
+    /// is not below the key count, first keys out of order, a negative
+    /// or non-finite slope.
     pub fn from_params(data: impl Into<KeyStore>, params: &RmiParams) -> Option<Self> {
         let data: KeyStore = data.into();
         let n = data.len();
+        let params = match params {
+            RmiParams::Cascade(p) => p,
+            RmiParams::Corridor(p) => {
+                let corridor = Corridor::from_params(p, n)?;
+                return Some(Self::assemble(data, Stages::Corridor(corridor), p.search));
+            }
+        };
         if params.leaves.is_empty() {
             return None;
         }
@@ -649,7 +707,60 @@ impl Rmi {
             .map(|stage| stage.iter().map(|&(s, i)| LinearModel::new(s, i)).collect())
             .collect();
         let top = TrainedTop::Linear(LinearModel::new(params.top.0, params.top.1));
-        Some(Self::assemble(data, top, mids, leaves, params.search))
+        Some(Self::assemble(
+            data,
+            Stages::Cascade { top, mids, leaves },
+            params.search,
+        ))
+    }
+}
+
+/// The summary statistics of `model` over `n` keys.
+fn compute_stats(stages: &Stages, n: usize) -> RmiStats {
+    let (top, mids, leaves) = match stages {
+        Stages::Cascade { top, mids, leaves } => (top, mids, leaves),
+        Stages::Corridor(c) => {
+            return RmiStats {
+                keys: n,
+                leaves: c.len(),
+                btree_leaves: 0,
+                mean_abs_err: c.rms,
+                max_abs_err: c.below.max(c.above) as u64,
+                size_bytes: c.len() * SEGMENT_BYTES,
+                op_count: 2,
+                eps: Some(c.eps),
+            }
+        }
+    };
+    let mut sum_abs = 0.0f64;
+    let mut max_abs = 0u64;
+    let mut btree_leaves = 0usize;
+    for leaf in leaves {
+        if matches!(leaf.kind, LeafKind::BTree { .. }) {
+            btree_leaves += 1;
+        }
+        let worst = leaf.min_err.unsigned_abs().max(leaf.max_err.unsigned_abs());
+        max_abs = max_abs.max(worst);
+        sum_abs += leaf.std_err * leaf.n_keys as f64;
+    }
+    let size_bytes = top.size_bytes()
+        + mids.iter().map(|s| s.len() * (4 + 4)).sum::<usize>()
+        + leaves
+            .iter()
+            .map(|l| match &l.kind {
+                LeafKind::Linear(_) => LEAF_DEPLOY_BYTES,
+                LeafKind::BTree { tree, .. } => LEAF_DEPLOY_BYTES + tree.size_bytes(),
+            })
+            .sum::<usize>();
+    RmiStats {
+        keys: n,
+        leaves: leaves.len(),
+        btree_leaves,
+        mean_abs_err: if n == 0 { 0.0 } else { sum_abs / n as f64 },
+        max_abs_err: max_abs,
+        size_bytes,
+        op_count: top.op_count() + 2 + mids.len() * 4,
+        eps: None,
     }
 }
 
@@ -720,6 +831,18 @@ fn predict_through(top: &TrainedTop, mids: &[Vec<LinearModel>], x: f64, n: usize
     pred
 }
 
+/// The leaf of a cascade over `n` keys that `x` routes to.
+#[inline]
+fn cascade_leaf<'a>(
+    top: &TrainedTop,
+    mids: &[Vec<LinearModel>],
+    leaves: &'a [Leaf],
+    x: f64,
+    n: usize,
+) -> &'a Leaf {
+    &leaves[route(predict_through(top, mids, x, n), leaves.len(), n)]
+}
+
 /// Algorithm 1 line 9: `⌊M · f(x) / N⌋`, clamped into `[0, M)`.
 #[inline]
 fn route(pred: f64, m: usize, n: usize) -> usize {
@@ -787,19 +910,31 @@ impl RangeIndex for Rmi {
     }
 
     fn name(&self) -> String {
-        let hybrid = if self.stats_cache.btree_leaves > 0 {
-            format!(",hybrid={}", self.stats_cache.btree_leaves)
+        let stats = &self.stats_cache;
+        let top = match &self.stages {
+            Stages::Corridor(c) => {
+                return format!(
+                    "rmi(corridor,eps={},segments={},{})",
+                    c.eps,
+                    c.len(),
+                    self.search.name()
+                )
+            }
+            Stages::Cascade { top, .. } => top,
+        };
+        let hybrid = if stats.btree_leaves > 0 {
+            format!(",hybrid={}", stats.btree_leaves)
         } else {
             String::new()
         };
         format!(
             "rmi({},leaves={}{hybrid},{})",
-            match &self.top {
+            match top {
                 TrainedTop::Linear(_) => "linear".to_string(),
                 TrainedTop::Multivariate(_) => "multivariate".to_string(),
                 TrainedTop::Mlp(m) => format!("mlp({}h)", m.hidden_layers()),
             },
-            self.leaves.len(),
+            stats.leaves,
             self.search.name(),
         )
     }
@@ -828,6 +963,13 @@ mod tests {
         }
         for q in queries {
             assert_eq!(rmi.lower_bound(q), oracle(&data, q), "{} q={q}", rmi.name());
+        }
+    }
+
+    fn cascade_leaves(rmi: &Rmi) -> &[Leaf] {
+        match &rmi.stages {
+            Stages::Cascade { leaves, .. } => leaves,
+            Stages::Corridor(_) => panic!("not a cascade"),
         }
     }
 
@@ -953,7 +1095,7 @@ mod tests {
         let data = quadratic_data(2000);
         let cfg = RmiConfig::two_stage(TopModel::Linear, 4).with_hybrid(0);
         let rmi = Rmi::build(data.clone(), &cfg);
-        let nonempty = rmi.leaves.iter().filter(|l| l.n_keys > 0).count();
+        let nonempty = cascade_leaves(&rmi).iter().filter(|l| l.n_keys > 0).count();
         assert_eq!(rmi.stats().btree_leaves, nonempty);
         check_exact(data, &cfg);
     }
@@ -1061,7 +1203,7 @@ mod tests {
         );
         assert!(rmi.key_store().ptr_eq(&store));
         let mut hybrid_seen = 0usize;
-        for leaf in &rmi.leaves {
+        for leaf in cascade_leaves(&rmi) {
             if let LeafKind::BTree { tree, .. } = &leaf.kind {
                 hybrid_seen += 1;
                 assert!(tree.key_store().ptr_eq(&store), "leaf copied the keys");
@@ -1074,8 +1216,10 @@ mod tests {
     fn leaf_for_reports_routing() {
         let data = linear_data(1000);
         let rmi = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 8));
-        let leaf = rmi.leaf_for(data[0]);
+        let leaf = rmi.leaf_for(data[0]).expect("a cascade routes to a leaf");
         assert!(leaf.n_keys > 0);
+        let corridor = Rmi::build(data.clone(), &RmiConfig::corridor(8));
+        assert!(corridor.leaf_for(data[0]).is_none());
     }
 
     #[test]
@@ -1118,18 +1262,22 @@ mod tests {
         assert!(mlp.to_params().is_none(), "v1 cannot encode an MLP top");
 
         let rmi = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 8));
-        let mut params = rmi.to_params().unwrap();
-        params.leaves[0].model = LeafModelParams::BTree {
+        let Some(RmiParams::Cascade(mut cascade)) = rmi.to_params() else {
+            panic!("a cascade's parameters");
+        };
+        cascade.leaves[0].model = LeafModelParams::BTree {
             offset: 400,
             len: 200, // out of bounds for 500 keys
             page_size: 16,
         };
-        assert!(Rmi::from_params(data.clone(), &params).is_none());
-        params.leaves[0].model = LeafModelParams::BTree {
+        let rebuilt =
+            |c: &CascadeParams| Rmi::from_params(data.clone(), &RmiParams::Cascade(c.clone()));
+        assert!(rebuilt(&cascade).is_none());
+        cascade.leaves[0].model = LeafModelParams::BTree {
             offset: 0,
             len: 10,
             page_size: 1, // BTreeIndex requires >= 2
         };
-        assert!(Rmi::from_params(data, &params).is_none());
+        assert!(rebuilt(&cascade).is_none());
     }
 }

@@ -102,22 +102,25 @@ fn build_bucketed(data: impl Into<KeyStore>, config: &RmiConfig) -> Rmi {
         }
     }
 
-    Rmi::assemble(data, top, mids, leaves, config.search)
+    Rmi::assemble(data, Stages::Cascade { top, mids, leaves }, config.search)
 }
 
 /// Everything a build decides, with floats compared as bit patterns.
 fn fingerprint(rmi: &Rmi) -> Vec<u64> {
     let model = |m: &LinearModel| [m.slope().to_bits(), m.intercept().to_bits()];
+    let Stages::Cascade { top, mids, leaves } = &rmi.stages else {
+        panic!("the reference builds cascades only");
+    };
     let mut out = Vec::new();
     // Non-linear tops are trained by the same call in both builds; probe
     // them at a few keys instead of reaching into their weights.
     for x in [0.0, 1.0, 1e6, 1e12, 1e18] {
-        out.push(rmi.top.predict(x).to_bits());
+        out.push(top.predict(x).to_bits());
     }
-    for stage in &rmi.mids {
+    for stage in mids {
         out.extend(stage.iter().flat_map(model));
     }
-    for leaf in &rmi.leaves {
+    for leaf in leaves {
         match &leaf.kind {
             LeafKind::Linear(m) => out.extend(model(m)),
             LeafKind::BTree { offset, tree } => {

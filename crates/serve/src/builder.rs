@@ -27,6 +27,12 @@ pub trait ShardBuilder: Send + Sync {
 /// Per-shard retuning policy: rebuild a shard at doubled leaf density
 /// while its error statistics stay hot.
 ///
+/// The policy means the same for both leaf layouts: a round doubles the
+/// leaf count while `RmiStats::mean_abs_err` (an RMS) is above
+/// `max_mean_err`. For a cascade that is twice the leaves; for an
+/// ε-corridor it is twice the segment budget, so the build may take a
+/// smaller ε.
+///
 /// # Examples
 /// ```
 /// use li_serve::{RetunePolicy, RmiShardBuilder, ShardBuilder};
@@ -112,22 +118,24 @@ impl RmiShardBuilder {
 
     /// Build the concrete RMI for one shard, applying the retune loop.
     fn build_rmi(&self, shard: KeyStore) -> Rmi {
-        retune_rmi(&shard, &self.top, self.leaf_fraction, self.retune.as_ref()).0
+        let cascade = |leaves| RmiConfig::two_stage(self.top.clone(), leaves);
+        retune_rmi(&shard, self.leaf_fraction, self.retune.as_ref(), cascade).0
     }
 }
 
 /// The one retune loop both the read path ([`RmiShardBuilder`]) and the
 /// write path (`ShardedWritable` shard rebuilds) share: train an RMI
-/// over `keys` at `leaf_fraction` density, doubling the density while
-/// the trained error stats exceed the policy's thresholds (up to
-/// `max_rounds` retries; leaf count saturates at one per key). Returns
-/// the trained RMI and the configuration it was built with, so callers
-/// that retrain later (delta merges) reuse the chosen density.
+/// over `keys` with the configuration `layout` gives for a leaf count
+/// of `leaf_fraction` per key, doubling the density while the trained
+/// error stats exceed the policy's thresholds (up to `max_rounds`
+/// retries; leaf count saturates at one per key). Returns the trained
+/// RMI and the configuration it was built with, so callers that
+/// retrain later (delta merges) reuse the chosen density.
 pub(crate) fn retune_rmi(
     keys: &KeyStore,
-    top: &TopModel,
     leaf_fraction: f64,
     policy: Option<&RetunePolicy>,
+    layout: impl Fn(usize) -> RmiConfig,
 ) -> (Rmi, RmiConfig) {
     let rounds = policy.map_or(0, |p| p.max_rounds);
     let mut fraction = leaf_fraction;
@@ -137,7 +145,7 @@ pub(crate) fn retune_rmi(
     let mut round = 0usize;
     loop {
         let leaves = ((keys.len() as f64 * fraction).round() as usize).clamp(1, keys.len().max(1));
-        let cfg = RmiConfig::two_stage(top.clone(), leaves);
+        let cfg = layout(leaves);
         let rmi = Rmi::build(keys.clone(), &cfg);
         let hot = policy.is_some_and(|p| {
             rmi.stats().mean_abs_err > p.max_mean_err || rmi.stats().max_abs_err > p.max_abs_err

@@ -45,12 +45,18 @@
 //!   the witness.
 //!
 //! Verifying a snapshot reads every byte of it once, so the checksum
-//! sets the load's speed: format v4 uses XXH64 (four independent
+//! sets the load's speed: formats v4 and v5 use XXH64 (four independent
 //! 64-bit lanes, ≈ 10× the throughput of byte-serial FNV-1a), which
 //! makes a load cost about one pass over the key bytes at memory
-//! bandwidth. Format v3 files — identical layout, FNV-1a checksums —
-//! still load, so a store checkpointed before v4 recovers after an
-//! upgrade; `save` always writes v4.
+//! bandwidth. Format v5 adds the leaf layout: every RMI's parameters
+//! and every write-tier shard's [`RmiConfig`] open with a layout tag,
+//! and an ε-corridor base stores ε, its measured window and its
+//! 16-byte segments. Format v4 files (cascades only) and v3 files
+//! (identical layout to v4, FNV-1a checksums) still load, so a store
+//! checkpointed before an upgrade recovers after it: its cascade bases
+//! serve until their shard's next fold, and the shards of a
+//! [`crate::Backend::Rmi`] store fold into ε-corridors at the same leaf
+//! count. `save` always writes v5.
 //!
 //! The format covers every serving backend. Read-tier shards carry a
 //! one-byte backend tag: RMI shards (linear tops; hybrid B-Tree
@@ -76,7 +82,10 @@ use std::path::Path;
 use std::sync::Arc;
 
 use li_core::delta::DeltaIndex;
-use li_core::rmi::{LeafModelParams, LeafParams, Rmi, RmiConfig, RmiParams, TopModel};
+use li_core::rmi::{
+    CascadeParams, CorridorParams, LeafLayout, LeafModelParams, LeafParams, Rmi, RmiConfig,
+    RmiParams, Segment, TopModel,
+};
 use li_core::SearchStrategy;
 use li_index::{KeyStore, MappedFile, RangeIndex};
 
@@ -101,13 +110,14 @@ const MAGIC: [u8; 8] = *b"LIDX\xF0\x01\r\n";
 /// sharded-writable tiering fields (`max_runs` + per-shard sealed run
 /// stacks); v3 added the snapshot LSN and a header checksum (bytes
 /// 48..64) for WAL-coordinated recovery; v4 changed the three
-/// checksums from FNV-1a to XXH64 and nothing else. Versions before
-/// [`V3`] are refused with [`PersistError::Unsupported`] rather than
-/// loaded with silently dropped tiers or a silently ignored WAL tail.
-const VERSION: u32 = 4;
+/// checksums from FNV-1a to XXH64 and nothing else; v5 added the leaf
+/// layout to RMI parameters and configurations. Versions before [`V3`]
+/// are refused with [`PersistError::Unsupported`] rather than loaded
+/// with silently dropped tiers or a silently ignored WAL tail.
+const VERSION: u32 = 5;
 
-/// The one older version still read: same layout as [`VERSION`],
-/// FNV-1a checksums. Never written.
+/// The oldest version still read: v4's layout with FNV-1a checksums.
+/// Never written.
 const V3: u32 = 3;
 
 /// `kind` field: a read-only [`ShardedIndex`] snapshot.
@@ -300,11 +310,17 @@ impl Enc {
 /// error, never a panic.
 struct Dec<'a> {
     bytes: &'a [u8],
+    /// The file's format version: what a pre-v5 manifest leaves out.
+    version: u32,
 }
 
 impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
+    fn new(bytes: &'a [u8], version: u32) -> Self {
+        Self { bytes, version }
+    }
+    /// Whether the manifest carries leaf-layout tags (v5 on).
+    fn has_layouts(&self) -> bool {
+        self.version >= VERSION
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.bytes.len() < n {
@@ -371,7 +387,80 @@ impl<'a> Dec<'a> {
 // Component encodings
 // ---------------------------------------------------------------------
 
+/// Leaf-layout tags (v5): [`LeafLayout::Cascade`] and
+/// [`LeafLayout::Corridor`], for RMI parameters and configurations.
+const LAYOUT_CASCADE: u8 = 0;
+const LAYOUT_CORRIDOR: u8 = 1;
+
 fn encode_rmi_params(enc: &mut Enc, p: &RmiParams) {
+    match p {
+        RmiParams::Cascade(p) => {
+            enc.u8(LAYOUT_CASCADE);
+            encode_cascade_params(enc, p);
+        }
+        RmiParams::Corridor(p) => {
+            enc.u8(LAYOUT_CORRIDOR);
+            encode_corridor_params(enc, p);
+        }
+    }
+}
+
+fn decode_rmi_params(dec: &mut Dec<'_>) -> Result<RmiParams, PersistError> {
+    let layout = if dec.has_layouts() {
+        dec.u8()?
+    } else {
+        LAYOUT_CASCADE
+    };
+    match layout {
+        LAYOUT_CASCADE => decode_cascade_params(dec).map(RmiParams::Cascade),
+        LAYOUT_CORRIDOR => decode_corridor_params(dec).map(RmiParams::Corridor),
+        t => Err(format_err(format!("unknown leaf layout tag {t}"))),
+    }
+}
+
+/// An ε-corridor: its window, search and ε, then the segment count and
+/// the segments as `first · start · slope` (16 bytes each).
+fn encode_corridor_params(enc: &mut Enc, p: &CorridorParams) {
+    enc.u64(p.below);
+    enc.u64(p.above);
+    enc.f64(p.rms);
+    enc.u8(p.search.to_tag());
+    enc.u32(p.eps);
+    enc.usize(p.segments.len());
+    enc.buf.reserve(p.segments.len() * 16);
+    for seg in &p.segments {
+        enc.u64(seg.first);
+        enc.u32(seg.start);
+        enc.u32(seg.slope.to_bits());
+    }
+}
+
+fn decode_corridor_params(dec: &mut Dec<'_>) -> Result<CorridorParams, PersistError> {
+    let below = dec.u64()?;
+    let above = dec.u64()?;
+    let rms = dec.f64()?;
+    let search = decode_search(dec)?;
+    let eps = dec.u32()?;
+    let n = dec.count(16)?;
+    let mut segments = Vec::with_capacity(n);
+    for _ in 0..n {
+        segments.push(Segment {
+            first: dec.u64()?,
+            start: dec.u32()?,
+            slope: f32::from_bits(dec.u32()?),
+        });
+    }
+    Ok(CorridorParams {
+        eps,
+        segments,
+        below,
+        above,
+        rms,
+        search,
+    })
+}
+
+fn encode_cascade_params(enc: &mut Enc, p: &CascadeParams) {
     enc.f64(p.top.0);
     enc.f64(p.top.1);
     enc.usize(p.mids.len());
@@ -409,7 +498,7 @@ fn encode_rmi_params(enc: &mut Enc, p: &RmiParams) {
     enc.u8(p.search.to_tag());
 }
 
-fn decode_rmi_params(dec: &mut Dec<'_>) -> Result<RmiParams, PersistError> {
+fn decode_cascade_params(dec: &mut Dec<'_>) -> Result<CascadeParams, PersistError> {
     let top = (dec.f64()?, dec.f64()?);
     let n_mids = dec.count(8)?;
     let mut mids = Vec::with_capacity(n_mids);
@@ -445,7 +534,7 @@ fn decode_rmi_params(dec: &mut Dec<'_>) -> Result<RmiParams, PersistError> {
         });
     }
     let search = decode_search(dec)?;
-    Ok(RmiParams {
+    Ok(CascadeParams {
         top,
         mids,
         leaves,
@@ -483,6 +572,10 @@ fn encode_rmi_config(enc: &mut Enc, cfg: &RmiConfig) -> Result<(), PersistError>
         }
     }
     enc.usize(cfg.hybrid_page_size);
+    enc.u8(match cfg.layout {
+        LeafLayout::Cascade => LAYOUT_CASCADE,
+        LeafLayout::Corridor => LAYOUT_CORRIDOR,
+    });
     Ok(())
 }
 
@@ -505,6 +598,15 @@ fn decode_rmi_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
         t => return Err(format_err(format!("bad hybrid flag {t}"))),
     };
     let hybrid_page_size = dec.usize()?;
+    let layout = if dec.has_layouts() {
+        match dec.u8()? {
+            LAYOUT_CASCADE => LeafLayout::Cascade,
+            LAYOUT_CORRIDOR => LeafLayout::Corridor,
+            t => return Err(format_err(format!("bad leaf layout {t}"))),
+        }
+    } else {
+        LeafLayout::Cascade
+    };
     if stages.is_empty() || stages.contains(&0) {
         return Err(format_err("rmi config stages must be non-empty and > 0"));
     }
@@ -514,6 +616,7 @@ fn decode_rmi_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
     Ok(RmiConfig {
         top,
         stages,
+        layout,
         search,
         hybrid_threshold,
         hybrid_page_size,
@@ -678,14 +781,26 @@ fn publish(
     result
 }
 
-/// Open a snapshot, verify every header field and all three checksums
-/// (header, key payload, manifest), and return the mapped region plus
-/// the key count, the manifest's byte range within the region, and the
-/// snapshot LSN.
-fn open_verified(
-    path: &Path,
-    expect_kind: u32,
-) -> Result<(Arc<MappedFile>, usize, std::ops::Range<usize>, u64), PersistError> {
+/// A snapshot whose header and checksums verified.
+struct Verified {
+    region: Arc<MappedFile>,
+    n_keys: usize,
+    /// The manifest's byte range within the region.
+    manifest: std::ops::Range<usize>,
+    lsn: u64,
+    version: u32,
+}
+
+impl Verified {
+    /// A decoder over the manifest.
+    fn manifest(&self) -> Dec<'_> {
+        Dec::new(&self.region.bytes()[self.manifest.clone()], self.version)
+    }
+}
+
+/// Open a snapshot and verify every header field and all three
+/// checksums (header, key payload, manifest).
+fn open_verified(path: &Path, expect_kind: u32) -> Result<Verified, PersistError> {
     let region = Arc::new(MappedFile::open(path)?);
     let bytes = region.bytes();
     if bytes.len() < HEADER_LEN {
@@ -695,9 +810,9 @@ fn open_verified(
         return Err(format_err("bad magic (not a snapshot file)"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != VERSION && version != V3 {
+    if !(V3..=VERSION).contains(&version) {
         return Err(PersistError::Unsupported(format!(
-            "snapshot format version {version} (this build reads {V3} and {VERSION})"
+            "snapshot format version {version} (this build reads {V3} to {VERSION})"
         )));
     }
     let header_sum = u64::from_le_bytes(bytes[56..64].try_into().unwrap());
@@ -737,7 +852,13 @@ fn open_verified(
     if checksum(version, &bytes[keys_end..total]) != manifest_sum {
         return Err(format_err("manifest checksum mismatch"));
     }
-    Ok((region, n_keys, keys_end..total, snapshot_lsn))
+    Ok(Verified {
+        region,
+        n_keys,
+        manifest: keys_end..total,
+        lsn: snapshot_lsn,
+        version,
+    })
 }
 
 /// Per-shard backend tags in a [`ShardedIndex`] snapshot manifest.
@@ -843,10 +964,11 @@ impl ShardedIndex {
     /// the boundary keys. **No retraining** — [`li_core::train_count`]
     /// does not move across a load.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let (region, n_keys, manifest, _lsn) = open_verified(path.as_ref(), KIND_SHARDED_INDEX)?;
-        let store = KeyStore::from_mapped(&region, HEADER_LEN, n_keys)?;
+        let file = open_verified(path.as_ref(), KIND_SHARDED_INDEX)?;
+        let n_keys = file.n_keys;
+        let store = KeyStore::from_mapped(&file.region, HEADER_LEN, n_keys)?;
         check_sorted_unique(store.as_slice(), "key payload")?;
-        let mut dec = Dec::new(&region.bytes()[manifest]);
+        let mut dec = file.manifest();
         let backend_name = dec.str()?;
         let shard_count = dec.count(8)?;
         if shard_count == 0 {
@@ -992,8 +1114,9 @@ impl ShardedWritable {
     /// — the recovery path needs it to know which WAL records the
     /// snapshot already covers.
     pub(crate) fn load_with_lsn(path: &Path) -> Result<(Self, u64), PersistError> {
-        let (region, n_keys, manifest, lsn) = open_verified(path, KIND_SHARDED_WRITABLE)?;
-        let mut dec = Dec::new(&region.bytes()[manifest]);
+        let file = open_verified(path, KIND_SHARDED_WRITABLE)?;
+        let n_keys = file.n_keys;
+        let mut dec = file.manifest();
         let config = decode_sw_config(&mut dec)?;
         let shard_count = dec.count(8)?;
         if shard_count == 0 {
@@ -1018,7 +1141,14 @@ impl ShardedWritable {
             if expected_offset > n_keys {
                 return Err(format_err(format!("shard {s} base exceeds the payload")));
             }
-            let cfg = decode_rmi_config(&mut dec)?;
+            let mut cfg = decode_rmi_config(&mut dec)?;
+            if !dec.has_layouts() && config.backend == Backend::Rmi {
+                // Before v5 a `Backend::Rmi` shard was a cascade. Its base
+                // serves until the shard's next fold, which builds the
+                // ε-corridor every such shard has now, at the same leaf
+                // count.
+                cfg = RmiConfig::corridor(cfg.leaf_count());
+            }
             let threshold = dec.usize()?;
             let params = decode_rmi_params(&mut dec)?;
             let delta = dec.keys()?;
@@ -1028,7 +1158,8 @@ impl ShardedWritable {
                 .collect::<Result<Vec<_>, _>>()?;
             // Order, bounds and cross-tier disjointness are proven once,
             // in one linear pass, by the index they describe.
-            let store = KeyStore::from_mapped(&region, HEADER_LEN + base_offset * 8, base_len)?;
+            let store =
+                KeyStore::from_mapped(&file.region, HEADER_LEN + base_offset * 8, base_len)?;
             let di =
                 DeltaIndex::restore(store, &params, cfg, threshold, config.max_runs, runs, delta)
                     .map_err(|e| format_err(format!("shard {s}: {e}")))?;
@@ -1038,7 +1169,10 @@ impl ShardedWritable {
             return Err(format_err("shard bases do not cover the key payload"));
         }
         dec.finish()?;
-        Ok((ShardedWritable::from_loaded(bounds, shards, config), lsn))
+        Ok((
+            ShardedWritable::from_loaded(bounds, shards, config),
+            file.lsn,
+        ))
     }
 }
 

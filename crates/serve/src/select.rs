@@ -229,6 +229,12 @@ fn cheapest(candidates: &[(f64, BackendChoice)]) -> BackendChoice {
     best.1
 }
 
+/// The probe's configuration: Algorithm 1's cascade, which the cost
+/// model's constants were fitted on.
+fn cascade(leaves: usize) -> RmiConfig {
+    RmiConfig::two_stage(TopModel::Linear, leaves)
+}
+
 /// Probe + choose + (for the write tier) materialize: train a probe RMI
 /// over `keys` through the shared retune loop, run [`choose`] on its
 /// stats, and — when the winner is not the RMI — rebuild as an
@@ -244,7 +250,7 @@ pub(crate) fn train_selected(
     leaf_fraction: f64,
     retune: &RetunePolicy,
 ) -> (Rmi, RmiConfig, BackendChoice) {
-    let (rmi, cfg) = retune_rmi(keys, &TopModel::Linear, leaf_fraction, Some(retune));
+    let (rmi, cfg) = retune_rmi(keys, leaf_fraction, Some(retune), cascade);
     let choice = choose(rmi.stats());
     if choice == BackendChoice::Rmi {
         return (rmi, cfg, choice);
@@ -298,12 +304,7 @@ impl AutoShardBuilder {
         if shard.windows(2).any(|w| w[0] == w[1]) {
             return choose_multiset(shard.len());
         }
-        let (rmi, _) = retune_rmi(
-            shard,
-            &TopModel::Linear,
-            self.leaf_fraction,
-            Some(&self.retune),
-        );
+        let (rmi, _) = retune_rmi(shard, self.leaf_fraction, Some(&self.retune), cascade);
         choose(rmi.stats())
     }
 
@@ -340,12 +341,7 @@ impl ShardBuilder for AutoShardBuilder {
                 _ => Box::new(FastTree::new(shard)),
             };
         }
-        let (rmi, _) = retune_rmi(
-            &shard,
-            &TopModel::Linear,
-            self.leaf_fraction,
-            Some(&self.retune),
-        );
+        let (rmi, _) = retune_rmi(&shard, self.leaf_fraction, Some(&self.retune), cascade);
         let choice = choose(rmi.stats());
         self.record(choice, shard.len());
         match choice {
@@ -385,7 +381,8 @@ impl ShardBuilder for AutoShardBuilder {
 pub enum Backend {
     /// Per-shard adaptive selection (probe → grid-search → build).
     Auto,
-    /// Retuned two-stage RMI on every shard.
+    /// Retuned RMI on every shard: a two-stage cascade in a
+    /// `ShardedIndex`, an ε-corridor base in a `ShardedWritable`.
     #[default]
     Rmi,
     /// Cache-optimized B-Tree, page size 128, on every shard.
@@ -457,12 +454,7 @@ mod tests {
 
     fn probe_stats(keys: &[u64]) -> RmiStats {
         let store = KeyStore::new(keys.to_vec());
-        let (rmi, _) = retune_rmi(
-            &store,
-            &TopModel::Linear,
-            1.0 / 200.0,
-            Some(&RetunePolicy::default()),
-        );
+        let (rmi, _) = retune_rmi(&store, 1.0 / 200.0, Some(&RetunePolicy::default()), cascade);
         rmi.stats().clone()
     }
 

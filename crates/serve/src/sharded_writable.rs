@@ -70,9 +70,11 @@
 //! trained base's error stats exceed the configured
 //! [`RetunePolicy`], the build retries with doubled leaf density — so
 //! a skewed key region gets a denser model instead of a permanently
-//! mispredicting one. Between rebuilds, a shard whose region turned
-//! hot anyway is caught by the error-triggered split in
-//! [`crate::rebalance::plan`].
+//! mispredicting one. Under [`Backend::Rmi`] the leaf count is an
+//! ε-corridor's segment budget: the base takes the smallest ε that fits
+//! it, and a fold starts at the shard's current ε. Between rebuilds, a
+//! shard whose region turned hot anyway is caught by the
+//! error-triggered split in [`crate::rebalance::plan`].
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -119,7 +121,8 @@ pub struct ShardedWritableConfig {
     /// Per-shard delta-buffer capacity: a full buffer is sealed into a
     /// run.
     pub merge_threshold: usize,
-    /// RMI leaf models per key when (re)building a shard (min 1 leaf).
+    /// RMI leaf models per key when (re)building a shard (min 1 leaf);
+    /// under [`Backend::Rmi`], the most ε-corridor segments per key.
     pub leaf_fraction: f64,
     /// Per-shard retuning on every shard (re)build — the same policy
     /// vocabulary (and the same loop) as
@@ -139,11 +142,11 @@ pub struct ShardedWritableConfig {
     /// [`crate::RebalanceWorker`] when there is one, inline otherwise.
     pub max_runs: usize,
     /// How every shard (re)build trains its base (default
-    /// [`Backend::Rmi`] — the retuned RMI, exactly the pre-adaptive
-    /// behavior). [`Backend::Auto`] re-runs the adaptive grid search
-    /// (`crate::select`) on every shard build, split, merge and
-    /// compaction, so each shard's backend family follows its own
-    /// drifting key distribution; [`Backend::BTree`] pins every shard
+    /// [`Backend::Rmi`] — a retuned ε-corridor RMI). [`Backend::Auto`]
+    /// re-runs the adaptive grid search (`crate::select`) on every
+    /// shard build, split, merge and compaction, so each shard's
+    /// backend family follows its own drifting key distribution;
+    /// [`Backend::BTree`] pins every shard
     /// to the all-B-Tree-leaf hybrid. The write tier's delta base must
     /// stay an RMI structurally, so `Interp`/`Fast` are rejected by
     /// validation here (they remain read-tier backends).
@@ -1578,8 +1581,9 @@ fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) 
 /// [`ShardedWritableConfig::backend`]:
 ///
 /// * [`Backend::Rmi`] — the shared [`crate::builder::retune_rmi`] loop
-///   sizes and densifies the model for this shard's actual keys
-///   (exactly the pre-adaptive behavior);
+///   sizes the leaf budget for this shard's actual keys and densifies
+///   it; the base is an ε-corridor ([`RmiConfig::corridor`]) whose ε
+///   is the smallest that fits that budget;
 /// * [`Backend::Auto`] — the adaptive selector
 ///   ([`crate::select::train_selected`]) probes, grid-searches and
 ///   materializes the winner, recording the decision as a
@@ -1628,9 +1632,9 @@ fn build_selected_shard(
         }
         _ => retune_rmi(
             &keys,
-            &TopModel::Linear,
             config.leaf_fraction,
             Some(&config.retune),
+            RmiConfig::corridor,
         ),
     };
     let shard = WritableShard::from_delta(

@@ -104,6 +104,12 @@ proptest! {
         let rmi = Rmi::build(store.clone(), &cfg);
         prop_assert!(rmi.key_store().ptr_eq(&store));
         assert_batch_matches_scalar(&rmi, &queries)?;
+
+        // The ε-corridor's plan goes through the same phase split.
+        let cfg = RmiConfig::corridor(leaves).with_search(SearchStrategy::ALL[strategy_idx]);
+        let corridor = Rmi::build(store.clone(), &cfg);
+        prop_assert!(corridor.key_store().ptr_eq(&store));
+        assert_batch_matches_scalar(&corridor, &queries)?;
     }
 
     /// Hybrid RMIs (B-Tree fallback leaves) go through a different plan

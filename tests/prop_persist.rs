@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use learned_indexes::rmi::train_count;
+use learned_indexes::rmi::{train_count, RmiParams};
 use learned_indexes::serve::{
     PersistError, RangeIndex, RebalanceConfig, RmiShardBuilder, ShardedIndex, ShardedWritable,
     ShardedWritableConfig,
@@ -32,6 +32,39 @@ impl Drop for Cleanup {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
     }
+}
+
+/// Every shard base's parameters, in shard order.
+fn base_params(sw: &ShardedWritable) -> Vec<Option<RmiParams>> {
+    sw.snapshot()
+        .shard_snapshots()
+        .iter()
+        .map(|shard| shard.base_index().to_params())
+        .collect()
+}
+
+/// Every shard base's ε (`None` for a cascade), in shard order.
+fn base_eps(sw: &ShardedWritable) -> Vec<Option<u32>> {
+    sw.snapshot()
+        .shard_snapshots()
+        .iter()
+        .map(|shard| shard.base_index().stats().eps)
+        .collect()
+}
+
+/// Recompute the key-payload, manifest and header checksums of a
+/// snapshot's `bytes` with XXH64, so a deliberately changed field
+/// reaches the decoder instead of failing a checksum.
+fn reseal(bytes: &mut [u8]) {
+    const HEADER_LEN: usize = 4096;
+    let n_keys = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+    let keys_end = HEADER_LEN + n_keys * 8;
+    let keys_sum = xxh64(&bytes[HEADER_LEN..keys_end]);
+    bytes[32..40].copy_from_slice(&keys_sum.to_le_bytes());
+    let manifest_sum = xxh64(&bytes[keys_end..]);
+    bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
+    let header_sum = xxh64(&bytes[0..56]);
+    bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
 }
 
 fn sorted_unique(mut keys: Vec<u64>) -> Vec<u64> {
@@ -135,12 +168,18 @@ proptest! {
         for &k in &pending {
             prop_assert_eq!(sw.insert(k), oracle.insert(k));
         }
+        let saved = base_params(&sw);
+        prop_assert!(
+            saved.iter().all(|p| matches!(p, Some(RmiParams::Corridor(_)))),
+            "every Backend::Rmi base is an ε-corridor"
+        );
         sw.save(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
         drop(sw);
 
         let before = train_count();
         let loaded = ShardedWritable::load(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(train_count(), before, "load must not train");
+        prop_assert_eq!(base_params(&loaded), saved, "segments, ε and window round-trip");
 
         prop_assert_eq!(loaded.len(), oracle.len());
         let mut want: Vec<u64> = oracle.iter().copied().collect();
@@ -423,8 +462,8 @@ fn mixed_backend_topologies_round_trip_backend_for_backend() {
     }
 }
 
-/// XXH64 (seed 0), the format-v4 snapshot checksum — this suite's own
-/// copy, pinned by the published vectors in
+/// XXH64 (seed 0), the snapshot checksum of formats v4 and v5 — this
+/// suite's own copy, pinned by the published vectors in
 /// `xxh64_copy_matches_the_published_vectors`. Used below to re-seal a
 /// file after a *semantic* corruption, so the load failure proves the
 /// typed validation path, not the checksum.
@@ -571,7 +610,7 @@ fn v3_fixture_store() -> ShardedWritable {
 
 /// A store checkpointed in format v3 still loads — tier for tier and key
 /// for key, training nothing — and recovers from its LSN watermark; a
-/// save from it writes v4. The same file stamped v2 or v5 is refused as
+/// save from it writes v5. The same file stamped v2 or v6 is refused as
 /// `Unsupported`.
 #[test]
 fn v3_snapshots_load_and_older_versions_are_refused() {
@@ -615,7 +654,7 @@ fn v3_snapshots_load_and_older_versions_are_refused() {
     let resaved = tmp_path("v3-resaved");
     let _resaved_guard = Cleanup(resaved.clone());
     loaded.save(&resaved).unwrap();
-    assert_eq!(version(&std::fs::read(&resaved).unwrap()), 4);
+    assert_eq!(version(&std::fs::read(&resaved).unwrap()), 5);
     let reloaded = ShardedWritable::load(&resaved).unwrap();
     assert_eq!(
         reloaded.range_keys(0, u64::MAX),
@@ -625,7 +664,7 @@ fn v3_snapshots_load_and_older_versions_are_refused() {
 
     let stamped = tmp_path("v3-stamped");
     let _stamped_guard = Cleanup(stamped.clone());
-    for v in [2u32, 5] {
+    for v in [2u32, 6] {
         let mut b = bytes.clone();
         b[8..12].copy_from_slice(&v.to_le_bytes());
         std::fs::write(&stamped, &b).unwrap();
@@ -788,4 +827,130 @@ fn a_run_key_in_the_base_is_a_typed_format_error() {
         Err(e) => panic!("expected a Format error, got {e}"),
         Ok(_) => panic!("a run key that is also a base key must not load"),
     }
+}
+
+/// Snapshots from before format v5 hold cascade bases. The v3 fixture,
+/// and the same store as v4 wrote it (v3's layout re-sealed with XXH64),
+/// load key for key with zero training and keep their cascades; the
+/// next fold of a shard trains exactly once and leaves an ε-corridor,
+/// while the other shards keep their cascades.
+#[test]
+fn pre_v5_cascades_serve_until_one_fold_turns_them_into_corridors() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("fixtures")
+        .join("snapshot_v3_tiered.lidx");
+    let v3 = std::fs::read(&fixture).unwrap();
+    let mut v4 = v3.clone();
+    v4[8..12].copy_from_slice(&4u32.to_le_bytes());
+    reseal(&mut v4);
+    let want = v3_fixture_store();
+    let path = tmp_path("pre-v5");
+    let _guard = Cleanup(path.clone());
+    for (version, bytes) in [(3, v3), (4, v4)] {
+        std::fs::write(&path, &bytes).unwrap();
+        let before = train_count();
+        let loaded = ShardedWritable::load(&path).unwrap();
+        assert_eq!(train_count(), before, "v{version}: a load must not train");
+        assert_eq!(
+            base_eps(&loaded),
+            [None; 3],
+            "v{version}: cascades load as cascades"
+        );
+        assert_eq!(loaded.range_keys(0, u64::MAX), want.range_keys(0, u64::MAX));
+        for q in 0..12_100u64 {
+            assert_eq!(loaded.contains(q), want.contains(q), "v{version}: q={q}");
+        }
+
+        // Shard 0 holds two sealed runs and 8 pending keys; 24 fresh
+        // keys fill its stack to four runs, which holds 1/16 of its base.
+        for i in 0..24u64 {
+            assert!(loaded.insert(i * 100 + 3));
+        }
+        assert_eq!(loaded.compactions(), 1, "v{version}: one fold");
+        assert_eq!(
+            train_count(),
+            before + 1,
+            "v{version}: one fold, one training run"
+        );
+        let eps = base_eps(&loaded);
+        assert!(
+            eps[0].is_some(),
+            "v{version}: the folded base is an ε-corridor"
+        );
+        assert_eq!(
+            eps[1..],
+            [None; 2],
+            "v{version}: unfolded shards keep cascades"
+        );
+        for q in 0..12_100u64 {
+            let inserted = q % 100 == 3 && q < 2_400;
+            assert_eq!(
+                loaded.contains(q),
+                want.contains(q) || inserted,
+                "v{version}: q={q}"
+            );
+        }
+    }
+}
+
+/// A v5 file whose ε-corridor parameters were changed and re-sealed
+/// with valid checksums is refused with a typed `Format` error by the
+/// load's O(segments) check: a segment start that does not increase, a
+/// start at or past the key count, or ε = 0.
+#[test]
+fn malformed_corridor_segments_are_typed_format_errors() {
+    let path = tmp_path("bad-corridor");
+    let _guard = Cleanup(path.clone());
+    // One shard, no pending keys and no runs, so the manifest ends with
+    // the base's segments and then two zero counts (buffer, runs).
+    let base: Vec<u64> = (0..4_000u64).map(|i| i * i).collect();
+    let sw = ShardedWritable::new(base.clone(), 1, tiered_cfg());
+    sw.save(&path).unwrap();
+    let segments = sw.snapshot().shard_snapshots()[0]
+        .base_index()
+        .stats()
+        .leaves;
+    assert!(
+        segments >= 3,
+        "the keys need several segments, got {segments}"
+    );
+    let good = std::fs::read(&path).unwrap();
+    let begin = good.len() - 16 - 16 * segments;
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    assert_eq!(
+        u64_at(&good, begin - 8),
+        segments as u64,
+        "segment count where computed"
+    );
+    assert_eq!(u64_at(&good, begin), 0, "segment 0's first key");
+
+    let start_at = |j: usize| begin + 16 * j + 8;
+    let n = base.len() as u32;
+    let patches: [(&str, usize, u32); 3] = [
+        ("non-increasing start", start_at(2), 0),
+        ("start past the keys", start_at(segments - 1), n),
+        ("zero ε", begin - 12, 0),
+    ];
+    for (what, at, value) in patches {
+        let mut bytes = good.clone();
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        match ShardedWritable::load(&path) {
+            Err(PersistError::Format(msg)) => {
+                assert!(
+                    msg.contains("parameters"),
+                    "{what}: unexpected rejection: {msg}"
+                )
+            }
+            Err(e) => panic!("{what}: expected a Format error, got {e}"),
+            Ok(_) => panic!("{what}: must not load"),
+        }
+    }
+    std::fs::write(&path, &good).unwrap();
+    assert!(
+        ShardedWritable::load(&path).is_ok(),
+        "the untouched file loads"
+    );
 }

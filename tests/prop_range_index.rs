@@ -86,6 +86,20 @@ proptest! {
         for q in queries.iter().copied().chain(data.iter().copied()) {
             prop_assert_eq!(rmi.lower_bound(q), oracle(&data, q));
         }
+
+        // The ε-corridor at the same leaf budget, over the same keys plus
+        // both ends of the domain: arbitrary u64 gaps run far past 2⁵³,
+        // where `(key − first) as f64` drops integer bits.
+        let mut ends = data;
+        ends.extend([0, u64::MAX]);
+        let ends = sorted_unique(ends);
+        let cfg = RmiConfig::corridor(leaves).with_search(SearchStrategy::ALL[strategy_idx]);
+        let corridor = Rmi::build(ends.clone(), &cfg);
+        prop_assert!(corridor.stats().leaves <= leaves);
+        let gaps = ends.iter().flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
+        for q in queries.iter().copied().chain(gaps) {
+            prop_assert_eq!(corridor.lower_bound(q), oracle(&ends, q), "{}", corridor.name());
+        }
     }
 
     #[test]
@@ -131,6 +145,8 @@ proptest! {
     fn rmi_error_envelope_contains_stored_keys(
         keys in prop::collection::vec(any::<u64>(), 2..400),
         leaves in 1usize..32,
+        offsets in prop::collection::vec(any::<u64>(), 0..6),
+        steps in prop::collection::vec(1u64..64, 0..200),
     ) {
         let data = sorted_unique(keys);
         prop_assume!(data.len() >= 2);
@@ -140,5 +156,33 @@ proptest! {
             prop_assert!(p.lo <= i && i < p.hi.max(p.lo + 1),
                 "key {} at {} outside {}..{}", k, i, p.lo, p.hi);
         }
+
+        // The ε-corridor's window holds at most 2ε + 2 keys and the
+        // answer of every stored key and every gap, so it never widens.
+        // Its keys add dense clusters of small steps at arbitrary offsets,
+        // so one segment's keys can sit beyond 2⁵³ of its first key while
+        // neighbors differ by one.
+        let mut clustered = data;
+        for (c, &at) in offsets.iter().enumerate() {
+            let mut k = at;
+            for &step in steps.iter().skip(c * 7) {
+                k = k.saturating_add(step);
+                clustered.push(k);
+            }
+        }
+        let data = sorted_unique(clustered);
+        let corridor = Rmi::build(data.clone(), &RmiConfig::corridor(leaves));
+        let eps = corridor.stats().eps.unwrap() as usize;
+        prop_assert!(corridor.stats().leaves <= leaves);
+        let gaps = data.iter().flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
+        for q in gaps.chain([0, u64::MAX]) {
+            let (p, answer) = (corridor.predict(q), oracle(&data, q));
+            prop_assert!(p.hi - p.lo <= 2 * eps + 2,
+                "window {}..{} wider than 2ε + 2, ε = {}", p.lo, p.hi, eps);
+            prop_assert!(p.lo <= answer && answer <= p.hi,
+                "q {} answer {} outside {}..={}", q, answer, p.lo, p.hi);
+            prop_assert_eq!(corridor.lower_bound(q), answer);
+        }
     }
+
 }

@@ -8,6 +8,11 @@
 //! compacting. Edge cases pinned deterministically: all-duplicate
 //! streams (no seal ever fires) and `u64::MAX` keys in every tier.
 //!
+//! ε-corridor bases have a suite of their own at the end: a fold keeps
+//! the base's ε while the merged keys fit its leaf count, and no base
+//! of a store cuts more segments than its leaf count through folds,
+//! splits and merges.
+//!
 //! Run merging has suites of its own: bases of at least
 //! `RUN_TIER_RATIO × threshold × max_runs` keys, so a full run stack is
 //! merged into one run several times before the run tier holds a
@@ -17,8 +22,11 @@
 use std::collections::BTreeSet;
 
 use learned_indexes::rmi::delta::RUN_TIER_RATIO;
-use learned_indexes::rmi::{train_count, DeltaIndex, RmiConfig, TopModel};
-use learned_indexes::serve::{ShardedWritable, ShardedWritableConfig, WritableShard};
+use learned_indexes::rmi::{train_count, DeltaIndex, Rmi, RmiConfig, TopModel};
+use learned_indexes::serve::{
+    RebalanceConfig, RetunePolicy, ShardedWritable, ShardedWritableConfig, WritableShard,
+};
+use learned_indexes::RangeIndex;
 use proptest::prelude::*;
 
 fn cfg() -> RmiConfig {
@@ -665,4 +673,108 @@ fn full_stacks_merge_twice_then_fold() {
         Some(4)
     );
     assert_reads_match(&sw, &oracle, "store after two cycles").unwrap();
+}
+
+// ----------------------------------------------------------------------
+// ε-corridor bases: the leaf count is a budget every build keeps.
+// ----------------------------------------------------------------------
+
+/// The segment budget `ShardedWritable` gives a shard built over `len`
+/// keys with retuning off: its leaf count.
+fn leaf_budget(len: usize, leaf_fraction: f64) -> usize {
+    ((len as f64 * leaf_fraction).round() as usize).clamp(1, len.max(1))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A fold of an ε-corridor base climbs the ladder from the base's ε:
+    /// ε never falls, the fold never cuts more segments than the leaf
+    /// count, and whenever a fresh build (which climbs from ε = 1) lands
+    /// at or above the base's ε — so every rung below its answer fails —
+    /// the fold lands on the same rung. A fresh build that lands exactly
+    /// on the base's ε is a fold that keeps it.
+    #[test]
+    fn corridor_folds_keep_the_base_eps_while_the_keys_fit(
+        initial in prop::collection::vec(any::<u64>(), 1..300),
+        stream in prop::collection::vec(any::<u64>(), 0..300),
+        leaves in 1usize..24,
+    ) {
+        let config = RmiConfig::corridor(leaves);
+        let init = sorted_unique(initial);
+        let mut idx = DeltaIndex::new(init.clone(), config.clone(), 8).with_tiering(4);
+        let mut oracle: BTreeSet<u64> = init.into_iter().collect();
+        for (i, &k) in stream.iter().enumerate() {
+            prop_assert_eq!(idx.insert(k), oracle.insert(k));
+            if i % 24 != 23 || idx.run_count() == 0 {
+                continue;
+            }
+            let eps = idx.base_stats().eps.expect("a corridor base");
+            let fresh = Rmi::build(idx.snapshot().merged_keys(), &config)
+                .stats()
+                .eps
+                .expect("a corridor");
+            idx.compact();
+            let stats = idx.base_stats();
+            prop_assert!(stats.leaves <= leaves, "{} segments for {} leaves", stats.leaves, leaves);
+            let folded = stats.eps.expect("a corridor base");
+            prop_assert!(folded >= eps, "ε {} fell below the base's {}", folded, eps);
+            if fresh >= eps {
+                prop_assert_eq!(folded, fresh, "the fold skipped a rung that fits (base ε {})", eps);
+            }
+        }
+        assert_reads_match(&idx, &oracle, "after corridor folds")?;
+    }
+
+    /// A `Backend::Rmi` store's bases are ε-corridors of at most their
+    /// leaf count of segments through folds, splits and merges. With
+    /// retuning off the leaf count is `leaf_fraction` of the keys a base
+    /// was built over, which is never more than that fraction of the
+    /// keys it holds now.
+    #[test]
+    fn corridor_bases_keep_their_leaf_budget_through_folds_splits_and_merges(
+        initial in prop::collection::vec(any::<u64>(), 32..120),
+        stream in prop::collection::vec(any::<u64>(), 540..700),
+    ) {
+        // Eight shards of at most 15 keys: the first scan merges cold
+        // pairs, and 540 more keys cannot fit eight shards of 64.
+        let leaf_fraction = 1.0 / 16.0;
+        let config = ShardedWritableConfig {
+            merge_threshold: 16,
+            leaf_fraction,
+            retune: RetunePolicy {
+                max_rounds: 0,
+                ..RetunePolicy::default()
+            },
+            check_interval: 16,
+            max_runs: 2,
+            rebalance: RebalanceConfig {
+                max_shard_len: 64,
+                merge_max_len: 40,
+                max_mean_err: None,
+                max_shards: 16,
+            },
+            ..ShardedWritableConfig::default()
+        };
+        let init = sorted_unique(initial);
+        let sw = ShardedWritable::new(init.clone(), 8, config);
+        let mut oracle: BTreeSet<u64> = init.into_iter().collect();
+        for (i, &k) in stream.iter().enumerate() {
+            prop_assert_eq!(sw.insert(k), oracle.insert(k));
+            if i % 16 != 15 {
+                continue;
+            }
+            for (s, shard) in sw.snapshot().shard_snapshots().iter().enumerate() {
+                let base = shard.base_index();
+                let stats = base.stats();
+                prop_assert!(stats.eps.is_some(), "shard {} base is not a corridor", s);
+                let budget = leaf_budget(base.data().len(), leaf_fraction);
+                prop_assert!(stats.leaves <= budget,
+                    "shard {}: {} segments over a leaf count of {}", s, stats.leaves, budget);
+            }
+        }
+        prop_assert!(sw.compactions() > 0 && sw.splits() > 0 && sw.shard_merges() > 0,
+            "folds {}, splits {}, merges {}", sw.compactions(), sw.splits(), sw.shard_merges());
+        assert_reads_match(&sw, &oracle, "after folds, splits and merges")?;
+    }
 }

@@ -46,6 +46,7 @@ fn all_structures_agree_on_all_datasets() {
                 data.clone(),
                 &RmiConfig::two_stage(TopModel::Multivariate(FeatureMap::FULL), 512),
             )),
+            Box::new(Rmi::build(data.clone(), &RmiConfig::corridor(N / 200))),
         ];
         for s in &structures {
             check(s.as_ref(), &data, &format!("{} on {}", s.name(), ds.name()));
@@ -107,5 +108,38 @@ fn predict_windows_contain_the_answer_for_stored_keys() {
             p.lo,
             p.hi
         );
+    }
+
+    // The ε-corridor's window is a build invariant, on every dataset: at
+    // most 2ε + 2 keys, holding the answer of every stored key and every
+    // gap (`lo ≤ answer ≤ hi`), so the search never widens.
+    for ds in Dataset::ALL {
+        let keyset = ds.generate(N, 17);
+        let data = keyset.keys().to_vec();
+        let rmi = Rmi::build(data.clone(), &RmiConfig::corridor(N / 200));
+        let eps = rmi.stats().eps.expect("a corridor has an ε") as usize;
+        assert!(rmi.stats().leaves <= N / 200, "{}", ds.name());
+        let mut qs = vec![0u64, u64::MAX];
+        qs.extend(
+            data.iter()
+                .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]),
+        );
+        for q in qs {
+            let (p, answer) = (rmi.predict(q), oracle(&data, q));
+            assert!(
+                p.hi - p.lo <= 2 * eps + 2,
+                "{}: window {}..{} wider than 2ε + 2, ε = {eps}",
+                ds.name(),
+                p.lo,
+                p.hi
+            );
+            assert!(
+                p.lo <= answer && answer <= p.hi,
+                "{}: q={q} answer {answer} outside window {}..={} (would widen)",
+                ds.name(),
+                p.lo,
+                p.hi
+            );
+        }
     }
 }

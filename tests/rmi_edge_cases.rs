@@ -15,26 +15,31 @@ fn sorted_unique(mut keys: Vec<u64>) -> Vec<u64> {
     keys
 }
 
-/// Build an RMI per (strategy × leaf count) and compare `lower_bound`
-/// and `lookup` against the sorted-array oracle on every query.
+/// Build an RMI per (strategy × leaf count × leaf layout) and compare
+/// `lower_bound` and `lookup` against the sorted-array oracle on every
+/// query.
 fn check_all_strategies(data: &[u64], queries: &[u64]) {
     for strategy in SearchStrategy::ALL {
         for leaves in [1usize, 2, 8] {
-            let cfg = RmiConfig::two_stage(TopModel::Linear, leaves).with_search(strategy);
-            let rmi = Rmi::build(data.to_vec(), &cfg);
-            for &q in queries {
-                assert_eq!(
-                    rmi.lower_bound(q),
-                    oracle(data, q),
-                    "lower_bound, strategy={} leaves={leaves} q={q}",
-                    strategy.name()
-                );
-                assert_eq!(
-                    rmi.lookup(q),
-                    data.binary_search(&q).ok(),
-                    "lookup, strategy={} leaves={leaves} q={q}",
-                    strategy.name()
-                );
+            for cfg in [
+                RmiConfig::two_stage(TopModel::Linear, leaves),
+                RmiConfig::corridor(leaves),
+            ] {
+                let rmi = Rmi::build(data.to_vec(), &cfg.with_search(strategy));
+                for &q in queries {
+                    assert_eq!(
+                        rmi.lower_bound(q),
+                        oracle(data, q),
+                        "lower_bound, {} leaves={leaves} q={q}",
+                        rmi.name()
+                    );
+                    assert_eq!(
+                        rmi.lookup(q),
+                        data.binary_search(&q).ok(),
+                        "lookup, {} leaves={leaves} q={q}",
+                        rmi.name()
+                    );
+                }
             }
         }
     }
