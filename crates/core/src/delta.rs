@@ -435,6 +435,15 @@ impl DeltaIndex {
         }
     }
 
+    /// The tiers as the index holds them: the trained base and the
+    /// sealed runs (oldest first), which only change by whole-`Arc`
+    /// swaps, and the mutable buffer. A serving layer that caches the
+    /// immutable tiers clones the `Arc`s from here without copying the
+    /// buffer the way [`DeltaIndex::snapshot`] does.
+    pub fn tiers(&self) -> (&Arc<Rmi>, &[Arc<SortedRun>], &[u64]) {
+        (&self.base, &self.runs, &self.delta)
+    }
+
     /// Seal the current buffer into an immutable [`SortedRun`] (O(buffer)
     /// copy plus fences, **no** base retrain). No-op on an empty
     /// buffer. Normally driven by the overflow path, but callable

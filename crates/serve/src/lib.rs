@@ -9,13 +9,12 @@
 //! * [`ShardedIndex`] — the tentpole: partitions one [`KeyStore`] into
 //!   N `KeyStore::slice` views (no key copied), builds a pluggable
 //!   [`ShardBuilder`] backend per shard, and routes every lookup
-//!   through a learned shard router with an O(1)-verified answer and a
-//!   binary-search fallback. It implements [`RangeIndex`] itself, so
-//!   every existing harness and property suite works against it
+//!   through the [`ShardRouter`]. It implements [`RangeIndex`] itself,
+//!   so every existing harness and property suite works against it
 //!   unchanged.
-//! * [`ShardRouter`] — routing as a recursive application of the
-//!   paper's thesis: a linear model over the shard boundary keys with a
-//!   certified last-mile window.
+//! * [`ShardRouter`] — one `partition_point` over the shard boundary
+//!   keys (a learned line over them measured slower at every shard
+//!   count the store reaches).
 //! * [`ShardedIndex::lower_bound_batch_parallel`] — the concurrent read
 //!   path: scoped threads fan contiguous sub-batches out, each running
 //!   the per-shard bucketed batch plan.
@@ -28,8 +27,9 @@
 //!   bounds + router + shards published as one unit), with concurrent
 //!   key-routed inserts (scalar and batched —
 //!   [`ShardedWritable::insert_batch`] takes the topology lock once and
-//!   hands each touched shard its whole bucket), consistent cross-shard
-//!   snapshots ([`ShardedSnapshot`]), and one maintenance pass that
+//!   hands each touched shard its whole bucket), gets that take no lock
+//!   on their common path, consistent cross-shard snapshots
+//!   ([`ShardedSnapshot`]), and one maintenance pass that
 //!   folds or merges full run stacks, then runs the dynamic rebalancer
 //!   ([`rebalance`]) that splits hot shards, merges cold neighbors,
 //!   and retunes each rebuilt shard's model density to its keys.

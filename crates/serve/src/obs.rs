@@ -11,8 +11,10 @@
 //!
 //! ## Cost model
 //!
-//! * Every write is **counted**: one relaxed striped add. Reads are
-//!   not instrumented.
+//! * Every write is **counted**: one relaxed striped add. A get is
+//!   counted only when it leaves the lock-free path
+//!   (`li_locked_gets_total`, `li_get_cache_refreshes_total`); the
+//!   lock-free path records nothing.
 //! * Structural events (split, merge, fold, run merge, seal, WAL
 //!   truncation, recovery) are rare; they always record a counter bump
 //!   and a ring event regardless of the `observe` config flag — the registry is
@@ -111,6 +113,13 @@ pub struct ServeMetrics {
     pub batch_inserts: Arc<Counter>,
     /// `li_durable_inserts_total`: inserts that went through the WAL.
     pub durable_inserts: Arc<Counter>,
+    /// `li_locked_gets_total`: gets answered under the topology and
+    /// shard read locks (stale thread cache, a possibly buffered key, or
+    /// no cache to use). Lock-free gets are not counted.
+    pub locked_gets: Arc<Counter>,
+    /// `li_get_cache_refreshes_total`: locked gets that refreshed their
+    /// thread's cached topology or a shard's cached tiers.
+    pub cache_refreshes: Arc<Counter>,
 
     // ---- structural counters (single source of truth) ----
     /// `li_shard_splits_total`: topology splits published.
@@ -202,6 +211,8 @@ impl ServeMetrics {
             inserts: c("li_inserts_total"),
             batch_inserts: c("li_batch_insert_keys_total"),
             durable_inserts: c("li_durable_inserts_total"),
+            locked_gets: c("li_locked_gets_total"),
+            cache_refreshes: c("li_get_cache_refreshes_total"),
             splits: c("li_shard_splits_total"),
             shard_merges: c("li_shard_merges_total"),
             compactions: c("li_compactions_total"),

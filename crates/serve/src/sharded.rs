@@ -3,7 +3,7 @@
 //! Range-partitions one shared [`KeyStore`] into contiguous shards
 //! (`KeyStore::slice` — no key is ever copied), builds a pluggable
 //! [`ShardBuilder`] backend per shard, and routes every query through a
-//! learned-with-binary-fallback [`ShardRouter`]. `ShardedIndex` itself
+//! binary-search [`ShardRouter`]. `ShardedIndex` itself
 //! implements [`RangeIndex`], so every harness, property suite and
 //! figure in the workspace runs against it unchanged — sharding is an
 //! implementation detail behind the same trait.
@@ -19,8 +19,8 @@ use li_index::{KeyStore, Prediction, RangeIndex};
 ///   `KeyStore::slice` of the same allocation (`ptr_eq` holds across
 ///   all shards).
 /// * **Routing**: a query goes to the shard whose position range
-///   contains its global lower bound (learned router, O(1)-verified;
-///   see `li_index::partition::route_binary` for the proof, duplicates
+///   contains its global lower bound (one `partition_point` over the
+///   shard boundary keys; see `li_index::partition::route_binary` for the proof, duplicates
 ///   included).
 /// * **Batched**: `lower_bound_batch` buckets the queries per shard and
 ///   hands each shard its bucket in one call, so phase-split backends
@@ -48,7 +48,7 @@ impl ShardedIndex {
             .windows(2)
             .map(|w| builder.build(store.slice(w[0]..w[1])))
             .collect();
-        let router = ShardRouter::fit(boundaries(&store, &offsets));
+        let router = ShardRouter::new(boundaries(&store, &offsets));
         Self {
             store,
             offsets,
@@ -73,8 +73,7 @@ impl ShardedIndex {
         self.offsets[i]
     }
 
-    /// The router (exposed so callers can check whether the learned
-    /// fast path is active).
+    /// The router (its boundaries are the shards' first keys).
     pub fn router(&self) -> &ShardRouter {
         &self.router
     }
@@ -109,7 +108,7 @@ impl ShardedIndex {
             "partition must cover the store"
         );
         assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "unsorted offsets");
-        let router = ShardRouter::fit(boundaries(&store, &offsets));
+        let router = ShardRouter::new(boundaries(&store, &offsets));
         Self {
             store,
             offsets,
@@ -215,14 +214,9 @@ impl RangeIndex for ShardedIndex {
 
     fn name(&self) -> String {
         format!(
-            "sharded(n={}, backend={}, router={})",
+            "sharded(n={}, backend={})",
             self.shards.len(),
-            self.backend_name,
-            if self.router.is_learned() {
-                "learned"
-            } else {
-                "binary"
-            }
+            self.backend_name
         )
     }
 }

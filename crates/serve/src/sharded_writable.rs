@@ -4,7 +4,7 @@
 //! # Architecture
 //!
 //! A [`ShardedWritable`] owns an immutable **topology** — the ownership
-//! boundary keys, a [`ShardRouter`] fitted over them, and one
+//! boundary keys, a [`ShardRouter`] over them, and one
 //! [`WritableShard`] per ownership range — behind
 //! `RwLock<Arc<Topology>>`:
 //!
@@ -13,6 +13,17 @@
 //!   [`ShardRouter::route_owner`], and insert there; each shard
 //!   serializes its own writes and seals its own full buffers into
 //!   runs independently.
+//! * **Gets** ([`ShardedWritable::contains`]) take no lock on their
+//!   common path. Each thread caches the published topology and, per
+//!   shard, the immutable tiers (base and runs) as `Arc`s. A get checks
+//!   the cached topology against `published`, an atomic copy of the
+//!   topology generation, and the cached tiers against the shard's
+//!   `gen`; if both match and the shard's buffer filter rules the key
+//!   out of the buffer, it answers from the cached tiers. Otherwise it
+//!   answers under the topology and shard read locks and refreshes the
+//!   cache there (see [`crate::writable`] for the shard's half of the
+//!   protocol, and `ARCHITECTURE.md`, "Lock-free gets", for the
+//!   argument).
 //! * **Snapshots** ([`ShardedWritable::snapshot`]) also take the read
 //!   lock, clone the router and capture one [`DeltaSnapshot`] per shard
 //!   — a consistent router + snapshot-vector *pair* from a single
@@ -27,7 +38,7 @@
 //!   [`li_index::partition::split_point`] (handing the upper half of
 //!   its keys to a new sibling), or two cold neighbors are merged — and
 //!   publish under a brief *write* lock: writes that raced in are
-//!   re-routed, the boundary vector updated, the router refitted, and
+//!   re-routed, the boundary vector updated, the router rebuilt, and
 //!   the whole topology published as one new `Arc`. A snapshot
 //!   therefore always observes a *pre-* or *post-*rebalance topology,
 //!   never a torn mixture — the property the stress and property
@@ -76,8 +87,9 @@
 //! shard whose region turned hot anyway is caught by the
 //! error-triggered split in [`crate::rebalance::plan`].
 
+use std::cell::RefCell;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
@@ -95,7 +107,7 @@ use crate::rebalance_worker::WorkerLink;
 use crate::router::ShardRouter;
 use crate::select::{train_selected, Backend};
 use crate::wal::{self, Wal, WalOp, WalSyncPolicy};
-use crate::writable::WritableShard;
+use crate::writable::{CachedTiers, WritableShard};
 
 /// Configuration of a [`ShardedWritable`].
 ///
@@ -199,8 +211,8 @@ impl ShardedWritableConfig {
     }
 }
 
-/// One immutable shard topology: ownership bounds, the router fitted
-/// over them, and the shard handles. Published atomically as a whole —
+/// One immutable shard topology: ownership bounds, the router over
+/// them, and the shard handles. Published atomically as a whole —
 /// readers and writers always see bounds, router and shards that agree.
 #[derive(Debug)]
 struct Topology {
@@ -210,6 +222,42 @@ struct Topology {
     shards: Vec<Arc<WritableShard>>,
     /// Bumped on every rebalance publication.
     generation: u64,
+}
+
+/// Source of [`ShardedWritable`] ids: a thread's get cache names its
+/// store by id, never by address, so a store allocated where a dropped
+/// one lived cannot match that one's cache entry.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One thread's get cache: the topology of the store it last read, and a
+/// copy of each of that topology's shards' immutable tiers.
+struct GetCache {
+    store: u64,
+    generation: u64,
+    topo: Arc<Topology>,
+    shards: Vec<CachedTiers>,
+}
+
+impl GetCache {
+    fn new(store: u64, topo: &Arc<Topology>) -> Self {
+        Self {
+            store,
+            generation: topo.generation,
+            topo: Arc::clone(topo),
+            shards: topo.shards.iter().map(|_| CachedTiers::empty()).collect(),
+        }
+    }
+
+    /// Whether this entry describes `store` at topology `generation`.
+    fn describes(&self, store: u64, generation: u64) -> bool {
+        self.store == store && self.generation == generation
+    }
+}
+
+thread_local! {
+    /// One entry per thread: a thread that alternates between stores
+    /// re-reads each under its locks, and stays exact.
+    static GET_CACHE: RefCell<Option<GetCache>> = const { RefCell::new(None) };
 }
 
 /// A fully sharded concurrent write path: concurrent inserts routed by
@@ -250,7 +298,13 @@ struct Topology {
 /// ```
 #[derive(Debug)]
 pub struct ShardedWritable {
+    /// This store's id in the thread-local get caches.
+    id: u64,
     topo: RwLock<Arc<Topology>>,
+    /// The published topology's generation, stored under the topology
+    /// write lock at every publication, so a get can check its cached
+    /// topology without the lock.
+    published: AtomicU64,
     config: ShardedWritableConfig,
     /// Successful (key-adding) inserts, for the periodic rebalance
     /// scan. Kept as a plain global atomic (not an `li-obs` striped
@@ -302,14 +356,16 @@ impl ShardedWritable {
             .windows(2)
             .map(|w| Arc::new(build_retuned_shard(store.slice(w[0]..w[1]), &config, &obs)))
             .collect();
-        let router = ShardRouter::fit(bounds.clone());
+        let router = ShardRouter::new(bounds.clone());
         Self {
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             topo: RwLock::new(Arc::new(Topology {
                 bounds,
                 router,
                 shards: shard_vec,
                 generation: 0,
             })),
+            published: AtomicU64::new(0),
             config,
             inserts: AtomicUsize::new(0),
             obs,
@@ -716,10 +772,60 @@ impl ShardedWritable {
     }
 
     /// Whether `key` currently exists (owner-shard probe).
+    ///
+    /// Takes no lock on its common path: the calling thread's cache holds
+    /// the published topology and its copy of each shard's base and runs,
+    /// checked against `published` and the shard's `gen`, and the shard's
+    /// buffer filter rules the key out of the buffer (see
+    /// [`crate::writable`]). Otherwise — a stale cache, a possibly
+    /// buffered key, a re-entrant call or a thread being torn down — it
+    /// answers under the topology and shard read locks and refreshes the
+    /// cache under them.
     pub fn contains(&self, key: u64) -> bool {
+        GET_CACHE
+            .try_with(|cell| match cell.try_borrow_mut() {
+                Ok(mut slot) => self.contains_cached(key, &mut slot),
+                Err(_) => self.contains_locked(key, None),
+            })
+            .unwrap_or_else(|_| self.contains_locked(key, None))
+    }
+
+    /// [`ShardedWritable::contains`] with the thread's cache borrowed.
+    #[inline]
+    fn contains_cached(&self, key: u64, slot: &mut Option<GetCache>) -> bool {
+        if let Some(cache) = slot.as_ref() {
+            if cache.describes(self.id, self.published.load(Ordering::Acquire)) {
+                let s = cache.topo.router.route_owner(key);
+                if let Some(found) = cache.topo.shards[s].contains_cached(key, &cache.shards[s]) {
+                    return found;
+                }
+            }
+        }
+        self.contains_locked(key, Some(slot))
+    }
+
+    /// The locked get: route and probe under the topology and shard read
+    /// locks, refreshing `slot` (when there is one) under them.
+    #[cold]
+    fn contains_locked(&self, key: u64, slot: Option<&mut Option<GetCache>>) -> bool {
+        self.obs.locked_gets.incr();
         let topo = self.topo_guard();
         let s = topo.router.route_owner(key);
-        topo.shards[s].contains(key)
+        let Some(slot) = slot else {
+            return topo.shards[s].contains(key);
+        };
+        let current = slot
+            .as_ref()
+            .is_some_and(|c| c.describes(self.id, topo.generation));
+        if !current {
+            *slot = None;
+        }
+        let cache = slot.get_or_insert_with(|| GetCache::new(self.id, &topo));
+        let (found, refreshed) = topo.shards[s].contains_refreshing(key, &mut cache.shards[s]);
+        if refreshed || !current {
+            self.obs.cache_refreshes.incr();
+        }
+        found
     }
 
     /// Total keys across all shards. Each shard's count is read
@@ -1066,6 +1172,7 @@ impl ShardedWritable {
                 }
                 let next = split_topology(&guard, s, boundary, Arc::new(left), Arc::new(right));
                 *guard = Arc::new(next);
+                self.published.store(guard.generation, Ordering::Release);
                 self.note_rebalance(&action, &guard);
                 self.obs.pass_publish_ns.record_since(t_publish);
                 BackgroundStep::Applied(action)
@@ -1114,6 +1221,7 @@ impl ShardedWritable {
                 }
                 let next = merge_topology(&guard, l, Arc::new(merged));
                 *guard = Arc::new(next);
+                self.published.store(guard.generation, Ordering::Release);
                 self.note_rebalance(&action, &guard);
                 self.obs.pass_publish_ns.record_since(t_publish);
                 BackgroundStep::Applied(action)
@@ -1213,14 +1321,16 @@ impl ShardedWritable {
         for shard in &shards {
             shard.attach_obs(Arc::clone(&obs));
         }
-        let router = ShardRouter::fit(bounds.clone());
+        let router = ShardRouter::new(bounds.clone());
         Self {
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             topo: RwLock::new(Arc::new(Topology {
                 bounds,
                 router,
                 shards,
                 generation: 0,
             })),
+            published: AtomicU64::new(0),
             config,
             inserts: AtomicUsize::new(0),
             obs,
@@ -1441,6 +1551,21 @@ impl ShardedWritable {
     }
 }
 
+impl Drop for ShardedWritable {
+    /// Clear the dropping thread's get-cache entry if it is this
+    /// store's, so the store's tiers are freed now rather than at the
+    /// thread's next get. Other threads release theirs at their next get.
+    fn drop(&mut self) {
+        let _ = GET_CACHE.try_with(|cell| {
+            if let Ok(mut slot) = cell.try_borrow_mut() {
+                if slot.as_ref().is_some_and(|c| c.store == self.id) {
+                    *slot = None;
+                }
+            }
+        });
+    }
+}
+
 /// What [`ShardedWritable::recover_with_config`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryReport {
@@ -1540,7 +1665,7 @@ fn straggler_diff(now: &[u64], then: &[u64]) -> Vec<u64> {
 }
 
 /// The topology after splitting shard `s` at `boundary` into `left` and
-/// `right`: boundary vector grown, router refitted, generation bumped.
+/// `right`: boundary vector grown, router rebuilt, generation bumped.
 fn split_topology(
     topo: &Topology,
     s: usize,
@@ -1554,7 +1679,7 @@ fn split_topology(
     shards[s] = left;
     shards.insert(s + 1, right);
     Topology {
-        router: ShardRouter::fit(bounds.clone()),
+        router: ShardRouter::new(bounds.clone()),
         bounds,
         shards,
         generation: topo.generation + 1,
@@ -1562,7 +1687,7 @@ fn split_topology(
 }
 
 /// The topology after merging shards `left_idx` and `left_idx + 1` into
-/// `merged`: boundary removed, router refitted, generation bumped.
+/// `merged`: boundary removed, router rebuilt, generation bumped.
 fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) -> Topology {
     let mut bounds = topo.bounds.clone();
     bounds.remove(left_idx);
@@ -1570,7 +1695,7 @@ fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) 
     shards[left_idx] = merged;
     shards.remove(left_idx + 1);
     Topology {
-        router: ShardRouter::fit(bounds.clone()),
+        router: ShardRouter::new(bounds.clone()),
         bounds,
         shards,
         generation: topo.generation + 1,
@@ -2041,6 +2166,109 @@ mod tests {
         sw.rebalance();
         assert!(sw.insert(8));
         assert_eq!(sw.len(), 202);
+    }
+
+    /// The calling thread's get-cache entry: (store id, topology
+    /// generation), if it has one.
+    fn cache_entry() -> Option<(u64, u64)> {
+        GET_CACHE.with(|c| c.borrow().as_ref().map(|e| (e.store, e.generation)))
+    }
+
+    fn counter(sw: &ShardedWritable, name: &str) -> u64 {
+        sw.metrics().counter(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn dropping_a_store_clears_this_threads_get_cache_entry() {
+        let a = ShardedWritable::new((0..100u64).collect::<Vec<_>>(), 2, small_cfg());
+        let b = ShardedWritable::new((0..100u64).collect::<Vec<_>>(), 2, small_cfg());
+        assert!(a.contains(5));
+        assert_eq!(cache_entry(), Some((a.id, 0)));
+        // Dropping another store leaves this entry alone.
+        drop(b);
+        assert_eq!(cache_entry(), Some((a.id, 0)));
+        drop(a);
+        assert_eq!(cache_entry(), None, "the dropped store's tiers stay cached");
+    }
+
+    #[test]
+    fn lock_free_gets_count_nothing_and_stale_caches_refresh() {
+        let data: Vec<u64> = (0..400u64).map(|i| i * 4).collect();
+        let sw = ShardedWritable::new(data.clone(), 4, small_cfg());
+        for &k in &data {
+            assert!(sw.contains(k));
+        }
+        let locked = counter(&sw, "li_locked_gets_total");
+        assert!(
+            locked <= 4,
+            "one locked get per shard warms the cache, got {locked}"
+        );
+        for &k in &data {
+            assert!(sw.contains(k) && !sw.contains(k + 1));
+        }
+        let refreshes = counter(&sw, "li_get_cache_refreshes_total");
+        let false_positives = counter(&sw, "li_locked_gets_total") - locked;
+        assert_eq!(
+            false_positives, 0,
+            "warm gets of unbuffered keys take no lock"
+        );
+        // A buffered key takes the lock; a seal moves it to a run and
+        // the next get refreshes that shard's tiers, then goes lock-free.
+        assert!(sw.insert(2));
+        assert!(sw.contains(2));
+        assert_eq!(counter(&sw, "li_locked_gets_total"), locked + 1);
+        for k in 0..8u64 {
+            sw.insert(k * 4 + 1);
+        }
+        assert!(sw.contains(2) && sw.contains(1));
+        assert!(counter(&sw, "li_get_cache_refreshes_total") > refreshes);
+        let settled = counter(&sw, "li_locked_gets_total");
+        assert!(sw.contains(2) && sw.contains(data[0]));
+        assert_eq!(counter(&sw, "li_locked_gets_total"), settled);
+    }
+
+    #[test]
+    fn a_thread_alternating_between_two_stores_stays_exact() {
+        let evens: Vec<u64> = (0..300u64).map(|i| i * 2).collect();
+        let odds: Vec<u64> = (0..300u64).map(|i| i * 2 + 1).collect();
+        let a = ShardedWritable::new(evens, 3, small_cfg());
+        let b = ShardedWritable::new(odds, 3, small_cfg());
+        for round in 0..3u64 {
+            for k in 0..600u64 {
+                assert_eq!(a.contains(k), k % 2 == 0, "round {round} a k={k}");
+                assert_eq!(b.contains(k), k % 2 == 1, "round {round} b k={k}");
+            }
+            // Seals, folds and splits between the rounds.
+            for i in 0..200u64 {
+                a.insert(1000 + round * 1000 + i * 2);
+                b.insert(1000 + round * 1000 + i * 2 + 1);
+            }
+            for i in 0..200u64 {
+                let k = 1000 + round * 1000 + i * 2;
+                assert!(a.contains(k) && !b.contains(k), "round {round} k={k}");
+                assert!(
+                    b.contains(k + 1) && !a.contains(k + 1),
+                    "round {round} k={}",
+                    k + 1
+                );
+            }
+        }
+        assert!(a.splits() >= 1 && b.splits() >= 1);
+    }
+
+    #[test]
+    fn a_reentrant_get_takes_the_locked_path() {
+        let sw = ShardedWritable::new((0..100u64).collect::<Vec<_>>(), 2, small_cfg());
+        assert!(sw.contains(7));
+        let locked = counter(&sw, "li_locked_gets_total");
+        let refreshes = counter(&sw, "li_get_cache_refreshes_total");
+        GET_CACHE.with(|c| {
+            let _held = c.borrow_mut();
+            assert!(sw.contains(7));
+            assert!(!sw.contains(1000));
+        });
+        assert_eq!(counter(&sw, "li_locked_gets_total"), locked + 2);
+        assert_eq!(counter(&sw, "li_get_cache_refreshes_total"), refreshes);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

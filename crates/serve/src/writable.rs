@@ -12,6 +12,30 @@
 //! a copy of the (threshold-bounded) pending buffer — and then runs
 //! them with **no** lock held.
 //!
+//! # Gets without the lock
+//!
+//! The sharded store's `contains` skips the shard lock when it can. Two
+//! atomics beside the lock make that safe:
+//!
+//! * `gen`, bumped under the write lock whenever the immutable tiers
+//!   change: a seal (new run), a run merge and a fold;
+//! * a filter over the mutable buffer: one 64-bit word per key slot,
+//!   [`FILTER_PROBES`] bits set in it per key, [`FILTER_BITS_PER_KEY`]
+//!   bits per key of the merge threshold. Every write path marks the
+//!   keys it buffered and a load marks the buffer it restores, so the
+//!   filter always holds every buffered key.
+//!
+//! A reader keeps its own copy of the base and run `Arc`s with the
+//! `gen` they were read at (`CachedTiers`). It loads `gen`, and if its
+//! copy is current and the key's bits are not all set in the filter,
+//! the key is not buffered: after an acquire fence and a second `gen`
+//! load that still matches, it answers from its copy. Only a seal takes
+//! keys out of the buffer, and it bumps `gen`, fences, and only then
+//! clears and re-marks the filter, so a reader that saw a cleared word
+//! also sees the new `gen` and falls back to the lock. Any other
+//! outcome — stale copy, possibly buffered key, moved `gen` — takes the
+//! read lock and refreshes the copy under it.
+//!
 //! A full buffer is sealed into an immutable sorted run, and the shard
 //! carries a stack of them between the buffer and the base.
 //! [`WritableShard::compact`] folds them into the base and
@@ -24,22 +48,142 @@
 //! state: reads are never torn across a retrain, which is what the
 //! concurrent stress suite asserts.
 
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use li_core::delta::{DeltaIndex, DeltaSnapshot};
 use li_core::rmi::{Rmi, RmiConfig, RmiStats};
-use li_index::KeyStore;
+use li_core::SortedRun;
+use li_index::{KeyStore, RangeIndex};
 
 use crate::builder::RetunePolicy;
 use crate::obs::{events, ServeMetrics};
 use crate::select::{train_selected, BackendChoice};
 
+/// Filter bits per key of a shard's merge threshold (the buffer's
+/// capacity). At 16 bits and [`FILTER_PROBES`] probes, a full buffer
+/// answers "maybe" for about 0.5 % of absent keys.
+pub const FILTER_BITS_PER_KEY: usize = 16;
+
+/// Bits a key sets in its filter word.
+pub const FILTER_PROBES: u32 = 4;
+
+/// The buffer filter: one 64-bit word per key slot (a power of two of
+/// them), [`FILTER_PROBES`] bits per key inside its word, so a probe is
+/// one load. Written only under the shard's write lock; read by
+/// lock-free gets.
+#[derive(Debug)]
+struct BufferFilter {
+    words: Box<[AtomicU64]>,
+}
+
+impl BufferFilter {
+    /// A filter sized for `capacity` buffered keys.
+    fn new(capacity: usize) -> Self {
+        let words = capacity
+            .saturating_mul(FILTER_BITS_PER_KEY)
+            .div_ceil(64)
+            .next_power_of_two();
+        Self {
+            words: (0..words).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// The word `key` lives in and the bits it sets there: the word
+    /// from the mixed hash's high half, one bit from each of
+    /// [`FILTER_PROBES`] 6-bit fields of its low half.
+    #[inline]
+    fn slot(&self, key: u64) -> (&AtomicU64, u64) {
+        let h = mix64(key);
+        let word = (h >> 32) as usize & (self.words.len() - 1);
+        let mut mask = 0u64;
+        for i in 0..FILTER_PROBES {
+            mask |= 1 << ((h >> (6 * i)) & 63);
+        }
+        (&self.words[word], mask)
+    }
+
+    /// Set `key`'s bits. Callers hold the shard's write lock, so a plain
+    /// load and store cannot lose another writer's bits. The store
+    /// releases: a get that reads a word marked after a seal cleared it
+    /// must also see that seal's `gen` bump, and only a read-modify-write
+    /// would carry the clear's release on its own.
+    fn mark(&self, key: u64) {
+        let (word, mask) = self.slot(key);
+        word.store(word.load(Ordering::Relaxed) | mask, Ordering::Release);
+    }
+
+    /// Whether `key` may be buffered (`false`: certainly not).
+    #[inline]
+    fn may_hold(&self, key: u64) -> bool {
+        let (word, mask) = self.slot(key);
+        word.load(Ordering::Relaxed) & mask == mask
+    }
+
+    /// Forget every key. Callers hold the write lock and have bumped
+    /// the shard's `gen` and fenced first.
+    fn clear(&self) {
+        for word in self.words.iter() {
+            word.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// MurmurHash3's 64-bit finalizer: every input bit moves every output
+/// bit, so sequential or strided keys spread over the filter.
+#[inline]
+fn mix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// One thread's copy of a shard's immutable tiers — the base and the
+/// sealed runs, oldest first — valid while the shard's `gen` still
+/// equals the one they were read at.
+#[derive(Debug)]
+pub(crate) struct CachedTiers {
+    gen: u64,
+    base: Option<Arc<Rmi>>,
+    runs: Vec<Arc<SortedRun>>,
+}
+
+impl CachedTiers {
+    /// A copy that matches no `gen` (a shard's `gen` never reaches
+    /// `u64::MAX`).
+    pub(crate) fn empty() -> Self {
+        Self {
+            gen: u64::MAX,
+            base: None,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Whether the copied runs or base hold `key` (runs newest-first,
+    /// like [`DeltaIndex::contains`]).
+    #[inline]
+    fn contains(&self, key: u64) -> bool {
+        self.runs.iter().rev().any(|r| r.contains(key))
+            || self.base.as_ref().is_some_and(|b| b.lookup(key).is_some())
+    }
+}
+
 /// A concurrently writable shard: `DeltaIndex` behind an `RwLock`,
-/// reads served from lock-free snapshots.
+/// reads served from lock-free snapshots, and gets that skip the lock
+/// when a per-thread copy of the immutable tiers is current and the
+/// buffer filter rules the key out (see the module docs).
 #[derive(Debug)]
 pub struct WritableShard {
     inner: RwLock<DeltaIndex>,
+    /// Bumped under the write lock whenever the immutable tiers change
+    /// (seal, run merge, fold); a seal bumps it before it clears the
+    /// filter.
+    gen: AtomicU64,
+    /// Holds every buffered key (and a few more).
+    filter: BufferFilter,
     /// The owning structure's observability bundle, attached once at
     /// build/load time (standalone shards stay unattached — they pay
     /// one `OnceLock` load per write and record nothing). Seals and
@@ -52,19 +196,13 @@ impl WritableShard {
     /// `merge_threshold` inserts into a run, with the default run-stack
     /// bound ([`li_core::delta::DEFAULT_MAX_RUNS`]).
     pub fn new(data: impl Into<KeyStore>, config: RmiConfig, merge_threshold: usize) -> Self {
-        Self {
-            inner: RwLock::new(DeltaIndex::new(data, config, merge_threshold)),
-            obs: OnceLock::new(),
-        }
+        Self::from_delta(DeltaIndex::new(data, config, merge_threshold))
     }
 
     /// Wrap an already-trained base RMI (no retraining); `config` is
     /// what future folds retrain with.
     pub fn from_trained(base: Rmi, config: RmiConfig, merge_threshold: usize) -> Self {
-        Self {
-            inner: RwLock::new(DeltaIndex::from_trained(base, config, merge_threshold)),
-            obs: OnceLock::new(),
-        }
+        Self::from_delta(DeltaIndex::from_trained(base, config, merge_threshold))
     }
 
     /// Build a shard with run-stack bound `max_runs` (≥ 1): a full
@@ -95,19 +233,18 @@ impl WritableShard {
         merge_threshold: usize,
         max_runs: usize,
     ) -> Self {
-        Self {
-            inner: RwLock::new(
-                DeltaIndex::new(data, config, merge_threshold).with_tiering(max_runs),
-            ),
-            obs: OnceLock::new(),
-        }
+        Self::from_delta(DeltaIndex::new(data, config, merge_threshold).with_tiering(max_runs))
     }
 
     /// Insert a key, returning whether it was newly inserted (`false`
     /// for duplicates, which are no-ops). May seal the buffer into a
     /// run; outstanding snapshots are unaffected.
     pub fn insert(&self, key: u64) -> bool {
-        self.write_lock().insert(key)
+        let mut guard = self.write_lock();
+        let seals = guard.seals();
+        let inserted = guard.insert(key);
+        self.track_buffer(&guard, seals, inserted.then_some(key));
+        inserted
     }
 
     /// Insert a whole batch under **one** write-lock acquisition,
@@ -127,7 +264,77 @@ impl WritableShard {
     /// assert_eq!(shard.len(), 3);
     /// ```
     pub fn insert_batch(&self, keys: &[u64]) -> Vec<bool> {
-        self.write_lock().insert_batch(keys)
+        let mut guard = self.write_lock();
+        let seals = guard.seals();
+        let flags = guard.insert_batch(keys);
+        self.track_buffer(&guard, seals, buffered(keys, &flags));
+        flags
+    }
+
+    /// Keep the filter a superset of the buffer after a write under
+    /// `guard` that buffered `keys`. A write that sealed (the seal count
+    /// moved past `seals_before`) emptied the buffer into a run: `gen`
+    /// is bumped, then fenced, and only then is the filter cleared and
+    /// re-marked with what the buffer holds now — the order lock-free
+    /// gets rely on. Otherwise the new keys are marked.
+    fn track_buffer(
+        &self,
+        guard: &DeltaIndex,
+        seals_before: usize,
+        keys: impl IntoIterator<Item = u64>,
+    ) {
+        if guard.seals() == seals_before {
+            for key in keys {
+                self.filter.mark(key);
+            }
+            return;
+        }
+        self.gen.fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        self.filter.clear();
+        for &key in guard.tiers().2 {
+            self.filter.mark(key);
+        }
+    }
+
+    /// The lock-free get: `Some(answer)` when `cached` is current and
+    /// the filter rules `key` out of the buffer, so the copied runs and
+    /// base hold it if the shard does; `None` sends the caller to
+    /// [`WritableShard::contains_refreshing`].
+    ///
+    /// A seqlock read: a seal bumps `gen` before it clears the filter,
+    /// with a release fence between, so reading a cleared word here
+    /// makes the second `gen` load see the bump.
+    #[inline]
+    pub(crate) fn contains_cached(&self, key: u64, cached: &CachedTiers) -> Option<bool> {
+        let gen = self.gen.load(Ordering::Acquire);
+        if cached.gen != gen || self.filter.may_hold(key) {
+            return None;
+        }
+        fence(Ordering::Acquire);
+        if self.gen.load(Ordering::Relaxed) != gen {
+            return None;
+        }
+        Some(cached.contains(key))
+    }
+
+    /// The locked get: whether `key` exists, read under the read lock,
+    /// and under the same lock `cached` refreshed if it is stale.
+    /// Returns the answer and whether `cached` was refreshed.
+    pub(crate) fn contains_refreshing(&self, key: u64, cached: &mut CachedTiers) -> (bool, bool) {
+        let guard = self.read_lock();
+        let found = guard.contains(key);
+        // Bumps happen under the write lock, so `gen` holds still here.
+        let gen = self.gen.load(Ordering::Relaxed);
+        if cached.gen == gen {
+            return (found, false);
+        }
+        let (base, runs, _) = guard.tiers();
+        cached.gen = gen;
+        cached.base = Some(Arc::clone(base));
+        cached.runs.clear();
+        cached.runs.extend(runs.iter().cloned());
+        (found, true)
     }
 
     /// Attach the owning structure's observability bundle. First caller
@@ -165,10 +372,7 @@ impl WritableShard {
             obs.compact_train_ns.record_since(t_train);
         }
         let t_install = Instant::now();
-        let folded = self
-            .write_lock()
-            .install_compacted(&cut, rebuilt)
-            .unwrap_or(0);
+        let folded = self.install(|d| d.install_compacted(&cut, rebuilt));
         if let Some(obs) = obs {
             obs.compact_install_ns.record_since(t_install);
         }
@@ -203,10 +407,7 @@ impl WritableShard {
         let Some(merged) = cut.merge_runs() else {
             return 0;
         };
-        let runs = self
-            .write_lock()
-            .install_merged_runs(&cut, merged)
-            .unwrap_or(0);
+        let runs = self.install(|d| d.install_merged_runs(&cut, merged));
         if let Some(obs) = self.obs.get() {
             obs.run_merge_ns.record_since(t);
         }
@@ -245,10 +446,7 @@ impl WritableShard {
             obs.compact_train_ns.record_since(t_train);
         }
         let t_install = Instant::now();
-        let folded = self
-            .write_lock()
-            .install_compacted_with(&cut, rebuilt, cfg)
-            .unwrap_or(0);
+        let folded = self.install(|d| d.install_compacted_with(&cut, rebuilt, cfg));
         if let Some(obs) = obs {
             obs.compact_install_ns.record_since(t_install);
         }
@@ -257,6 +455,19 @@ impl WritableShard {
         }
         let switched = was_hybrid != (choice != BackendChoice::Rmi);
         (folded, Some((choice, switched)))
+    }
+
+    /// Run a fold or run-merge install under the write lock: the runs it
+    /// replaced (0 when the cut was stale and nothing was installed). An
+    /// install bumps `gen` so cached copies of the replaced tiers are
+    /// let go; the buffer keeps its keys, so the filter stays as it is.
+    fn install(&self, install: impl FnOnce(&mut DeltaIndex) -> Option<usize>) -> usize {
+        let mut guard = self.write_lock();
+        let replaced = install(&mut guard).unwrap_or(0);
+        if replaced > 0 {
+            self.gen.fetch_add(1, Ordering::Release);
+        }
+        replaced
     }
 
     /// Whether the trained base is currently an all-B-Tree-leaf hybrid
@@ -343,12 +554,19 @@ impl WritableShard {
         self.read_lock().export_keys()
     }
 
-    /// Wrap a fully reconstructed [`DeltaIndex`] — the persistence
-    /// layer's load path, where the base RMI was rebuilt from saved
-    /// parameters and the runs and buffer restored, with no retraining.
+    /// Wrap a [`DeltaIndex`] — also the persistence layer's load path,
+    /// where the base RMI was rebuilt from saved parameters and the runs
+    /// and buffer restored, with no retraining. The filter is sized from
+    /// the merge threshold and marked with the restored buffer.
     pub(crate) fn from_delta(delta: DeltaIndex) -> Self {
+        let filter = BufferFilter::new(delta.merge_threshold());
+        for &key in delta.tiers().2 {
+            filter.mark(key);
+        }
         Self {
             inner: RwLock::new(delta),
+            gen: AtomicU64::new(0),
+            filter,
             obs: OnceLock::new(),
         }
     }
@@ -360,6 +578,7 @@ impl WritableShard {
         let mut guard = self.write_lock();
         let seals = guard.seals();
         let inserted = guard.insert(key);
+        self.track_buffer(&guard, seals, inserted.then_some(key));
         self.note_seals(&guard, seals);
         InsertObs {
             inserted,
@@ -374,6 +593,7 @@ impl WritableShard {
         let mut guard = self.write_lock();
         let seals = guard.seals();
         let flags = guard.insert_batch(keys);
+        self.track_buffer(&guard, seals, buffered(keys, &flags));
         self.note_seals(&guard, seals);
         let out = InsertObs {
             inserted: flags.iter().any(|&f| f),
@@ -436,6 +656,11 @@ impl WritableShard {
     fn write_lock(&self) -> std::sync::RwLockWriteGuard<'_, DeltaIndex> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
+}
+
+/// The keys of a batch its flags mark newly inserted.
+fn buffered<'a>(keys: &'a [u64], flags: &'a [bool]) -> impl Iterator<Item = u64> + 'a {
+    keys.iter().zip(flags).filter(|(_, &f)| f).map(|(&k, _)| k)
 }
 
 /// What an insert observed about its shard, captured under the same
@@ -519,6 +744,112 @@ mod tests {
         let snap = shard.snapshot();
         assert_eq!(snap.len(), 5);
         assert_eq!(snap.range_keys(0, u64::MAX), vec![10, 15, 20, 25, 30]);
+    }
+
+    /// Every buffered key's bits are set: the invariant lock-free gets
+    /// rest on.
+    fn assert_filter_holds_buffer(shard: &WritableShard, step: &str) {
+        let guard = shard.read_lock();
+        for &key in guard.tiers().2 {
+            assert!(
+                shard.filter.may_hold(key),
+                "{step}: buffered {key} not in the filter"
+            );
+        }
+    }
+
+    #[test]
+    fn the_filter_holds_the_buffer_after_every_write_path() {
+        let base: Vec<u64> = (0..4096u64).map(|k| k * 4).collect();
+        let shard = WritableShard::tiered(base, cfg(), 16, 8);
+        let gen = |s: &WritableShard| s.gen.load(Ordering::Relaxed);
+
+        assert!(shard.insert(1));
+        assert_filter_holds_buffer(&shard, "insert");
+        assert_eq!(
+            shard.insert_batch(&[5, 9, 5, 4]),
+            vec![true, true, false, false]
+        );
+        assert_filter_holds_buffer(&shard, "insert_batch");
+        assert!(shard.insert_observed(13).inserted);
+        assert_filter_holds_buffer(&shard, "insert_observed");
+        let (flags, _) = shard.insert_batch_observed(&[17, 21]);
+        assert_eq!(flags, vec![true, true]);
+        assert_filter_holds_buffer(&shard, "insert_batch_observed");
+        assert_eq!(
+            (shard.pending(), gen(&shard)),
+            (6, 0),
+            "no seal yet, no bump"
+        );
+
+        // A batch that overfills the buffer seals it whole: `gen` moves
+        // and the filter is rebuilt from the (now empty) buffer.
+        let overfill: Vec<u64> = (0..40u64).map(|k| k * 4 + 2).collect();
+        shard.insert_batch(&overfill);
+        assert_eq!((shard.pending(), shard.seals(), gen(&shard)), (0, 1, 1));
+        assert!(shard
+            .filter
+            .words
+            .iter()
+            .all(|w| w.load(Ordering::Relaxed) == 0));
+        for k in (0..20u64).map(|k| k * 4 + 3) {
+            shard.insert(k);
+            assert_filter_holds_buffer(&shard, "insert after the seal");
+        }
+        assert_eq!(
+            (shard.seals(), gen(&shard)),
+            (2, 2),
+            "the 16th insert sealed"
+        );
+
+        // Run merges and folds replace tiers, so they bump `gen` too,
+        // and leave the buffer and its filter alone.
+        shard.insert_batch(&[1001, 1005]);
+        assert_eq!(shard.merge_runs(), 2);
+        assert_eq!(gen(&shard), 3);
+        assert_filter_holds_buffer(&shard, "merge_runs");
+        assert_eq!(shard.compact(), 1);
+        assert_eq!(gen(&shard), 4);
+        assert_filter_holds_buffer(&shard, "compact");
+        assert_eq!(shard.pending(), 6);
+
+        // A load restores a buffer: the filter starts out holding it.
+        let keys = KeyStore::new((0..100u64).map(|k| k * 10).collect::<Vec<_>>());
+        let params = Rmi::build(keys.clone(), &cfg()).to_params().unwrap();
+        let delta = DeltaIndex::restore(
+            keys,
+            &params,
+            cfg(),
+            8,
+            4,
+            vec![vec![5, 15]],
+            vec![7, 33, 71],
+        )
+        .unwrap();
+        let loaded = WritableShard::from_delta(delta);
+        assert_eq!(loaded.pending(), 3);
+        assert_filter_holds_buffer(&loaded, "load");
+    }
+
+    #[test]
+    fn a_full_buffer_of_random_keys_keeps_false_positives_under_two_percent() {
+        let shard = WritableShard::new(vec![0u64], cfg(), 1024);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            mix64(x)
+        };
+        let buffered: Vec<u64> = (0..1023).map(|_| next()).collect();
+        shard.insert_batch(&buffered);
+        assert_eq!(shard.pending(), 1023, "one key short of a seal");
+        let probes = 200_000;
+        let maybe = (0..probes)
+            .map(|_| next())
+            .filter(|&k| shard.filter.may_hold(k))
+            .count();
+        let rate = maybe as f64 / probes as f64;
+        // Expected about 0.5 %: 4 keys per word, 4 bits per key.
+        assert!(rate < 0.02, "false-positive rate {rate}");
     }
 
     #[test]

@@ -99,8 +99,8 @@ pub fn run(n: usize) {
     );
 
     // 8. Scale out: range-partition the same store into 4 zero-copy
-    //    shards, each served by its own RMI, routed by a learned shard
-    //    router — and fan a batch across threads. ShardedIndex is a
+    //    shards, each served by its own RMI, routed by a binary search
+    //    over the shard boundaries — and fan a batch across threads. ShardedIndex is a
     //    RangeIndex too, so everything above works on it unchanged.
     let sharded = learned_indexes::serve::ShardedIndex::build(
         keys.clone(),

@@ -56,6 +56,16 @@
 //!    merges, splits and folds the contents stay exact, and every
 //!    rebuild the passes timed was published: serialized passes never
 //!    rebuild the same shard twice.
+//! 9. **Lock-free gets** — `ShardedWritable::contains` answers from a
+//!    per-thread copy of the topology and the shards' immutable tiers
+//!    when a shard's buffer filter rules the key out. Writers publish an
+//!    acknowledged watermark after each insert returns, and readers
+//!    assert every acknowledged key is found and no never-inserted key
+//!    is, while tiny thresholds drive seals, run merges, folds, splits
+//!    and shard merges — once inline, once on a `RebalanceWorker`. A
+//!    seal that cleared the filter before bumping the shard's `gen`, or
+//!    a get that skipped its second `gen` check, would miss a key that
+//!    moved from the buffer into a run.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -1242,4 +1252,125 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
     assert_eq!(sw.len(), expect.len());
     let dump = sw.range_keys(0, u64::MAX);
     assert!(dump.iter().eq(expect.iter()), "final contents diverged");
+}
+
+/// Case 9: no acknowledged key is ever missed by a lock-free get.
+///
+/// Two writers insert disjoint streams of odd keys spread over the
+/// initial range and publish, after each insert returns, how many of
+/// their keys are acknowledged. Two readers loop over each writer's
+/// eight newest acknowledged keys (the likeliest to sit in a buffer
+/// that is being sealed), a random older one, an initial key and a key
+/// no one inserts. Buffers of 4 keys and stacks of 2 runs seal every few
+/// inserts, merge runs while they are small against the base and fold
+/// them after; 16 cold shards merge in pairs first, and the grown ones
+/// split. With a worker, the readers start before the worker's first
+/// pass, which merges the cold shards under them, and the writers start
+/// once it is done.
+fn acknowledged_keys_are_never_missed(with_worker: bool) {
+    const WRITERS: u64 = 2;
+    const PER_WRITER: u64 = 6000;
+    const SLOTS: u64 = 1 << 17; // odd keys below 2^18, the initial range
+    let initial: Vec<u64> = (0..65_536u64).map(|i| i * 4).collect();
+    // Writer w's i-th key: an odd number, a bijection of (w, i) onto
+    // the slots, so the streams are disjoint and spread out.
+    let key = |w: u64, i: u64| ((i * WRITERS + w).wrapping_mul(0x9e37_79b1) % SLOTS) * 2 + 1;
+    let config = ShardedWritableConfig {
+        merge_threshold: 4,
+        leaf_fraction: 1.0 / 32.0,
+        check_interval: 256,
+        max_runs: 2,
+        rebalance: RebalanceConfig {
+            // 16 × 4096 keys merge into 8 × 8192, which the storm grows
+            // by about 1500 each, past the split threshold. Runs fold once
+            // they hold 512 keys of a shard, well before a shard splits,
+            // so even a worker that lags behind the writers merges small
+            // stacks first and folds them later.
+            max_shard_len: 9400,
+            merge_max_len: 8500,
+            max_mean_err: None,
+            max_shards: 32,
+        },
+        ..ShardedWritableConfig::default()
+    };
+    let sw = Arc::new(ShardedWritable::new(initial.clone(), 16, config));
+    let worker = with_worker.then(|| RebalanceWorker::spawn(Arc::clone(&sw)));
+    let acked: Vec<AtomicUsize> = (0..WRITERS).map(|_| AtomicUsize::new(0)).collect();
+    let writing = AtomicUsize::new(WRITERS as usize);
+    let checks = AtomicUsize::new(0);
+
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (sw, acked, writing, checks, initial) = (&*sw, &acked, &writing, &checks, &initial);
+            scope.spawn(move || {
+                let mut x = 0x2545_f491_4f6c_dd1du64 ^ t;
+                let mut next = move || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                while writing.load(Ordering::Acquire) > 0 {
+                    for w in 0..WRITERS {
+                        let n = acked[w as usize].load(Ordering::Acquire) as u64;
+                        if n == 0 {
+                            continue;
+                        }
+                        for i in n.saturating_sub(8)..n {
+                            let recent = key(w, i);
+                            assert!(sw.contains(recent), "t={t}: acknowledged {recent} missed");
+                        }
+                        let older = key(w, next() % n);
+                        assert!(sw.contains(older), "t={t}: acknowledged {older} missed");
+                    }
+                    let base = initial[(next() % initial.len() as u64) as usize];
+                    assert!(sw.contains(base), "t={t}: initial {base} missed");
+                    let absent = (next() % 65_536) * 4 + 2;
+                    assert!(!sw.contains(absent), "t={t}: never-inserted {absent} found");
+                    checks.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        if let Some(worker) = &worker {
+            worker.kick();
+            assert!(worker.wait_until_stable(Duration::from_secs(60)));
+            assert!(sw.shard_merges() >= 1, "the worker's first pass must merge");
+        }
+        for w in 0..WRITERS {
+            let (sw, acked, writing) = (&*sw, &acked, &writing);
+            scope.spawn(move || {
+                for i in 0..PER_WRITER {
+                    assert!(sw.insert(key(w, i)), "writer {w}: key {i} inserted twice");
+                    acked[w as usize].store(i as usize + 1, Ordering::Release);
+                }
+                writing.fetch_sub(1, Ordering::Release);
+            });
+        }
+    });
+
+    if let Some(worker) = &worker {
+        worker.kick();
+        assert!(worker.wait_until_stable(Duration::from_secs(60)));
+    }
+    assert!(checks.load(Ordering::Relaxed) > 0, "the readers never ran");
+    assert!(sw.run_merges() >= 1, "small run stacks must merge");
+    assert!(sw.compactions() >= 1, "grown run stacks must fold");
+    assert!(sw.shard_merges() >= 1, "the cold start must merge");
+    assert!(sw.splits() >= 1, "grown shards must split");
+    assert_eq!(sw.len(), initial.len() + (WRITERS * PER_WRITER) as usize);
+    for w in 0..WRITERS {
+        for i in 0..PER_WRITER {
+            assert!(sw.contains(key(w, i)), "key {} lost", key(w, i));
+        }
+    }
+}
+
+#[test]
+fn acknowledged_keys_are_never_missed_inline() {
+    acknowledged_keys_are_never_missed(false);
+}
+
+#[test]
+fn acknowledged_keys_are_never_missed_with_a_worker() {
+    acknowledged_keys_are_never_missed(true);
 }

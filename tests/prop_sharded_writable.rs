@@ -127,7 +127,7 @@ fn apply_ops(
     ops: &[(u8, u64, u64)],
 ) -> Result<(), TestCaseError> {
     for &(op, a, b) in ops {
-        match op % 4 {
+        match op % 5 {
             0 | 1 => {
                 // Insert dominates the mix: it is what moves topology.
                 prop_assert_eq!(sw.insert(a), oracle.insert(a), "insert {}", a);
@@ -135,6 +135,14 @@ fn apply_ops(
             2 => {
                 prop_assert_eq!(sw.contains(a), oracle.contains(&a), "contains {}", a);
                 prop_assert_eq!(sw.rank(a), oracle.range(..a).count(), "rank {}", a);
+            }
+            3 => {
+                // A get right behind the insert, on the same thread:
+                // whatever seal, run merge, fold, split or shard merge
+                // the insert ran, the thread's cached tiers must follow.
+                prop_assert_eq!(sw.insert(a), oracle.insert(a), "insert {}", a);
+                prop_assert!(sw.contains(a), "contains {} after its insert", a);
+                prop_assert_eq!(sw.contains(b), oracle.contains(&b), "contains {}", b);
             }
             _ => {
                 let (lo, hi) = (a.min(b), a.max(b));
