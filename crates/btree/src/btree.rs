@@ -159,10 +159,6 @@ impl RangeIndex for BTreeIndex {
     fn name(&self) -> String {
         format!("btree(page={})", self.page_size)
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

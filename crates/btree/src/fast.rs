@@ -106,10 +106,6 @@ impl RangeIndex for FastTree {
     fn name(&self) -> String {
         "fast".to_string()
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

@@ -49,11 +49,6 @@ impl InterpBTree {
             page_size,
         }
     }
-
-    /// Keys per data page.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
 }
 
 impl RangeIndex for InterpBTree {
@@ -95,10 +90,6 @@ impl RangeIndex for InterpBTree {
 
     fn name(&self) -> String {
         format!("interp-btree(page={})", self.page_size)
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -180,6 +171,7 @@ mod tests {
         let data: Vec<u64> = (0..100_000u64).collect();
         let small = InterpBTree::with_budget(data.clone(), 1024);
         let large = InterpBTree::with_budget(data, 64 * 1024);
-        assert!(small.page_size() > large.page_size());
+        // One separator per page: larger pages, fewer separators.
+        assert!(small.size_bytes() < large.size_bytes());
     }
 }

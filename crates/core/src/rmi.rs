@@ -938,10 +938,6 @@ impl RangeIndex for Rmi {
             self.search.name(),
         )
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]

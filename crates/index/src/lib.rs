@@ -141,16 +141,6 @@ pub trait RangeIndex: Send + Sync {
     /// Human-readable name including configuration, e.g.
     /// `"btree(page=128)"`.
     fn name(&self) -> String;
-
-    /// Concrete-type escape hatch for the persistence layer:
-    /// implementations whose parameters can be serialized return
-    /// `Some(self)` so callers may downcast (e.g. `li-serve`'s save
-    /// path downcasting shard backends to `Rmi`). The default keeps the
-    /// concrete type hidden, which save paths report as "unsupported
-    /// backend" rather than guessing.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! has to implement the one-method trait.
 
 use li_btree::{BTreeIndex, FastTree, InterpBTree};
-use li_core::rmi::{Rmi, RmiConfig, TopModel};
+use li_core::rmi::{Rmi, RmiConfig};
 use li_index::{KeyStore, RangeIndex};
 
 /// Builds the per-shard index backend over one shard's key slice.
@@ -72,32 +72,30 @@ impl Default for RetunePolicy {
     }
 }
 
-/// Per-shard Recursive Model Index. The leaf count scales with the
-/// shard size (`leaf_fraction` models per key, min 1) so every shard
-/// gets the same model density regardless of shard count; an optional
-/// [`RetunePolicy`] densifies individual shards whose key region turns
-/// out hard to model (skewed regions get more leaves instead of one
-/// global density for everyone — the per-shard retuning the ROADMAP
-/// called for).
+/// Per-shard Recursive Model Index: the same ε-corridor
+/// ([`RmiConfig::corridor`]) a `Backend::Rmi` store shard's base is. The
+/// segment budget scales with the shard size (`leaf_fraction` segments
+/// per key, min 1) so every shard gets the same model density regardless
+/// of shard count; an optional [`RetunePolicy`] doubles the budget of
+/// individual shards whose key region turns out hard to model, so they
+/// may take a smaller ε.
 #[derive(Debug, Clone)]
 pub struct RmiShardBuilder {
-    top: TopModel,
     leaf_fraction: f64,
     retune: Option<RetunePolicy>,
 }
 
 impl RmiShardBuilder {
-    /// Linear-top RMI with the workspace's default model density
-    /// (1 leaf model per ~200 keys, matching the fig4 sweet spot).
+    /// ε-corridor with the workspace's default model density (a budget
+    /// of 1 segment per ~200 keys, matching the fig4 sweet spot).
     pub fn new() -> Self {
         Self {
-            top: TopModel::Linear,
             leaf_fraction: 1.0 / 200.0,
             retune: None,
         }
     }
 
-    /// Override the leaf-model density (leaf models per key).
+    /// Override the model density (segments per key).
     pub fn with_leaf_fraction(mut self, fraction: f64) -> Self {
         assert!(fraction > 0.0 && fraction.is_finite());
         self.leaf_fraction = fraction;
@@ -118,8 +116,13 @@ impl RmiShardBuilder {
 
     /// Build the concrete RMI for one shard, applying the retune loop.
     fn build_rmi(&self, shard: KeyStore) -> Rmi {
-        let cascade = |leaves| RmiConfig::two_stage(self.top.clone(), leaves);
-        retune_rmi(&shard, self.leaf_fraction, self.retune.as_ref(), cascade).0
+        retune_rmi(
+            &shard,
+            self.leaf_fraction,
+            self.retune.as_ref(),
+            RmiConfig::corridor,
+        )
+        .0
     }
 }
 

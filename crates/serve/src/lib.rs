@@ -6,12 +6,14 @@
 //! each served by whatever index backend fits it best, with concurrent
 //! batched reads and a snapshot-consistent write path.
 //!
-//! * [`ShardedIndex`] — the tentpole: partitions one [`KeyStore`] into
-//!   N `KeyStore::slice` views (no key copied), builds a pluggable
-//!   [`ShardBuilder`] backend per shard, and routes every lookup
+//! * [`ShardedIndex`] — the read-only index: partitions one [`KeyStore`]
+//!   into N `KeyStore::slice` views (no key copied), builds a pluggable
+//!   [`ShardBuilder`] backend per shard (under [`Backend::Rmi`], the
+//!   same ε-corridor a store shard's base is), and routes every lookup
 //!   through the [`ShardRouter`]. It implements [`RangeIndex`] itself,
 //!   so every existing harness and property suite works against it
-//!   unchanged.
+//!   unchanged. It is built, never saved: the store's snapshot is the
+//!   one file format.
 //! * [`ShardRouter`] — one `partition_point` over the shard boundary
 //!   keys (a learned line over them measured slower at every shard
 //!   count the store reaches).
@@ -40,11 +42,11 @@
 //!   shard becomes a B-Tree and a smooth one stays an RMI, per shard,
 //!   automatically. The write tier re-runs selection on every shard
 //!   rebuild; every decision is counted and traced.
-//! * [`persist`] — the persistence tier: save a trained
-//!   [`ShardedIndex`] or [`ShardedWritable`] to one page-aligned
-//!   snapshot file (coefficients + key payload, checksummed, published
-//!   atomically) and load it back with the key array **mapped** and
-//!   zero models retrained — a warm restart.
+//! * [`persist`] — the persistence tier: save a [`ShardedWritable`] to
+//!   one page-aligned snapshot file (coefficients + key payload + delta
+//!   buffers and sealed runs, checksummed, published atomically) and load
+//!   it back with the key array **mapped** and zero models retrained — a
+//!   warm restart.
 //! * [`RebalanceWorker`] — background maintenance: a dedicated thread
 //!   that runs the maintenance pass while attached, so inserts only
 //!   record pressure into lock-free counters and signal over a channel;
@@ -98,7 +100,7 @@ pub use persist::PersistError;
 pub use rebalance::{RebalanceAction, RebalanceConfig};
 pub use rebalance_worker::RebalanceWorker;
 pub use router::ShardRouter;
-pub use select::{choose, choose_multiset, AutoShardBuilder, Backend, BackendChoice};
+pub use select::{choose, choose_multiset, Backend, BackendChoice};
 pub use sharded::ShardedIndex;
 pub use sharded_writable::{
     RecoveryReport, ShardedSnapshot, ShardedWritable, ShardedWritableConfig,

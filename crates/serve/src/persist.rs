@@ -1,5 +1,5 @@
-//! Persistence: save a trained serving tier to one snapshot file and
-//! map it back in — a warm restart that never retrains.
+//! Persistence: save a [`ShardedWritable`] store to one snapshot file
+//! and map it back in — a warm restart that never retrains.
 //!
 //! The paper's cost model (§3.1) splits a learned index into the *key
 //! array* (big, dumb bytes) and the *model parameters* (a few
@@ -17,10 +17,9 @@
 //!  │ key payload                │   n_keys × u64, little-endian,
 //!  │                            │   globally sorted
 //!  ├────────────────────────────┤ 4096 + 8·n_keys
-//!  │ manifest                   │   shard topology + per-shard model
-//!  │                            │   coefficients + error envelopes
-//!  └────────────────────────────┘   (+ delta buffers & sealed run
-//!                                     stacks for the write path)
+//!  │ manifest                   │   store config + ownership bounds +
+//!  │                            │   per-shard model coefficients,
+//!  └────────────────────────────┘   delta buffer and sealed run stack
 //! ```
 //!
 //! * **Save** serializes coefficients ([`li_core::RmiParams`]) — never
@@ -34,10 +33,9 @@
 //! * **Load** maps the key payload (4096-byte alignment makes the u64
 //!   region directly reinterpretable — [`KeyStore::from_mapped`] is
 //!   zero-copy on 64-bit little-endian unix, decoded-copy elsewhere),
-//!   verifies all three checksums, rebuilds each shard's RMI from its saved
-//!   coefficients with [`Rmi::from_params`], and — for the write path —
-//!   restores the saved delta buffer and sealed run stack into a
-//!   fresh [`DeltaIndex`] ([`DeltaIndex::restore`],
+//!   verifies all three checksums, rebuilds each shard's base RMI from its
+//!   saved coefficients, and restores the saved delta buffer and sealed
+//!   run stack into a fresh [`DeltaIndex`] ([`DeltaIndex::restore`],
 //!   which proves every tier sorted and the tiers disjoint in one
 //!   linear pass before it assembles anything). Run fences are rebuilt
 //!   on load (like the B-Tree leaves they are structure, not trained
@@ -58,19 +56,16 @@
 //! [`crate::Backend::Rmi`] store fold into ε-corridors at the same leaf
 //! count. `save` always writes v5.
 //!
-//! The format covers every serving backend. Read-tier shards carry a
-//! one-byte backend tag: RMI shards (linear tops; hybrid B-Tree
-//! leaves included) store their coefficients, while the tree backends
-//! (B-Tree, interpolation B-Tree, FAST) store at most a page size —
-//! they are *structure*, rebuilt from the mapped key slices with zero
-//! training — so the mixed topologies [`crate::Backend::Auto`]
-//! produces round-trip backend-for-backend. Write-tier shards persist
-//! their [`RmiConfig`] (which carries an Auto-selected hybrid
-//! materialization) next to each delta base, plus per-shard sealed run
-//! stacks for the tiered write path. Anything else — multivariate
-//! tops, backends outside the four above — gets a
-//! [`PersistError::Unsupported`], never a silently lossy file. The
-//! header also stamps the **snapshot LSN** —
+//! The store's snapshot is the one kind this module writes and reads
+//! (header `kind` 2; any other kind is a [`PersistError::Format`]).
+//! Every shard persists its [`RmiConfig`] (which carries a
+//! [`crate::Backend::Auto`]-selected hybrid materialization, so the
+//! mixed topologies Auto produces round-trip shard for shard) next to
+//! its base's coefficients — hybrid B-Tree leaves store only their
+//! offset, length and page size, and are rebuilt from the mapped keys —
+//! plus its delta buffer and sealed run stack. A multivariate or MLP top
+//! gets a [`PersistError::Unsupported`], never a silently lossy file.
+//! The header also stamps the **snapshot LSN** —
 //! the last [`crate::wal::Wal`] record the snapshot covers — into the
 //! header, so [`ShardedWritable::recover`] knows exactly which log
 //! suffix is still live (see `crate::wal` and ARCHITECTURE.md
@@ -83,18 +78,15 @@ use std::sync::Arc;
 
 use li_core::delta::DeltaIndex;
 use li_core::rmi::{
-    CascadeParams, CorridorParams, LeafLayout, LeafModelParams, LeafParams, Rmi, RmiConfig,
-    RmiParams, Segment, TopModel,
+    CascadeParams, CorridorParams, LeafLayout, LeafModelParams, LeafParams, RmiConfig, RmiParams,
+    Segment, TopModel,
 };
 use li_core::SearchStrategy;
 use li_index::{KeyStore, MappedFile, RangeIndex};
 
-use li_btree::{BTreeIndex, FastTree, InterpBTree};
-
 use crate::builder::RetunePolicy;
 use crate::rebalance::RebalanceConfig;
 use crate::select::Backend;
-use crate::sharded::ShardedIndex;
 use crate::sharded_writable::{ShardedWritable, ShardedWritableConfig};
 use crate::writable::WritableShard;
 
@@ -120,10 +112,10 @@ const VERSION: u32 = 5;
 /// Never written.
 const V3: u32 = 3;
 
-/// `kind` field: a read-only [`ShardedIndex`] snapshot.
-const KIND_SHARDED_INDEX: u32 = 1;
-/// `kind` field: a [`ShardedWritable`] snapshot (bases + delta buffers).
-const KIND_SHARDED_WRITABLE: u32 = 2;
+/// `kind` field: a [`ShardedWritable`] snapshot (bases + delta buffers),
+/// the one kind written and read. Kind 1, a read-only index's snapshot
+/// in an earlier format, fails the kind check.
+const KIND: u32 = 2;
 
 /// Why a save or load failed.
 #[derive(Debug)]
@@ -134,8 +126,8 @@ pub enum PersistError {
     /// checksum mismatch, inconsistent topology…).
     Format(String),
     /// The structure (or file) uses a feature the snapshot format
-    /// cannot carry, e.g. a non-RMI shard backend, a multivariate/MLP
-    /// top model, or a format version this build does not read.
+    /// cannot carry, e.g. a multivariate/MLP top model, or a format
+    /// version this build does not read.
     Unsupported(String),
 }
 
@@ -291,10 +283,6 @@ impl Enc {
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
     }
-    fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
     /// A key array: its length, then the keys.
     fn keys(&mut self, keys: &[u64]) {
         self.usize(keys.len());
@@ -360,10 +348,6 @@ impl<'a> Dec<'a> {
             return Err(format_err("count exceeds manifest size"));
         }
         Ok(n)
-    }
-    fn str(&mut self) -> Result<String, PersistError> {
-        let n = self.count(1)?;
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| format_err("non-UTF-8 string"))
     }
     /// A length-prefixed key array ([`Enc::keys`]), decoded in one pass.
     fn keys(&mut self) -> Result<Vec<u64>, PersistError> {
@@ -742,18 +726,12 @@ fn le_key_bytes(chunks: &[&[u64]]) -> Vec<u8> {
 /// no WAL attached. Header bytes 0..56 are themselves checksummed
 /// (bytes 56..64), so a flipped LSN byte is rejected, not replayed
 /// around.
-fn publish(
-    path: &Path,
-    kind: u32,
-    lsn: u64,
-    key_bytes: &[u8],
-    manifest: &[u8],
-) -> Result<(), PersistError> {
+fn publish(path: &Path, lsn: u64, key_bytes: &[u8], manifest: &[u8]) -> Result<(), PersistError> {
     debug_assert!(key_bytes.len().is_multiple_of(8));
     let mut header = vec![0u8; HEADER_LEN];
     header[0..8].copy_from_slice(&MAGIC);
     header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&kind.to_le_bytes());
+    header[12..16].copy_from_slice(&KIND.to_le_bytes());
     header[16..24].copy_from_slice(&((key_bytes.len() / 8) as u64).to_le_bytes());
     header[24..32].copy_from_slice(&(manifest.len() as u64).to_le_bytes());
     header[32..40].copy_from_slice(&checksum(VERSION, key_bytes).to_le_bytes());
@@ -800,7 +778,7 @@ impl Verified {
 
 /// Open a snapshot and verify every header field and all three
 /// checksums (header, key payload, manifest).
-fn open_verified(path: &Path, expect_kind: u32) -> Result<Verified, PersistError> {
+fn open_verified(path: &Path) -> Result<Verified, PersistError> {
     let region = Arc::new(MappedFile::open(path)?);
     let bytes = region.bytes();
     if bytes.len() < HEADER_LEN {
@@ -820,10 +798,8 @@ fn open_verified(path: &Path, expect_kind: u32) -> Result<Verified, PersistError
         return Err(format_err("header checksum mismatch"));
     }
     let kind = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    if kind != expect_kind {
-        return Err(format_err(format!(
-            "snapshot kind {kind}, expected {expect_kind}"
-        )));
+    if kind != KIND {
+        return Err(format_err(format!("snapshot kind {kind}, expected {KIND}")));
     }
     let n_keys = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
     let manifest_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
@@ -861,157 +837,11 @@ fn open_verified(path: &Path, expect_kind: u32) -> Result<Verified, PersistError
     })
 }
 
-/// Per-shard backend tags in a [`ShardedIndex`] snapshot manifest.
-/// These match [`crate::BackendChoice::code`] for the families the
-/// adaptive selector emits.
-const SHARD_TAG_RMI: u8 = 0;
-const SHARD_TAG_BTREE: u8 = 1;
-const SHARD_TAG_INTERP: u8 = 2;
-const SHARD_TAG_FAST: u8 = 3;
-
-/// Decode and bounds-check a tree backend's page size: the constructors
-/// assert `>= 2`, and a corrupt manifest must become a typed error, not
-/// a panic (or an absurd allocation) inside them.
-fn decode_page_size(dec: &mut Dec<'_>) -> Result<usize, PersistError> {
-    let page_size = dec.usize()?;
-    if !(2..=1 << 20).contains(&page_size) {
-        return Err(format_err(format!("bad shard page size {page_size}")));
-    }
-    Ok(page_size)
-}
-
 fn check_sorted_unique(keys: &[u64], what: &str) -> Result<(), PersistError> {
     if keys.windows(2).all(|w| w[0] < w[1]) {
         Ok(())
     } else {
         Err(format_err(format!("{what} must be sorted and unique")))
-    }
-}
-
-// ---------------------------------------------------------------------
-// ShardedIndex save / load
-// ---------------------------------------------------------------------
-
-impl ShardedIndex {
-    /// Save a snapshot of this index to `path` (atomic: tmp + file
-    /// fsync + rename + directory fsync).
-    ///
-    /// Every shard records a one-byte backend tag followed by that
-    /// backend's parameters: RMI shards (tag 0) store their model
-    /// coefficients; B-Tree (1) and interpolation B-Tree (2) shards
-    /// store only their page size and FAST shards (3) nothing at all —
-    /// the tree backends are *structural* over the key payload, so the
-    /// load path rebuilds them from the mapped key slices without
-    /// training anything. Mixed topologies (what [`crate::Backend::Auto`]
-    /// produces) round-trip backend-for-backend.
-    ///
-    /// RMI shards must have a linear top (the serving default), and
-    /// every backend must be one of the four above; anything else
-    /// returns [`PersistError::Unsupported`] — the format stores
-    /// parameters, not arbitrary structures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let (store, offsets, backend_name, shards) = self.persist_parts();
-        let mut enc = Enc::default();
-        enc.str(backend_name);
-        enc.usize(shards.len());
-        for &o in offsets {
-            enc.usize(o);
-        }
-        for (i, shard) in shards.iter().enumerate() {
-            let any = shard.as_any().ok_or_else(|| {
-                PersistError::Unsupported(format!(
-                    "shard {i} backend ({}) does not expose its concrete type",
-                    shard.name()
-                ))
-            })?;
-            if let Some(rmi) = any.downcast_ref::<Rmi>() {
-                enc.u8(SHARD_TAG_RMI);
-                let params = rmi.to_params().ok_or_else(|| {
-                    PersistError::Unsupported(format!(
-                        "shard {i} uses a multivariate/MLP top; \
-                         the format persists linear tops only"
-                    ))
-                })?;
-                encode_rmi_params(&mut enc, &params);
-            } else if let Some(btree) = any.downcast_ref::<BTreeIndex>() {
-                enc.u8(SHARD_TAG_BTREE);
-                enc.usize(btree.page_size());
-            } else if let Some(interp) = any.downcast_ref::<InterpBTree>() {
-                enc.u8(SHARD_TAG_INTERP);
-                enc.usize(interp.page_size());
-            } else if any.downcast_ref::<FastTree>().is_some() {
-                enc.u8(SHARD_TAG_FAST);
-            } else {
-                return Err(PersistError::Unsupported(format!(
-                    "shard {i} backend ({}) is not a persistable type \
-                     (RMI, B-Tree, interpolation B-Tree or FAST)",
-                    shard.name()
-                )));
-            }
-        }
-        publish(
-            path.as_ref(),
-            KIND_SHARDED_INDEX,
-            0, // read-only tier: no WAL, LSN 0
-            &le_key_bytes(&[store.as_slice()]),
-            &enc.buf,
-        )
-    }
-
-    /// Load a snapshot saved by [`ShardedIndex::save`]: map the key
-    /// payload (zero-copy where the platform allows), rebuild each
-    /// shard's RMI from its saved coefficients, refit the router over
-    /// the boundary keys. **No retraining** — [`li_core::train_count`]
-    /// does not move across a load.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, PersistError> {
-        let file = open_verified(path.as_ref(), KIND_SHARDED_INDEX)?;
-        let n_keys = file.n_keys;
-        let store = KeyStore::from_mapped(&file.region, HEADER_LEN, n_keys)?;
-        check_sorted_unique(store.as_slice(), "key payload")?;
-        let mut dec = file.manifest();
-        let backend_name = dec.str()?;
-        let shard_count = dec.count(8)?;
-        if shard_count == 0 {
-            return Err(format_err("snapshot declares zero shards"));
-        }
-        let mut offsets = Vec::with_capacity(shard_count + 1);
-        for _ in 0..=shard_count {
-            offsets.push(dec.usize()?);
-        }
-        if offsets.first() != Some(&0)
-            || offsets.last() != Some(&n_keys)
-            || offsets.windows(2).any(|w| w[0] > w[1])
-        {
-            return Err(format_err("shard offsets do not partition the keys"));
-        }
-        let mut shards: Vec<Box<dyn RangeIndex>> = Vec::with_capacity(shard_count);
-        for w in offsets.windows(2) {
-            let tag = dec.u8()?;
-            let slice = store.slice(w[0]..w[1]);
-            let shard: Box<dyn RangeIndex> = match tag {
-                SHARD_TAG_RMI => {
-                    let params = decode_rmi_params(&mut dec)?;
-                    Box::new(Rmi::from_params(slice, &params).ok_or_else(|| {
-                        format_err("shard parameters inconsistent with its key range")
-                    })?)
-                }
-                SHARD_TAG_BTREE => Box::new(BTreeIndex::new(slice, decode_page_size(&mut dec)?)),
-                SHARD_TAG_INTERP => Box::new(InterpBTree::with_page_size(
-                    slice,
-                    decode_page_size(&mut dec)?,
-                )),
-                SHARD_TAG_FAST => Box::new(FastTree::new(slice)),
-                t => return Err(format_err(format!("bad shard backend tag {t}"))),
-            };
-            shards.push(shard);
-        }
-        dec.finish()?;
-        Ok(ShardedIndex::from_loaded(
-            store,
-            offsets,
-            shards,
-            backend_name,
-        ))
     }
 }
 
@@ -1090,19 +920,14 @@ impl ShardedWritable {
             chunks.push(base_keys);
             base_offset += base_keys.len();
         }
-        publish(
-            path,
-            KIND_SHARDED_WRITABLE,
-            lsn,
-            &le_key_bytes(&chunks),
-            &enc.buf,
-        )
+        publish(path, lsn, &le_key_bytes(&chunks), &enc.buf)
     }
 
     /// Load a snapshot saved by [`ShardedWritable::save`]: map the key
     /// payload, rebuild every shard base from its saved coefficients
-    /// ([`Rmi::from_params`] — no retraining), and **replay each saved
-    /// delta buffer and sealed run stack** into a fresh `DeltaIndex`,
+    /// ([`li_core::rmi::Rmi::from_params`] — no retraining), and
+    /// **replay each saved delta buffer and sealed run stack** into a
+    /// fresh `DeltaIndex`,
     /// so pending inserts survive the restart without having been
     /// merged or compacted. Run fences are rebuilt in O(run) —
     /// [`li_core::train_count`] stays flat across a load.
@@ -1114,7 +939,7 @@ impl ShardedWritable {
     /// — the recovery path needs it to know which WAL records the
     /// snapshot already covers.
     pub(crate) fn load_with_lsn(path: &Path) -> Result<(Self, u64), PersistError> {
-        let file = open_verified(path, KIND_SHARDED_WRITABLE)?;
+        let file = open_verified(path)?;
         let n_keys = file.n_keys;
         let mut dec = file.manifest();
         let config = decode_sw_config(&mut dec)?;
@@ -1179,7 +1004,6 @@ impl ShardedWritable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{BTreeShardBuilder, RmiShardBuilder};
     use li_core::train_count;
 
     fn tmp_path(name: &str) -> std::path::PathBuf {
@@ -1222,35 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_round_trips_without_retraining() {
-        let path = tmp_path("si-roundtrip.lidx");
-        let _guard = Cleanup(path.clone());
-        let data: Vec<u64> = (0..5000u64).map(|i| i * 7 + (i % 3)).collect();
-        let idx = ShardedIndex::build(data.clone(), 6, &RmiShardBuilder::new());
-        idx.save(&path).unwrap();
-
-        let before = train_count();
-        let loaded = ShardedIndex::load(&path).unwrap();
-        assert_eq!(train_count(), before, "load must not train any model");
-
-        assert_eq!(loaded.shard_count(), 6);
-        assert_eq!(loaded.name(), idx.name());
-        for q in data
-            .iter()
-            .flat_map(|&k| [k.saturating_sub(1), k, k + 1])
-            .take(3000)
-        {
-            assert_eq!(loaded.lower_bound(q), idx.lower_bound(q), "q={q}");
-        }
-        // Zero-copy on the load side: every shard shares the mapped
-        // region with the top-level store.
-        let store = loaded.key_store();
-        for s in 0..loaded.shard_count() {
-            assert!(loaded.shard(s).key_store().ptr_eq(store), "shard {s}");
-        }
-    }
-
-    #[test]
     fn sharded_writable_round_trips_with_pending_deltas() {
         let path = tmp_path("sw-roundtrip.lidx");
         let _guard = Cleanup(path.clone());
@@ -1286,21 +1081,20 @@ mod tests {
     fn corrupt_and_mismatched_files_are_rejected() {
         let path = tmp_path("corrupt.lidx");
         let _guard = Cleanup(path.clone());
-        let idx = ShardedIndex::build((0..512u64).collect::<Vec<_>>(), 2, &RmiShardBuilder::new());
-        idx.save(&path).unwrap();
-
-        // Wrong kind.
-        assert!(matches!(
-            ShardedWritable::load(&path),
-            Err(PersistError::Format(_))
-        ));
+        let sw = ShardedWritable::new(
+            (0..512u64).map(|i| i * 2).collect::<Vec<_>>(),
+            2,
+            ShardedWritableConfig::default(),
+        );
+        sw.insert(1);
+        sw.save(&path).unwrap();
 
         // Flip one key byte: the checksum must catch it.
         let mut bytes = fs::read(&path).unwrap();
         bytes[HEADER_LEN + 100] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            ShardedIndex::load(&path),
+            ShardedWritable::load(&path),
             Err(PersistError::Format(_))
         ));
 
@@ -1308,119 +1102,15 @@ mod tests {
         bytes.truncate(bytes.len() - 9);
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            ShardedIndex::load(&path),
+            ShardedWritable::load(&path),
             Err(PersistError::Format(_))
         ));
 
         // Not a snapshot at all.
         fs::write(&path, b"hello world, definitely not an index").unwrap();
         assert!(matches!(
-            ShardedIndex::load(&path),
+            ShardedWritable::load(&path),
             Err(PersistError::Format(_))
         ));
-    }
-
-    #[test]
-    fn btree_backends_round_trip_structurally() {
-        let path = tmp_path("btree-backend.lidx");
-        let _guard = Cleanup(path.clone());
-        let idx = ShardedIndex::build(
-            (0..256u64).collect::<Vec<_>>(),
-            2,
-            &BTreeShardBuilder::new(32),
-        );
-        idx.save(&path).unwrap();
-        let before = li_core::train_count();
-        let loaded = ShardedIndex::load(&path).unwrap();
-        // Tree shards are rebuilt structurally — nothing trains.
-        assert_eq!(li_core::train_count(), before);
-        for s in 0..2 {
-            assert_eq!(loaded.shard(s).name(), idx.shard(s).name());
-        }
-        for k in 0..256u64 {
-            assert_eq!(loaded.lower_bound(k), k as usize);
-        }
-    }
-
-    /// A backend the format cannot carry (no `as_any` downcast hook):
-    /// save must refuse with a typed error, never write a lossy file.
-    struct OpaqueBackend(KeyStore);
-    impl RangeIndex for OpaqueBackend {
-        fn key_store(&self) -> &KeyStore {
-            &self.0
-        }
-        fn predict(&self, _key: u64) -> li_index::Prediction {
-            li_index::Prediction {
-                pos: 0,
-                lo: 0,
-                hi: self.0.len(),
-            }
-        }
-        fn lower_bound(&self, key: u64) -> usize {
-            self.0.as_slice().partition_point(|&k| k < key)
-        }
-        fn size_bytes(&self) -> usize {
-            0
-        }
-        fn name(&self) -> String {
-            "opaque".into()
-        }
-    }
-    struct OpaqueBuilder;
-    impl crate::builder::ShardBuilder for OpaqueBuilder {
-        fn build(&self, shard: KeyStore) -> Box<dyn RangeIndex> {
-            Box::new(OpaqueBackend(shard))
-        }
-        fn name(&self) -> String {
-            "opaque".into()
-        }
-    }
-
-    #[test]
-    fn unknown_backends_are_unsupported_not_lossy() {
-        let path = tmp_path("opaque-backend.lidx");
-        let _guard = Cleanup(path.clone());
-        let idx = ShardedIndex::build((0..256u64).collect::<Vec<_>>(), 2, &OpaqueBuilder);
-        let err = idx.save(&path).unwrap_err();
-        assert!(matches!(err, PersistError::Unsupported(_)), "{err}");
-        assert!(!path.exists(), "a failed save must not leave a file");
-    }
-
-    /// RMI shards with hybrid B-Tree leaves enabled — exercises the
-    /// `LeafModelParams::BTree` encoding.
-    struct HybridBuilder;
-    impl crate::builder::ShardBuilder for HybridBuilder {
-        fn build(&self, shard: KeyStore) -> Box<dyn RangeIndex> {
-            let mut cfg = RmiConfig::two_stage(TopModel::Linear, (shard.len() / 64).max(1));
-            cfg.hybrid_threshold = Some(2);
-            cfg.hybrid_page_size = 16;
-            Box::new(Rmi::build(shard, &cfg))
-        }
-        fn name(&self) -> String {
-            "hybrid-test".into()
-        }
-    }
-
-    #[test]
-    fn hybrid_btree_leaves_survive_the_round_trip() {
-        let path = tmp_path("hybrid.lidx");
-        let _guard = Cleanup(path.clone());
-        // A nastily clustered keyset + a tight hybrid threshold forces
-        // some B-Tree leaves; their structure must be rebuilt from the
-        // mapped keys on load.
-        let mut data: Vec<u64> = Vec::new();
-        for c in 0..64u64 {
-            let base = c * c * c * 1000;
-            data.extend((0..32u64).map(|i| base + i));
-        }
-        data.sort_unstable();
-        data.dedup();
-        let idx = ShardedIndex::build(data.clone(), 3, &HybridBuilder);
-        idx.save(&path).unwrap();
-        let loaded = ShardedIndex::load(&path).unwrap();
-        for &k in data.iter().step_by(11) {
-            assert_eq!(loaded.lower_bound(k), idx.lower_bound(k), "k={k}");
-            assert_eq!(loaded.lower_bound(k + 1), idx.lower_bound(k + 1));
-        }
     }
 }

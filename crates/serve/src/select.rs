@@ -25,7 +25,7 @@
 //! lets the selection-pinning tests freeze the policy.
 //!
 //! Keysets with duplicate keys never reach the probe: the RMI input
-//! contract is sorted *unique* keys, so [`AutoShardBuilder`] scans for
+//! contract is sorted *unique* keys, so [`Backend::Auto`] scans for
 //! adjacent duplicates first and routes multiset shards straight to the
 //! FAST-style tree — the one backend that is exact on duplicates.
 //!
@@ -35,14 +35,11 @@
 //! whose leaves are all B-Tree pages at the chosen page size —
 //! structurally a paged tree, administratively still an `Rmi`.
 
-use std::sync::Arc;
-
 use li_btree::{BTreeIndex, FastTree, InterpBTree};
 use li_core::rmi::{Rmi, RmiConfig, RmiStats, TopModel};
 use li_index::{KeyStore, RangeIndex};
 
 use crate::builder::{retune_rmi, RetunePolicy, ShardBuilder};
-use crate::obs::{events, ServeMetrics};
 
 /// The backend (plus tuning) selected for one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,98 +262,28 @@ pub(crate) fn train_selected(
     (hybrid, hcfg, choice)
 }
 
-/// Adaptive shard builder: probes each shard with a retuned RMI, grid-
-/// searches the backend candidates over the probe's statistics, and
-/// builds the winner. Multiset shards (adjacent duplicate keys) skip
-/// the probe — the RMI contract is unique keys — and go straight to the
-/// duplicate-exact FAST-style tree.
-///
-/// With [`AutoShardBuilder::with_metrics`], every decision increments
-/// `li_backend_selections_total` and records a
-/// [`BACKEND_SELECT`](crate::obs::events::BACKEND_SELECT) event
-/// carrying the chosen family code and the shard's key count.
-#[derive(Clone, Default)]
-pub struct AutoShardBuilder {
-    leaf_fraction: f64,
-    retune: RetunePolicy,
-    metrics: Option<Arc<ServeMetrics>>,
-}
-
-impl AutoShardBuilder {
-    /// Selector with the workspace's default probe density (1 leaf per
-    /// ~200 keys) and retune policy.
-    pub fn new() -> Self {
-        Self {
-            leaf_fraction: 1.0 / 200.0,
-            retune: RetunePolicy::default(),
-            metrics: None,
-        }
-    }
-
-    /// Record every selection into `metrics` (counter + event).
-    pub fn with_metrics(mut self, metrics: Arc<ServeMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Decide (without building) which backend this shard gets.
-    pub fn decide(&self, shard: &KeyStore) -> BackendChoice {
-        if shard.windows(2).any(|w| w[0] == w[1]) {
-            return choose_multiset(shard.len());
-        }
-        let (rmi, _) = retune_rmi(shard, self.leaf_fraction, Some(&self.retune), cascade);
-        choose(rmi.stats())
-    }
-
-    fn record(&self, choice: BackendChoice, keys: usize) {
-        if let Some(m) = &self.metrics {
-            m.backend_selections.incr();
-            m.event(events::BACKEND_SELECT, choice.code(), keys as u64);
-        }
-    }
-}
-
-impl std::fmt::Debug for AutoShardBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AutoShardBuilder")
-            .field("leaf_fraction", &self.leaf_fraction)
-            .field("observed", &self.metrics.is_some())
-            .finish()
-    }
-}
-
-impl ShardBuilder for AutoShardBuilder {
-    fn build(&self, shard: KeyStore) -> Box<dyn RangeIndex> {
-        if shard.windows(2).any(|w| w[0] == w[1]) {
-            // Multiset shard: the RMI probe contract (sorted unique)
-            // rules the whole learned family out; grid-search the
-            // duplicate-safe trees instead.
-            let choice = choose_multiset(shard.len());
-            self.record(choice, shard.len());
-            return match choice {
-                BackendChoice::BTree { page_size } => Box::new(BTreeIndex::new(shard, page_size)),
-                BackendChoice::Interp { page_size } => {
-                    Box::new(InterpBTree::with_page_size(shard, page_size))
-                }
-                _ => Box::new(FastTree::new(shard)),
-            };
-        }
-        let (rmi, _) = retune_rmi(&shard, self.leaf_fraction, Some(&self.retune), cascade);
-        let choice = choose(rmi.stats());
-        self.record(choice, shard.len());
-        match choice {
+/// [`Backend::Auto`]'s build: probe the shard with a retuned RMI at the
+/// workspace's default density (1 leaf per ~200 keys), grid-search the
+/// backend candidates over the probe's statistics, and build the winner.
+/// Multiset shards (adjacent duplicate keys) skip the probe — the RMI
+/// contract is unique keys — and go to the cheapest duplicate-safe tree.
+fn build_auto(shard: KeyStore) -> Box<dyn RangeIndex> {
+    let choice = if shard.windows(2).any(|w| w[0] == w[1]) {
+        choose_multiset(shard.len())
+    } else {
+        let (rmi, _) = retune_rmi(&shard, 1.0 / 200.0, Some(&RetunePolicy::default()), cascade);
+        match choose(rmi.stats()) {
             // Reuse the probe: it already owns the shard slice.
-            BackendChoice::Rmi => Box::new(rmi),
-            BackendChoice::BTree { page_size } => Box::new(BTreeIndex::new(shard, page_size)),
-            BackendChoice::Interp { page_size } => {
-                Box::new(InterpBTree::with_page_size(shard, page_size))
-            }
-            BackendChoice::Fast => Box::new(FastTree::new(shard)),
+            BackendChoice::Rmi => return Box::new(rmi),
+            tree => tree,
         }
-    }
-
-    fn name(&self) -> String {
-        "auto".to_string()
+    };
+    match choice {
+        BackendChoice::BTree { page_size } => Box::new(BTreeIndex::new(shard, page_size)),
+        BackendChoice::Interp { page_size } => {
+            Box::new(InterpBTree::with_page_size(shard, page_size))
+        }
+        BackendChoice::Rmi | BackendChoice::Fast => Box::new(FastTree::new(shard)),
     }
 }
 
@@ -381,8 +308,8 @@ impl ShardBuilder for AutoShardBuilder {
 pub enum Backend {
     /// Per-shard adaptive selection (probe → grid-search → build).
     Auto,
-    /// Retuned RMI on every shard: a two-stage cascade in a
-    /// `ShardedIndex`, an ε-corridor base in a `ShardedWritable`.
+    /// Retuned ε-corridor RMI on every shard, in a `ShardedIndex` and
+    /// as a `ShardedWritable`'s base alike.
     #[default]
     Rmi,
     /// Cache-optimized B-Tree, page size 128, on every shard.
@@ -426,7 +353,7 @@ impl Backend {
 impl ShardBuilder for Backend {
     fn build(&self, shard: KeyStore) -> Box<dyn RangeIndex> {
         match self {
-            Backend::Auto => AutoShardBuilder::new().build(shard),
+            Backend::Auto => build_auto(shard),
             Backend::Rmi => crate::builder::RmiShardBuilder::new()
                 .with_retune(RetunePolicy::default())
                 .build(shard),
@@ -508,35 +435,12 @@ mod tests {
     #[test]
     fn duplicate_shards_route_to_fast_without_probing() {
         let keys = Gauntlet::HeavyDup.generate(5_000, 9);
-        let builder = AutoShardBuilder::new();
-        assert_eq!(
-            builder.decide(&KeyStore::new(keys.clone())),
-            BackendChoice::Fast
-        );
+        assert_eq!(choose_multiset(keys.len()), BackendChoice::Fast);
         let before = li_core::train_count();
-        let idx = builder.build(KeyStore::new(keys));
+        let idx = Backend::Auto.build(KeyStore::new(keys));
         // No probe RMI was trained for the multiset shard.
         assert_eq!(li_core::train_count(), before);
         assert_eq!(idx.name(), "fast");
-    }
-
-    #[test]
-    fn auto_builder_records_selection_events() {
-        let metrics = Arc::new(ServeMetrics::new());
-        let builder = AutoShardBuilder::new().with_metrics(Arc::clone(&metrics));
-        let keys: Vec<u64> = (0..50_000u64).map(|i| i * 3).collect();
-        let _ = builder.build(KeyStore::new(keys));
-        let snap = metrics.registry().snapshot();
-        assert_eq!(snap.counter("li_backend_selections_total"), Some(1));
-        let events: Vec<_> = snap
-            .ring("li_events")
-            .unwrap()
-            .iter()
-            .filter(|e| e.kind == events::BACKEND_SELECT)
-            .collect();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].a, BackendChoice::Rmi.code());
-        assert_eq!(events[0].b, 50_000);
     }
 
     #[test]

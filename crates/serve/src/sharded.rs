@@ -78,46 +78,6 @@ impl ShardedIndex {
         &self.router
     }
 
-    /// Everything the persistence layer needs to describe this index:
-    /// the shared store, the shard offsets, the backend name, and the
-    /// shard backends themselves (for parameter extraction).
-    pub(crate) fn persist_parts(&self) -> (&KeyStore, &[usize], &str, &[Box<dyn RangeIndex>]) {
-        (&self.store, &self.offsets, &self.backend_name, &self.shards)
-    }
-
-    /// Reassemble from loaded parts — the persistence load path, where
-    /// the shard backends were rebuilt from saved parameters over
-    /// slices of `store` with no retraining. The router is refit from
-    /// the boundary keys (cheap: one tiny least-squares over
-    /// `shard_count - 1` keys, not a model retrain).
-    ///
-    /// # Panics
-    /// If `offsets` is not a valid partition of `store` into
-    /// `shards.len()` pieces.
-    pub(crate) fn from_loaded(
-        store: KeyStore,
-        offsets: Vec<usize>,
-        shards: Vec<Box<dyn RangeIndex>>,
-        backend_name: String,
-    ) -> Self {
-        assert_eq!(offsets.len(), shards.len() + 1, "torn shard partition");
-        assert_eq!(offsets.first(), Some(&0), "partition must start at 0");
-        assert_eq!(
-            offsets.last(),
-            Some(&store.len()),
-            "partition must cover the store"
-        );
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "unsorted offsets");
-        let router = ShardRouter::new(boundaries(&store, &offsets));
-        Self {
-            store,
-            offsets,
-            router,
-            shards,
-            backend_name,
-        }
-    }
-
     /// Batched lookup fanned out across `threads` scoped threads, each
     /// running the bucketed [`RangeIndex::lower_bound_batch`] on a
     /// contiguous sub-batch. Results are identical to the sequential
@@ -342,6 +302,19 @@ mod tests {
         assert!(idx.size_bytes() > 0);
         // Size excludes the key data (RangeIndex contract).
         assert!(idx.size_bytes() < 10_000 * 8);
+    }
+
+    #[test]
+    fn rmi_backend_shards_are_corridors() {
+        let data: Vec<u64> = (0..20_000u64).map(|i| i * i).collect();
+        let idx = ShardedIndex::build(data.clone(), 4, &crate::Backend::Rmi);
+        for s in 0..idx.shard_count() {
+            let name = idx.shard(s).name();
+            assert!(name.starts_with("rmi(corridor"), "shard {s}: {name}");
+        }
+        for q in probes(&data) {
+            assert_eq!(idx.lower_bound(q), oracle(&data, q), "q={q}");
+        }
     }
 
     #[test]

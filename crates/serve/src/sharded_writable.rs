@@ -211,13 +211,13 @@ impl ShardedWritableConfig {
     }
 }
 
-/// One immutable shard topology: ownership bounds, the router over
-/// them, and the shard handles. Published atomically as a whole —
-/// readers and writers always see bounds, router and shards that agree.
+/// One immutable shard topology: the router over the ownership bounds,
+/// and the shard handles. Published atomically as a whole — readers and
+/// writers always see a router and shards that agree.
 #[derive(Debug)]
 struct Topology {
-    /// Ownership-range lower bounds of shards `1..N` (sorted).
-    bounds: Vec<u64>,
+    /// Its boundaries are the ownership-range lower bounds of shards
+    /// `1..N` (sorted).
     router: ShardRouter,
     shards: Vec<Arc<WritableShard>>,
     /// Bumped on every rebalance publication.
@@ -351,16 +351,14 @@ impl ShardedWritable {
         let store: KeyStore = data.into();
         let n = shards.clamp(1, store.len().max(1));
         let offsets = even_offsets(store.len(), n);
-        let bounds = boundaries(&store, &offsets);
         let shard_vec: Vec<Arc<WritableShard>> = offsets
             .windows(2)
             .map(|w| Arc::new(build_retuned_shard(store.slice(w[0]..w[1]), &config, &obs)))
             .collect();
-        let router = ShardRouter::new(bounds.clone());
+        let router = ShardRouter::new(boundaries(&store, &offsets));
         Self {
             id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             topo: RwLock::new(Arc::new(Topology {
-                bounds,
                 router,
                 shards: shard_vec,
                 generation: 0,
@@ -901,7 +899,7 @@ impl ShardedWritable {
     /// Current ownership boundary keys (one per shard beyond the
     /// first).
     pub fn bounds(&self) -> Vec<u64> {
-        self.topo_guard().bounds.clone()
+        self.topo_guard().router.boundaries().to_vec()
     }
 
     /// Topology generation: bumped on every published rebalance.
@@ -1301,15 +1299,15 @@ impl ShardedWritable {
     pub(crate) fn persist_parts(&self) -> (Vec<u64>, Vec<(DeltaSnapshot, RmiConfig, usize)>) {
         let guard = self.topo_guard();
         let states = guard.shards.iter().map(|s| s.persist_state()).collect();
-        (guard.bounds.clone(), states)
+        (guard.router.boundaries().to_vec(), states)
     }
 
     /// Reassemble a structure from loaded state: per-shard
     /// [`WritableShard`]s already populated with their trained bases
     /// and replayed deltas, plus the ownership bounds they were saved
-    /// under. The router is refit over the bounds (a cheap O(shards)
-    /// linear fit — not model retraining); counters restart at zero and
-    /// the generation at 0, matching a fresh build.
+    /// under. The router is built over the bounds (no model is
+    /// trained); counters restart at zero and the generation at 0,
+    /// matching a fresh build.
     pub(crate) fn from_loaded(
         bounds: Vec<u64>,
         shards: Vec<Arc<WritableShard>>,
@@ -1321,12 +1319,10 @@ impl ShardedWritable {
         for shard in &shards {
             shard.attach_obs(Arc::clone(&obs));
         }
-        let router = ShardRouter::new(bounds.clone());
         Self {
             id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
             topo: RwLock::new(Arc::new(Topology {
-                bounds,
-                router,
+                router: ShardRouter::new(bounds),
                 shards,
                 generation: 0,
             })),
@@ -1673,14 +1669,13 @@ fn split_topology(
     left: Arc<WritableShard>,
     right: Arc<WritableShard>,
 ) -> Topology {
-    let mut bounds = topo.bounds.clone();
+    let mut bounds = topo.router.boundaries().to_vec();
     bounds.insert(s, boundary);
     let mut shards = topo.shards.clone();
     shards[s] = left;
     shards.insert(s + 1, right);
     Topology {
-        router: ShardRouter::new(bounds.clone()),
-        bounds,
+        router: ShardRouter::new(bounds),
         shards,
         generation: topo.generation + 1,
     }
@@ -1689,14 +1684,13 @@ fn split_topology(
 /// The topology after merging shards `left_idx` and `left_idx + 1` into
 /// `merged`: boundary removed, router rebuilt, generation bumped.
 fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) -> Topology {
-    let mut bounds = topo.bounds.clone();
+    let mut bounds = topo.router.boundaries().to_vec();
     bounds.remove(left_idx);
     let mut shards = topo.shards.clone();
     shards[left_idx] = merged;
     shards.remove(left_idx + 1);
     Topology {
-        router: ShardRouter::new(bounds.clone()),
-        bounds,
+        router: ShardRouter::new(bounds),
         shards,
         generation: topo.generation + 1,
     }

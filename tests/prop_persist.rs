@@ -2,8 +2,8 @@
 //! pending-insert streams, `save → drop → load` must yield a structure
 //! observationally identical to the original (oracle equivalence for
 //! `contains`/`rank`/`range_keys` and `lower_bound`), with the load
-//! provably *not* retraining any model (`train_count` is flat) and the
-//! read tier serving its keys zero-copy from the mapped snapshot.
+//! provably *not* retraining any model (`train_count` is flat) and every
+//! shard base serving its keys zero-copy from the mapped snapshot.
 //! Corrupt files are rejected with an error — never a panic, never a
 //! silently wrong structure.
 
@@ -11,8 +11,7 @@ use std::collections::BTreeSet;
 
 use learned_indexes::rmi::{train_count, RmiParams};
 use learned_indexes::serve::{
-    PersistError, RangeIndex, RebalanceConfig, RmiShardBuilder, ShardedIndex, ShardedWritable,
-    ShardedWritableConfig,
+    Backend, PersistError, RangeIndex, RebalanceConfig, ShardedWritable, ShardedWritableConfig,
 };
 use proptest::prelude::*;
 
@@ -114,45 +113,9 @@ fn tiered_cfg() -> ShardedWritableConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Read tier: build → save → drop → load ≡ oracle, zero training,
-    /// mapped zero-copy backing.
-    #[test]
-    fn sharded_index_round_trip_is_oracle_equivalent(
-        keys in prop::collection::vec(any::<u64>(), 1..400),
-        shards in 1usize..6,
-    ) {
-        let path = tmp_path("si");
-        let _guard = Cleanup(path.clone());
-        let data = sorted_unique(keys);
-        let original = ShardedIndex::build(data.clone(), shards, &RmiShardBuilder::new());
-        original.save(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        drop(original);
-
-        let before = train_count();
-        let loaded = ShardedIndex::load(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(train_count(), before, "load must not train");
-
-        // Zero-copy witness: every shard shares the mapped region.
-        prop_assert!(loaded.key_store().is_mapped());
-        for s in 0..loaded.shard_count() {
-            prop_assert!(loaded.shard(s).key_store().ptr_eq(loaded.key_store()));
-        }
-
-        // Oracle equivalence around every key and the domain extremes.
-        let mut probes: Vec<u64> = vec![0, 1, u64::MAX - 1, u64::MAX];
-        probes.extend(data.iter().flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]));
-        for q in probes {
-            prop_assert_eq!(
-                loaded.lower_bound(q),
-                data.partition_point(|&k| k < q),
-                "q={}", q
-            );
-        }
-    }
-
     /// Write tier: build → insert (some pending) → save → drop → load ≡
-    /// oracle, zero training; pending deltas survive; the loaded
-    /// structure keeps accepting writes.
+    /// oracle, zero training, every base mapped zero-copy; pending deltas
+    /// survive; the loaded structure keeps accepting writes.
     #[test]
     fn sharded_writable_round_trip_is_oracle_equivalent(
         initial in prop::collection::vec(any::<u64>(), 0..200),
@@ -180,6 +143,11 @@ proptest! {
         let loaded = ShardedWritable::load(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(train_count(), before, "load must not train");
         prop_assert_eq!(base_params(&loaded), saved, "segments, ε and window round-trip");
+
+        // Zero-copy witness: every shard base serves from the mapped file.
+        for (s, shard) in loaded.snapshot().shard_snapshots().iter().enumerate() {
+            prop_assert!(shard.base_store().is_mapped(), "shard {} base was copied", s);
+        }
 
         prop_assert_eq!(loaded.len(), oracle.len());
         let mut want: Vec<u64> = oracle.iter().copied().collect();
@@ -250,18 +218,23 @@ proptest! {
         prop_assert_eq!(loaded.len(), oracle.len());
     }
 
-    /// Corruption: flipping any single byte of a valid snapshot makes
-    /// `load` return an error (checksums, magic, or structural checks)
-    /// — it must never panic and never produce a structure silently.
+    /// Corruption: flipping any single byte of a valid snapshot — one
+    /// whose shards hold a base, sealed runs and pending keys — makes
+    /// `load` return an error (checksums, magic, or structural checks):
+    /// it must never panic and never produce a structure silently.
     #[test]
     fn corrupting_any_byte_is_rejected_not_misloaded(
         flip_seed in any::<u64>(),
     ) {
         let path = tmp_path("corrupt");
         let _guard = Cleanup(path.clone());
-        let data: Vec<u64> = (0..256u64).map(|i| i * 3).collect();
-        let idx = ShardedIndex::build(data, 2, &RmiShardBuilder::new());
-        idx.save(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let sw = ShardedWritable::new((0..256u64).map(|i| i * 3).collect::<Vec<_>>(), 2, tiered_cfg());
+        // 40 keys into shard 0's 16-key buffer: two sealed runs, 8 pending.
+        for i in 0..40u64 {
+            prop_assert!(sw.insert(i * 3 + 1));
+        }
+        prop_assert_eq!((sw.run_count(), sw.pending()), (2, 8));
+        sw.save(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
 
         let mut bytes = std::fs::read(&path).unwrap();
         let pos = (flip_seed as usize) % bytes.len();
@@ -269,19 +242,25 @@ proptest! {
         bytes[pos] ^= bit;
         std::fs::write(&path, &bytes).unwrap();
 
-        match ShardedIndex::load(&path) {
+        match ShardedWritable::load(&path) {
             Err(_) => {} // rejected: good
             Ok(loaded) => {
                 // The only survivable flips are inside the header's
-                // zero padding (bytes 48..4096 are reserved); anywhere
-                // else must have been caught by a checksum.
+                // zero padding (bytes 64..4096 are reserved; bytes 0..56
+                // are checksummed into bytes 56..64); anywhere else must
+                // have been caught by a checksum.
                 prop_assert!(
-                    (48..4096).contains(&pos),
+                    (64..4096).contains(&pos),
                     "a flip at byte {} (outside the reserved padding) loaded successfully",
                     pos
                 );
                 // And even then the structure must answer correctly.
-                prop_assert_eq!(loaded.lower_bound(300), 100);
+                prop_assert_eq!(
+                    (loaded.run_count(), loaded.pending()),
+                    (sw.run_count(), sw.pending())
+                );
+                prop_assert_eq!(loaded.range_keys(0, u64::MAX), sw.range_keys(0, u64::MAX));
+                prop_assert_eq!(loaded.rank(300), sw.rank(300));
             }
         }
     }
@@ -360,47 +339,68 @@ fn corrupt_run_payload_is_rejected_with_a_typed_error() {
     }
 }
 
-/// Loading garbage, a truncated file, or a missing file is an error —
-/// and the error variants are the documented ones.
+/// Loading garbage, a file that is not a snapshot, or a missing file is
+/// an error — and the error variants are the documented ones.
 #[test]
 fn malformed_files_yield_typed_errors() {
     let path = tmp_path("malformed");
     let _guard = Cleanup(path.clone());
 
     assert!(matches!(
-        ShardedIndex::load(&path),
+        ShardedWritable::load(&path),
         Err(PersistError::Io(_))
     ));
 
     std::fs::write(&path, b"short").unwrap();
     assert!(matches!(
-        ShardedIndex::load(&path),
-        Err(PersistError::Format(_))
-    ));
-
-    let data: Vec<u64> = (0..128u64).collect();
-    let idx = ShardedIndex::build(data, 2, &RmiShardBuilder::new());
-    idx.save(&path).unwrap();
-    // Kind confusion: a read-tier snapshot is not a write-tier one.
-    assert!(matches!(
         ShardedWritable::load(&path),
         Err(PersistError::Format(_))
     ));
+
+    let sw = ShardedWritable::new((0..128u64).collect::<Vec<_>>(), 2, tiered_cfg());
+    sw.save(&path).unwrap();
+    // A full-size file whose magic is wrong is not a snapshot.
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[0] ^= 0x20;
+    std::fs::write(&path, &bytes).unwrap();
+    match ShardedWritable::load(&path) {
+        Err(PersistError::Format(msg)) => assert!(msg.contains("magic"), "{msg}"),
+        other => panic!("bad magic must be a Format error, got {:?}", other.err()),
+    }
 }
 
-/// Mixed-backend topologies (what `Backend::Auto` produces) round-trip
-/// **backend-for-backend**: every loaded shard rebuilds as the same
-/// concrete type the original selected, with `train_count` flat and
-/// answers oracle-equivalent. Also covers each uniform tree backend so
-/// every shard tag (RMI=0, B-Tree=1, interp=2, FAST=3) round-trips.
+/// A store snapshot whose header `kind` is set to 1 — the read-only
+/// index's snapshot kind of an earlier format — and re-sealed with valid
+/// checksums is refused by the kind check with a typed `Format` error:
+/// the store's snapshot is the one kind there is.
+#[test]
+fn a_kind_1_snapshot_is_a_typed_format_error() {
+    let path = tmp_path("kind-1");
+    let _guard = Cleanup(path.clone());
+    let sw = ShardedWritable::new((0..256u64).collect::<Vec<_>>(), 2, tiered_cfg());
+    sw.save(&path).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(u32::from_le_bytes(bytes[12..16].try_into().unwrap()), 2);
+    bytes[12..16].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut bytes);
+    std::fs::write(&path, &bytes).unwrap();
+    match ShardedWritable::load(&path) {
+        Err(PersistError::Format(msg)) => assert!(msg.contains("kind 1"), "{msg}"),
+        other => panic!("kind 1 must be a Format error, got {:?}", other.err()),
+    }
+}
+
+/// A `Backend::Auto` store over a composite keyset — three dense
+/// near-linear shards and one stepped shard — holds both hybrid shards
+/// (the write tier's tree family: an RMI whose leaves are B-Tree pages)
+/// and plain RMI shards. It round-trips **backend for backend**: every
+/// loaded base has the same shape as the saved one (hybrid B-Tree leaves
+/// rebuilt from the mapped keys), `train_count` stays flat, and every
+/// key is found.
 #[test]
 fn mixed_backend_topologies_round_trip_backend_for_backend() {
     use learned_indexes::data::Gauntlet;
-    use learned_indexes::serve::Backend;
 
-    // 3 dense near-linear shards (selection keeps RMI) + 1 stepped
-    // shard (selection picks a tree family): a genuinely mixed
-    // topology out of one Auto build.
     let mut keys: Vec<u64> = (0..90_000u64).map(|i| i * 3).collect();
     keys.extend(
         Gauntlet::Stepped
@@ -408,58 +408,38 @@ fn mixed_backend_topologies_round_trip_backend_for_backend() {
             .into_iter()
             .map(|k| k + (1u64 << 40)),
     );
-    let cases: Vec<(&str, Backend, Vec<u64>)> = vec![
-        ("auto-mixed", Backend::Auto, keys),
-        (
-            "btree",
-            Backend::BTree,
-            (0..4_000u64).map(|i| i * 7).collect(),
-        ),
-        (
-            "interp",
-            Backend::Interp,
-            (0..4_000u64).map(|i| i * 7).collect(),
-        ),
-        (
-            "fast",
-            Backend::Fast,
-            (0..4_000u64).map(|i| i * 7).collect(),
-        ),
-    ];
-    for (tag, backend, data) in cases {
-        let path = tmp_path(&format!("mixed-{tag}"));
-        let _guard = Cleanup(path.clone());
-        let original = ShardedIndex::build(data.clone(), 4, &backend);
-        let names: Vec<String> = (0..4).map(|s| original.shard(s).name()).collect();
-        if tag == "auto-mixed" {
-            let families: std::collections::BTreeSet<&str> =
-                names.iter().map(|n| n.split('(').next().unwrap()).collect();
-            assert!(
-                families.len() >= 2,
-                "the composite keyset must produce a mixed topology, got {names:?}"
-            );
-        }
-        original.save(&path).unwrap();
-        drop(original);
+    let cfg = ShardedWritableConfig {
+        backend: Backend::Auto,
+        ..ShardedWritableConfig::default()
+    };
+    let path = tmp_path("mixed-auto");
+    let _guard = Cleanup(path.clone());
+    let original = ShardedWritable::new(keys.clone(), 4, cfg);
+    let hybrid = original.hybrid_shards();
+    assert!(
+        (1..4).contains(&hybrid),
+        "the composite keyset must produce hybrid and plain shards, got {hybrid} hybrid of 4"
+    );
+    let shapes = |sw: &ShardedWritable| -> Vec<String> {
+        sw.snapshot()
+            .shard_snapshots()
+            .iter()
+            .map(|shard| shard.base_index().name())
+            .collect()
+    };
+    let names = shapes(&original);
+    original.save(&path).unwrap();
+    drop(original);
 
-        let before = train_count();
-        let loaded = ShardedIndex::load(&path).unwrap();
-        assert_eq!(train_count(), before, "{tag}: load must not train");
-        for (s, want) in names.iter().enumerate() {
-            assert_eq!(
-                &loaded.shard(s).name(),
-                want,
-                "{tag}: shard {s} came back as a different backend"
-            );
-        }
-        for &q in data.iter().step_by(37) {
-            assert_eq!(
-                loaded.lower_bound(q),
-                data.partition_point(|&k| k < q),
-                "{tag}: q={q}"
-            );
-        }
+    let before = train_count();
+    let loaded = ShardedWritable::load(&path).unwrap();
+    assert_eq!(train_count(), before, "load must not train");
+    assert_eq!(loaded.hybrid_shards(), hybrid);
+    assert_eq!(shapes(&loaded), names, "every base keeps its shape");
+    for &k in &keys {
+        assert!(loaded.contains(k), "lost k={k}");
     }
+    assert_eq!(loaded.len(), keys.len());
 }
 
 /// XXH64 (seed 0), the snapshot checksum of formats v4 and v5 — this
@@ -537,47 +517,6 @@ fn xxh64_copy_matches_the_published_vectors() {
         xxh64(b"Nobody inspects the spammish repetition"),
         0xFBCE_A83C_8A37_8BF1
     );
-}
-
-/// A corrupted backend-tag byte — re-sealed with valid checksums so it
-/// reaches the decoder — is rejected with a typed `Format` error
-/// naming the tag, never a panic and never a silently wrong backend.
-#[test]
-fn corrupt_backend_tag_is_a_typed_format_error() {
-    use learned_indexes::serve::Backend;
-
-    let path = tmp_path("bad-tag");
-    let _guard = Cleanup(path.clone());
-    let n_keys = 256usize;
-    let data: Vec<u64> = (0..n_keys as u64).collect();
-    ShardedIndex::build(data, 2, &Backend::Fast)
-        .save(&path)
-        .unwrap();
-
-    let mut bytes = std::fs::read(&path).unwrap();
-    const HEADER_LEN: usize = 4096;
-    let keys_end = HEADER_LEN + n_keys * 8;
-    // Manifest layout: str "fast" (8-byte len + 4 bytes) · shard count
-    // (8) · 3 offsets (24) · then shard 0's one-byte backend tag.
-    let tag_pos = keys_end + 8 + 4 + 8 + 24;
-    assert_eq!(bytes[tag_pos], 3, "expected the FAST tag where computed");
-    bytes[tag_pos] = 9; // no such backend
-
-    // Re-seal: manifest checksum (header bytes 40..48), then the
-    // header checksum over bytes 0..56 (bytes 56..64).
-    let manifest_sum = xxh64(&bytes[keys_end..]);
-    bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
-    let header_sum = xxh64(&bytes[0..56]);
-    bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-
-    match ShardedIndex::load(&path) {
-        Err(PersistError::Format(msg)) => {
-            assert!(msg.contains("backend tag"), "unexpected rejection: {msg}")
-        }
-        Err(e) => panic!("expected a Format error, got {e}"),
-        Ok(_) => panic!("a corrupt backend tag must not load"),
-    }
 }
 
 /// The store behind `tests/fixtures/snapshot_v3_tiered.lidx`: three
