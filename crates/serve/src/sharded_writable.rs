@@ -78,12 +78,12 @@
 //! Every shard (re)build sizes its RMI leaf count from the shard's
 //! actual key count (`leaf_fraction`), then *retunes* through the same
 //! loop the read path's `RmiShardBuilder::with_retune` uses: while the
-//! trained base's error stats exceed the configured
+//! trained base's mean (RMS) error exceeds the configured
 //! [`RetunePolicy`], the build retries with doubled leaf density — so
 //! a skewed key region gets a denser model instead of a permanently
-//! mispredicting one. Under [`Backend::Rmi`] the leaf count is an
-//! ε-corridor's segment budget: the base takes the smallest ε that fits
-//! it, and a fold starts at the shard's current ε. Between rebuilds, a
+//! mispredicting one. The leaf count is an ε-corridor's segment
+//! budget: the base takes the smallest ε that fits it, and a fold
+//! starts at the shard's current ε. Between rebuilds, a
 //! shard whose region turned hot anyway is caught by the
 //! error-triggered split in [`crate::rebalance::plan`].
 
@@ -94,7 +94,7 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 use std::time::Instant;
 
 use li_core::delta::{DeltaIndex, DeltaSnapshot, DEFAULT_MAX_RUNS};
-use li_core::rmi::{RmiConfig, TopModel};
+use li_core::rmi::RmiConfig;
 use li_index::partition::{boundaries, even_offsets, split_point};
 use li_index::KeyStore;
 use li_obs::MetricsSnapshot;
@@ -105,7 +105,7 @@ use crate::persist::PersistError;
 use crate::rebalance::{plan, RebalanceAction, RebalanceConfig};
 use crate::rebalance_worker::WorkerLink;
 use crate::router::ShardRouter;
-use crate::select::{train_selected, Backend};
+use crate::select::Backend;
 use crate::wal::{self, Wal, WalOp, WalSyncPolicy};
 use crate::writable::{CachedTiers, WritableShard};
 
@@ -133,8 +133,8 @@ pub struct ShardedWritableConfig {
     /// Per-shard delta-buffer capacity: a full buffer is sealed into a
     /// run.
     pub merge_threshold: usize,
-    /// RMI leaf models per key when (re)building a shard (min 1 leaf);
-    /// under [`Backend::Rmi`], the most ε-corridor segments per key.
+    /// The most ε-corridor segments per key when (re)building a shard
+    /// (min 1).
     pub leaf_fraction: f64,
     /// Per-shard retuning on every shard (re)build — the same policy
     /// vocabulary (and the same loop) as
@@ -153,15 +153,11 @@ pub struct ShardedWritableConfig {
     /// cycle: every full buffer is folded. The pass runs on the attached
     /// [`crate::RebalanceWorker`] when there is one, inline otherwise.
     pub max_runs: usize,
-    /// How every shard (re)build trains its base (default
-    /// [`Backend::Rmi`] — a retuned ε-corridor RMI). [`Backend::Auto`]
-    /// re-runs the adaptive grid search (`crate::select`) on every
-    /// shard build, split, merge and compaction, so each shard's
-    /// backend family follows its own drifting key distribution;
-    /// [`Backend::BTree`] pins every shard
-    /// to the all-B-Tree-leaf hybrid. The write tier's delta base must
-    /// stay an RMI structurally, so `Interp`/`Fast` are rejected by
-    /// validation here (they remain read-tier backends).
+    /// Must be [`Backend::Rmi`] (the default), which validation
+    /// enforces: every shard build, split, merge and fold trains the
+    /// same retuned ε-corridor base. Per-shard backend selection
+    /// ([`Backend::Auto`]) belongs to the read-only
+    /// [`crate::ShardedIndex`].
     pub backend: Backend,
     /// Hot-path observability (default `true`): count every insert and
     /// latency-sample 1-in-N of them into the structure's
@@ -203,9 +199,8 @@ impl ShardedWritableConfig {
             "retune.max_mean_err must be finite and >= 0"
         );
         assert!(
-            matches!(self.backend, Backend::Auto | Backend::Rmi | Backend::BTree),
-            "the write tier's delta base must be an RMI (plain or hybrid): \
-             backend must be Auto, Rmi or BTree"
+            self.backend == Backend::Rmi,
+            "a ShardedWritable builds one base, the ε-corridor: backend must be Rmi"
         );
         self.rebalance.validate();
     }
@@ -688,8 +683,8 @@ impl ShardedWritable {
     /// This is the single run-maintenance entry point — every
     /// maintenance pass passes [`Due::FullStacks`], recovery passes
     /// [`Due::Replayed`] — so the global [`ShardedWritable::compactions`]
-    /// and [`ShardedWritable::run_merges`] counters and `Backend::Auto`
-    /// re-selection account every fold and run merge exactly once.
+    /// and [`ShardedWritable::run_merges`] counters account every fold
+    /// and run merge exactly once.
     pub(crate) fn compact_pending(&self, due: Due) {
         // The Arc (not the guard) suffices: compaction never touches
         // the topology, and a shard orphaned by a concurrent rebalance
@@ -711,30 +706,12 @@ impl ShardedWritable {
                 }
                 continue;
             }
-            // Under Backend::Auto a fold is also a re-decision point:
-            // it retrains the base anyway, so the selector gets to
-            // change the shard's backend family for free (drifted-hard
-            // shards go hybrid, smoothed-out shards go back to a plain
-            // RMI). A run merge trains nothing and selects nothing.
-            let (runs, selection) = match self.config.backend {
-                Backend::Auto => {
-                    shard.compact_selected(self.config.leaf_fraction, &self.config.retune)
-                }
-                _ => (shard.compact(), None),
-            };
+            let runs = shard.compact();
             if runs > 0 {
                 self.obs.compactions.incr();
                 self.obs.runs_compacted.add(runs as u64);
                 self.obs
                     .event(events::COMPACT_FOLD, runs as u64, shard.len() as u64);
-                if let Some((choice, switched)) = selection {
-                    self.obs.backend_selections.incr();
-                    self.obs
-                        .event(events::BACKEND_SELECT, choice.code(), shard.len() as u64);
-                    if switched {
-                        self.obs.backend_switches.incr();
-                    }
-                }
             }
         }
     }
@@ -991,34 +968,6 @@ impl ShardedWritable {
         self.obs.run_merges.value() as usize
     }
 
-    /// How many adaptive backend selections have run (thin read of
-    /// `li_backend_selections_total`). Under [`Backend::Auto`] every
-    /// shard (re)build — initial construction, each half of a split,
-    /// each merge, each compaction fold — runs exactly one selection;
-    /// under a pinned backend this stays 0.
-    pub fn backend_selections(&self) -> usize {
-        self.obs.backend_selections.value() as usize
-    }
-
-    /// How many of those selections *changed* the shard's backend
-    /// family from what it was before the rebuild (thin read of
-    /// `li_backend_switches_total`).
-    pub fn backend_switches(&self) -> usize {
-        self.obs.backend_switches.value() as usize
-    }
-
-    /// How many shards currently serve from an all-B-Tree-leaf hybrid
-    /// base (the write tier's tree family) rather than a plain RMI —
-    /// the structural ground truth the selection counters are checked
-    /// against in the stress suite.
-    pub fn hybrid_shards(&self) -> usize {
-        self.topo_guard()
-            .shards
-            .iter()
-            .filter(|s| s.is_hybrid())
-            .count()
-    }
-
     /// Sealed runs currently stacked across all shards, between the
     /// buffers and the bases.
     pub fn run_count(&self) -> usize {
@@ -1141,10 +1090,9 @@ impl ShardedWritable {
                     return BackgroundStep::Stable;
                 };
                 let boundary = exported[m];
-                let was_hybrid = Some(topo.shards[s].is_hybrid());
                 let (lower, upper) = exported.split_at(m);
-                let left = build_selected_shard(lower, &self.config, &self.obs, was_hybrid);
-                let right = build_selected_shard(upper, &self.config, &self.obs, was_hybrid);
+                let left = build_retuned_shard(lower, &self.config, &self.obs);
+                let right = build_retuned_shard(upper, &self.config, &self.obs);
                 self.obs.pass_retrain_ns.record_since(t_retrain);
 
                 // Phase 3 — publish + drain.
@@ -1183,12 +1131,7 @@ impl ShardedWritable {
                 let left_len = keys.len();
                 keys.extend(topo.shards[l + 1].export_keys());
                 let exported = KeyStore::new(keys);
-                let merged = build_selected_shard(
-                    exported.clone(),
-                    &self.config,
-                    &self.obs,
-                    Some(topo.shards[l].is_hybrid()),
-                );
+                let merged = build_retuned_shard(exported.clone(), &self.config, &self.obs);
                 self.obs.pass_retrain_ns.record_since(t_retrain);
 
                 // Phase 3 — publish + drain.
@@ -1696,66 +1639,22 @@ fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) 
     }
 }
 
-/// Build a shard over `keys` according to the configured
-/// [`ShardedWritableConfig::backend`]:
-///
-/// * [`Backend::Rmi`] — the shared [`crate::builder::retune_rmi`] loop
-///   sizes the leaf budget for this shard's actual keys and densifies
-///   it; the base is an ε-corridor ([`RmiConfig::corridor`]) whose ε
-///   is the smallest that fits that budget;
-/// * [`Backend::Auto`] — the adaptive selector
-///   ([`crate::select::train_selected`]) probes, grid-searches and
-///   materializes the winner, recording the decision as a
-///   `li_backend_selections_total` increment plus a `backend_select`
-///   event; when `prev_hybrid` carries the backend family the shard
-///   had before this rebuild (splits, merges), a family change also
-///   bumps `li_backend_switches_total`;
-/// * [`Backend::BTree`] — every shard pinned to the all-B-Tree-leaf
-///   hybrid at the reference page size.
-///
-/// Either way the shard keeps the chosen configuration for its future
-/// folds, so the decision sticks until the next rebuild.
+/// Build a shard over `keys`: the shared [`crate::builder::retune_rmi`]
+/// loop sizes the leaf budget for this shard's actual keys and densifies
+/// it, and the base is an ε-corridor ([`RmiConfig::corridor`]) whose ε
+/// is the smallest that fits that budget. The shard keeps the
+/// configuration for its future folds.
 fn build_retuned_shard(
     keys: impl Into<KeyStore>,
     config: &ShardedWritableConfig,
     obs: &Arc<ServeMetrics>,
 ) -> WritableShard {
-    build_selected_shard(keys, config, obs, None)
-}
-
-/// [`build_retuned_shard`] with the pre-rebuild backend family (`None`
-/// = fresh build, nothing to switch *from*).
-fn build_selected_shard(
-    keys: impl Into<KeyStore>,
-    config: &ShardedWritableConfig,
-    obs: &Arc<ServeMetrics>,
-    prev_hybrid: Option<bool>,
-) -> WritableShard {
-    let keys: KeyStore = keys.into();
-    let (rmi, cfg) = match config.backend {
-        Backend::Auto => {
-            let (rmi, cfg, choice) = train_selected(&keys, config.leaf_fraction, &config.retune);
-            obs.backend_selections.incr();
-            obs.event(events::BACKEND_SELECT, choice.code(), keys.len() as u64);
-            if prev_hybrid.is_some_and(|was| was != cfg.hybrid_threshold.is_some()) {
-                obs.backend_switches.incr();
-            }
-            (rmi, cfg)
-        }
-        Backend::BTree => {
-            // One leaf per ~4 pages: the leaf models only partition the
-            // key space; the pages inside each leaf do the searching.
-            let leaves = (keys.len() / 512).clamp(1, keys.len().max(1));
-            let cfg = RmiConfig::two_stage(TopModel::Linear, leaves).with_hybrid(0);
-            (li_core::rmi::Rmi::build(keys.clone(), &cfg), cfg)
-        }
-        _ => retune_rmi(
-            &keys,
-            config.leaf_fraction,
-            Some(&config.retune),
-            RmiConfig::corridor,
-        ),
-    };
+    let (rmi, cfg) = retune_rmi(
+        &keys.into(),
+        config.leaf_fraction,
+        Some(&config.retune),
+        RmiConfig::corridor,
+    );
     let shard = WritableShard::from_delta(
         DeltaIndex::from_trained(rmi, cfg, config.merge_threshold).with_tiering(config.max_runs),
     );
@@ -1917,6 +1816,26 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "backend must be Rmi")]
+    fn an_auto_store_is_rejected() {
+        let config = ShardedWritableConfig {
+            backend: Backend::Auto,
+            ..small_cfg()
+        };
+        ShardedWritable::new(vec![1u64], 1, config);
+    }
+
+    #[test]
+    #[should_panic(expected = "backend must be Rmi")]
+    fn a_btree_store_is_rejected() {
+        let config = ShardedWritableConfig {
+            backend: Backend::BTree,
+            ..small_cfg()
+        };
+        ShardedWritable::new(vec![1u64], 1, config);
+    }
+
+    #[test]
     fn builds_and_serves_like_the_oracle() {
         let data: Vec<u64> = (0..200u64).map(|i| i * 3).collect();
         let sw = ShardedWritable::new(data.clone(), 4, small_cfg());
@@ -2071,7 +1990,6 @@ mod tests {
             retune: RetunePolicy {
                 max_mean_err: 4.0,
                 max_rounds: 0,
-                ..RetunePolicy::default()
             },
             ..ShardedWritableConfig::default()
         };

@@ -57,9 +57,7 @@ use li_core::rmi::{Rmi, RmiConfig, RmiStats};
 use li_core::SortedRun;
 use li_index::{KeyStore, RangeIndex};
 
-use crate::builder::RetunePolicy;
 use crate::obs::{events, ServeMetrics};
-use crate::select::{train_selected, BackendChoice};
 
 /// Filter bits per key of a shard's merge threshold (the buffer's
 /// capacity). At 16 bits and [`FILTER_PROBES`] probes, a full buffer
@@ -240,11 +238,7 @@ impl WritableShard {
     /// for duplicates, which are no-ops). May seal the buffer into a
     /// run; outstanding snapshots are unaffected.
     pub fn insert(&self, key: u64) -> bool {
-        let mut guard = self.write_lock();
-        let seals = guard.seals();
-        let inserted = guard.insert(key);
-        self.track_buffer(&guard, seals, inserted.then_some(key));
-        inserted
+        self.insert_observed(key).inserted
     }
 
     /// Insert a whole batch under **one** write-lock acquisition,
@@ -264,11 +258,7 @@ impl WritableShard {
     /// assert_eq!(shard.len(), 3);
     /// ```
     pub fn insert_batch(&self, keys: &[u64]) -> Vec<bool> {
-        let mut guard = self.write_lock();
-        let seals = guard.seals();
-        let flags = guard.insert_batch(keys);
-        self.track_buffer(&guard, seals, buffered(keys, &flags));
-        flags
+        self.insert_batch_observed(keys).0
     }
 
     /// Keep the filter a superset of the buffer after a write under
@@ -414,49 +404,6 @@ impl WritableShard {
         runs
     }
 
-    /// [`WritableShard::compact`] with backend **re-selection**: before
-    /// training the compacted base, re-run the adaptive grid search
-    /// (`crate::select`) over the keys the fold will produce, and
-    /// install the winner's configuration alongside the rebuilt base —
-    /// so a shard that drifted hard-to-learn since its last build
-    /// silently becomes an all-B-Tree-leaf hybrid, and one that
-    /// smoothed out becomes a plain RMI again. Same off-lock discipline
-    /// and race rules as [`WritableShard::compact`].
-    ///
-    /// Returns `(runs folded, selection)`; `selection` is `None` when
-    /// nothing was folded (empty stack or raced), otherwise the choice
-    /// plus whether it *switched* the shard's backend family.
-    pub(crate) fn compact_selected(
-        &self,
-        leaf_fraction: f64,
-        retune: &RetunePolicy,
-    ) -> (usize, Option<(BackendChoice, bool)>) {
-        let (cut, was_hybrid) = {
-            let guard = self.read_lock();
-            if guard.run_count() == 0 {
-                return (0, None);
-            }
-            (guard.snapshot(), guard.config().hybrid_threshold.is_some())
-        };
-        let obs = self.obs.get();
-        let t_train = Instant::now();
-        let keys = cut.merged_keys();
-        let (rebuilt, cfg, choice) = train_selected(&keys, leaf_fraction, retune);
-        if let Some(obs) = obs {
-            obs.compact_train_ns.record_since(t_train);
-        }
-        let t_install = Instant::now();
-        let folded = self.install(|d| d.install_compacted_with(&cut, rebuilt, cfg));
-        if let Some(obs) = obs {
-            obs.compact_install_ns.record_since(t_install);
-        }
-        if folded == 0 {
-            return (0, None);
-        }
-        let switched = was_hybrid != (choice != BackendChoice::Rmi);
-        (folded, Some((choice, switched)))
-    }
-
     /// Run a fold or run-merge install under the write lock: the runs it
     /// replaced (0 when the cut was stale and nothing was installed). An
     /// install bumps `gen` so cached copies of the replaced tiers are
@@ -468,13 +415,6 @@ impl WritableShard {
             self.gen.fetch_add(1, Ordering::Release);
         }
         replaced
-    }
-
-    /// Whether the trained base is currently an all-B-Tree-leaf hybrid
-    /// (the write tier's "tree family") rather than a plain RMI — i.e.
-    /// what the adaptive selector last decided for this shard.
-    pub fn is_hybrid(&self) -> bool {
-        self.read_lock().config().hybrid_threshold.is_some()
     }
 
     /// Whether the run stack has reached its bound.
@@ -829,6 +769,31 @@ mod tests {
         let loaded = WritableShard::from_delta(delta);
         assert_eq!(loaded.pending(), 3);
         assert_filter_holds_buffer(&loaded, "load");
+    }
+
+    #[test]
+    fn plain_inserts_that_seal_are_counted_and_traced() {
+        // The store's straggler drain re-inserts through `insert`, so its
+        // seals must reach the attached bundle like any other write's.
+        let shard = WritableShard::tiered(vec![1_000u64, 2_000], cfg(), 4, 8);
+        let obs = Arc::new(ServeMetrics::new());
+        shard.attach_obs(Arc::clone(&obs));
+        for k in 0..4u64 {
+            assert!(shard.insert(k));
+        }
+        assert_eq!(shard.seals(), 1, "the 4th insert sealed");
+        assert_eq!(obs.buffer_seals.value(), 1);
+        shard.insert_batch(&[10, 11, 12, 13, 14]);
+        assert!(shard.seals() >= 2, "the batch sealed");
+        assert_eq!(obs.buffer_seals.value(), shard.seals() as u64);
+        let snap = obs.registry().snapshot();
+        let traced = snap
+            .ring("li_events")
+            .unwrap()
+            .iter()
+            .filter(|e| e.name == "buffer_seal")
+            .count();
+        assert_eq!(traced, 2, "one buffer_seal event per sealing write");
     }
 
     #[test]

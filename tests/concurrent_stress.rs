@@ -34,13 +34,11 @@
 //!    (never torn backwards), the per-shard gauge family must always
 //!    pair with the shard-count gauge taken under the same topology
 //!    read, and the final totals must equal the exact op oracle.
-//! 6. **Adaptive selection under storm** — with `Backend::Auto` and a
-//!    worker attached, a writer storm drives splits and compactions,
-//!    each of which re-runs backend selection; the selection counter
-//!    must equal the structural event tally exactly, at least one
-//!    rebuild must *switch* a shard's backend family, and the final
-//!    topology must prove it structurally (a mix of RMI and
-//!    tree-family shards).
+//! 6. **Worker rebuilds under storm** — with a worker attached, a
+//!    writer storm concentrated on one shard drives it through splits
+//!    and compactions while readers check snapshots and live reads;
+//!    the worker runs every run merge, the final contents are exact,
+//!    and every rebuilt base is still an ε-corridor.
 //! 7. **Live scans and ranks** — `ShardedWritable::range_keys` and
 //!    `rank` read the owning shards in place under their read locks
 //!    (topology guard first, then shards in ascending order). The
@@ -73,7 +71,7 @@ use std::time::Duration;
 
 use learned_indexes::rmi::{RmiConfig, TopModel};
 use learned_indexes::serve::{
-    Backend, RebalanceConfig, RebalanceWorker, RmiShardBuilder, ShardedIndex, ShardedWritable,
+    RebalanceConfig, RebalanceWorker, RmiShardBuilder, ShardedIndex, ShardedWritable,
     ShardedWritableConfig, WritableShard,
 };
 use learned_indexes::{KeyStore, RangeIndex};
@@ -1082,28 +1080,27 @@ fn snapshot_taken_before_merges_serves_the_old_state_forever() {
     assert_eq!(shard.len(), 1200);
 }
 
-/// Case 6: adaptive backend selection under a writer storm. The
-/// structure starts with four dense near-linear shards (which the
-/// selector provably keeps on RMI), and the storm lands entirely in
+/// Case 6: worker rebuilds under a writer storm. The structure starts
+/// with four dense near-linear shards, and the storm lands entirely in
 /// shard 0's range, driving it through sealed runs, compactions and at
-/// least one split — every one of which re-runs selection on the
-/// worker. The split halves are small enough that the cost model
-/// provably prefers the FAST tree, so the storm must flip at least one
-/// shard's backend family; the quiet shards must keep theirs. The
-/// selection counter is then provable exactly from the structural
-/// event counters: one grid search per shard built.
+/// least one split, all on the worker. Readers keep checking snapshots
+/// and live reads while shard 0 is rebuilt underneath them; afterwards
+/// the contents are exact and every base, rebuilt or not, is the
+/// store's one ε-corridor base.
 #[test]
-fn writer_storm_reselects_backends_on_worker_rebuilds() {
-    // 4 × 24_000 dense keys on a stride-64 grid: retuned RMI error is
-    // ~0, so selection keeps RMI everywhere at build time.
+fn writer_storm_splits_and_folds_on_worker_rebuilds() {
+    // 4 × 24_000 dense keys on a stride-64 grid.
     let initial: Vec<u64> = (0..96_000u64).map(|i| i * 64).collect();
+    // 4 800 storm keys: the split comes after ~2 000 of them, and a
+    // split half (~13 000 keys) folds once its runs hold a sixteenth of
+    // its base, ~1 000 sealed keys. However the worker's passes fall,
+    // the shard folds before the split or ~2 800 keys after it.
     let writers = 4u64;
-    let per_writer = 800u64;
+    let per_writer = 1_200u64;
     let config = ShardedWritableConfig {
         merge_threshold: 256, // seal every 256 fresh keys per shard
         check_interval: 0,
-        max_runs: 2, // compaction due at 2 sealed runs
-        backend: Backend::Auto,
+        max_runs: 2, // a full stack at 2 sealed runs
         rebalance: RebalanceConfig {
             max_shard_len: 26_000, // shard 0 starts at 24_000: in reach
             merge_max_len: 0,      // merges off — splits only
@@ -1113,16 +1110,6 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
         ..ShardedWritableConfig::default()
     };
     let sw = Arc::new(ShardedWritable::new(initial.clone(), 4, config));
-    assert_eq!(
-        sw.backend_selections(),
-        4,
-        "initial build must run one selection per shard"
-    );
-    assert_eq!(
-        sw.hybrid_shards(),
-        0,
-        "dense linear shards must start on RMI"
-    );
     let worker = RebalanceWorker::spawn(Arc::clone(&sw));
 
     let done = AtomicBool::new(false);
@@ -1134,8 +1121,8 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
         let checked_ref = &snapshots_checked;
         let initial_ref = &initial;
 
-        // Readers: every snapshot stays consistent while shard 0's
-        // backend family changes underneath them.
+        // Readers: every snapshot stays consistent while shard 0 is
+        // split and folded underneath them.
         for t in 0..2 {
             scope.spawn(move || {
                 let mut last_len = 0usize;
@@ -1157,7 +1144,7 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
                     let scan = snap.range_keys(1_000, 60_000);
                     assert!(scan.windows(2).all(|w| w[0] < w[1]), "t={t}: bad scan");
                     assert_eq!(scan.len(), snap.rank(60_000) - snap.rank(1_000));
-                    // Live, across shard 0's splits and re-selections.
+                    // Live, across shard 0's splits and folds.
                     check_live_reads(sw_ref, initial_ref, 1_000, 60_000, t);
 
                     checked_ref.fetch_add(1, Ordering::Relaxed);
@@ -1171,7 +1158,7 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
 
         // Writers: disjoint stripes of fresh odd keys interleaving the
         // stride-64 grid inside shard 0's range only (max key
-        // 3200·64+1 ≪ shard 0's initial upper bound 24_000·64).
+        // 4800·64+1 ≪ shard 0's initial upper bound 24_000·64).
         scope.spawn(move || {
             std::thread::scope(|inner| {
                 for w in 0..writers {
@@ -1201,45 +1188,16 @@ fn writer_storm_reselects_backends_on_worker_rebuilds() {
     );
     assert_eq!(sw.shard_merges(), 0, "merges are disabled");
 
-    // THE invariant: one grid search per shard built, ever. Initial
-    // build selects once per shard; every split builds two shards;
-    // every merge and every compaction builds one.
-    assert_eq!(
-        sw.backend_selections(),
-        4 + 2 * sw.splits() + sw.shard_merges() + sw.compactions(),
-        "selection counter diverged from the structural event tally \
-         (splits={}, merges={}, compactions={})",
-        sw.splits(),
-        sw.shard_merges(),
-        sw.compactions()
-    );
-    // Worker-relative reads agree: attach-time baseline was 4.
-    assert_eq!(
-        worker.backend_selections(),
-        2 * worker.splits() + worker.merges() + worker.compactions(),
-        "worker-relative selection tally diverged"
-    );
-    // Run merges retrain nothing, so they select nothing: the tallies
-    // above hold with them left out, and the worker ran all of them.
+    // Run merges retrain nothing; the worker ran all of them.
     assert_eq!(worker.run_merges(), sw.run_merges());
-
-    // At least one rebuild flipped a family: shard 0's split halves
-    // (~13k dense keys each) sit below the RMI/FAST crossover, while
-    // it started on RMI.
+    // Every base, the rebuilt hot region's and the three untouched
+    // shards' alike, is the ε-corridor.
+    let snap = sw.snapshot();
     assert!(
-        sw.backend_switches() >= 1,
-        "the storm must switch at least one shard's backend family"
-    );
-    assert_eq!(worker.backend_switches(), sw.backend_switches());
-
-    // Structural proof, not just counters: the hot region's shards are
-    // now tree-family, the three untouched dense shards still RMI.
-    let hybrid = sw.hybrid_shards();
-    assert!(hybrid >= 1, "no tree-family shard after the storm");
-    assert!(
-        hybrid <= sw.shard_count() - 3,
-        "untouched dense shards must stay on RMI (hybrid={hybrid} of {})",
-        sw.shard_count()
+        snap.shard_snapshots()
+            .iter()
+            .all(|shard| shard.base_index().stats().eps.is_some()),
+        "every base must be an ε-corridor"
     );
 
     // Exact final contents: initial keys + every storm key.

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use learned_indexes::rmi::{train_count, RmiParams};
 use learned_indexes::serve::{
-    Backend, PersistError, RangeIndex, RebalanceConfig, ShardedWritable, ShardedWritableConfig,
+    Backend, PersistError, RebalanceConfig, ShardedWritable, ShardedWritableConfig,
 };
 use proptest::prelude::*;
 
@@ -390,56 +390,37 @@ fn a_kind_1_snapshot_is_a_typed_format_error() {
     }
 }
 
-/// A `Backend::Auto` store over a composite keyset — three dense
-/// near-linear shards and one stepped shard — holds both hybrid shards
-/// (the write tier's tree family: an RMI whose leaves are B-Tree pages)
-/// and plain RMI shards. It round-trips **backend for backend**: every
-/// loaded base has the same shape as the saved one (hybrid B-Tree leaves
-/// rebuilt from the mapped keys), `train_count` stays flat, and every
-/// key is found.
+/// The store builds one base, so a snapshot whose configuration says
+/// `Backend::Auto` (tag 0) or `Backend::BTree` (tag 2) — the store's
+/// retired modes, patched into a fresh save and re-sealed — is refused
+/// with a typed `Format` error, never loaded under a mode that no longer
+/// exists.
 #[test]
-fn mixed_backend_topologies_round_trip_backend_for_backend() {
-    use learned_indexes::data::Gauntlet;
-
-    let mut keys: Vec<u64> = (0..90_000u64).map(|i| i * 3).collect();
-    keys.extend(
-        Gauntlet::Stepped
-            .generate(30_000, 7)
-            .into_iter()
-            .map(|k| k + (1u64 << 40)),
-    );
-    let cfg = ShardedWritableConfig {
-        backend: Backend::Auto,
-        ..ShardedWritableConfig::default()
-    };
-    let path = tmp_path("mixed-auto");
+fn a_retired_backend_tag_is_a_typed_format_error() {
+    let path = tmp_path("retired-backend");
     let _guard = Cleanup(path.clone());
-    let original = ShardedWritable::new(keys.clone(), 4, cfg);
-    let hybrid = original.hybrid_shards();
-    assert!(
-        (1..4).contains(&hybrid),
-        "the composite keyset must produce hybrid and plain shards, got {hybrid} hybrid of 4"
-    );
-    let shapes = |sw: &ShardedWritable| -> Vec<String> {
-        sw.snapshot()
-            .shard_snapshots()
-            .iter()
-            .map(|shard| shard.base_index().name())
-            .collect()
-    };
-    let names = shapes(&original);
-    original.save(&path).unwrap();
-    drop(original);
+    let base: Vec<u64> = (0..1_000u64).map(|i| i * 3).collect();
+    let sw = ShardedWritable::new(base.clone(), 2, tiered_cfg());
+    sw.save(&path).unwrap();
 
-    let before = train_count();
-    let loaded = ShardedWritable::load(&path).unwrap();
-    assert_eq!(train_count(), before, "load must not train");
-    assert_eq!(loaded.hybrid_shards(), hybrid);
-    assert_eq!(shapes(&loaded), names, "every base keeps its shape");
-    for &k in &keys {
-        assert!(loaded.contains(k), "lost k={k}");
+    // The manifest opens with the store's configuration: eight 8-byte
+    // fields, the error-split flag byte and value, `max_shards`,
+    // `max_runs`, then the backend tag byte.
+    let saved = std::fs::read(&path).unwrap();
+    let at = 4096 + base.len() * 8 + 8 * 8 + 1 + 8 + 8 + 8;
+    assert_eq!(saved[at], Backend::Rmi.tag());
+    for retired in [Backend::Auto, Backend::BTree] {
+        let mut bytes = saved.clone();
+        bytes[at] = retired.tag();
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        match ShardedWritable::load(&path) {
+            Err(PersistError::Format(msg)) => {
+                assert!(msg.contains("backend tag"), "{retired:?}: {msg}")
+            }
+            other => panic!("{retired:?} must be a Format error, got {:?}", other.err()),
+        }
     }
-    assert_eq!(loaded.len(), keys.len());
 }
 
 /// XXH64 (seed 0), the snapshot checksum of formats v4 and v5 — this
