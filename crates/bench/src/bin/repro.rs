@@ -4,7 +4,7 @@
 //! repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S]
 //!
 //! experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive
-//!              appendix-a appendix-e gauntlet all   (default: all)
+//!              appendix-a appendix-e all   (default: all)
 //! ```
 //!
 //! Run release builds for meaningful numbers:
@@ -63,7 +63,6 @@ fn main() {
             "table1",
             "appendix-a",
             "appendix-e",
-            "gauntlet",
         ]
         .iter()
         .map(|s| s.to_string())
@@ -105,10 +104,6 @@ fn main() {
             "naive" => naive::print(&naive::run(&cfg), cfg.keys),
             "appendix-a" => appendix_a::print(&appendix_a::run(&cfg)),
             "appendix-e" => appendix_e::print(&appendix_e::run(&cfg), cfg.keys),
-            "gauntlet" => {
-                let (rows, verdicts) = gauntlet::run(&cfg);
-                gauntlet::print(&rows, &verdicts, cfg.keys);
-            }
             other => die(&format!("unknown experiment {other}")),
         }
     }
@@ -117,7 +112,7 @@ fn main() {
 fn print_usage() {
     println!(
         "repro [EXPERIMENT...] [--keys N] [--queries Q] [--seed S]\n\
-         experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive appendix-a appendix-e gauntlet all"
+         experiments: fig4 fig5 fig6 fig8 fig10 fig11 table1 naive appendix-a appendix-e all"
     );
 }
 

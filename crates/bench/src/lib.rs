@@ -17,7 +17,6 @@
 //! | [`naive`]    | §2.3 — naïve TF-style learned index vs B-Tree |
 //! | [`appendix_a`] | Appendix A — O(√N) error scaling |
 //! | [`appendix_e`] | Appendix E — model-hash Bloom filter |
-//! | [`gauntlet`] | beyond the paper — adaptive per-shard backend selection on SOSD-style adversarial distributions |
 //!
 //! Scale: every experiment takes a key count; the defaults target a
 //! laptop (≈2M keys, seconds per experiment). The paper's absolute
@@ -36,7 +35,6 @@ pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fig8;
-pub mod gauntlet;
 pub mod harness;
 pub mod naive;
 pub mod table;

@@ -838,9 +838,8 @@ impl DeltaSnapshot {
     /// The keys a compaction of this snapshot would fold into the new
     /// base: base keys plus every captured run, merged sorted unique
     /// (the pending buffer stays live and is excluded), in a store of
-    /// their own that the new base can be trained over as is. This is
-    /// what a serving layer re-runs backend selection over before
-    /// deciding how to train the compacted base.
+    /// their own that the new base can be trained over as is: what
+    /// [`DeltaSnapshot::train_compacted`] trains.
     pub fn merged_keys(&self) -> KeyStore {
         merged_store(self.base.data(), &self.runs, &[])
     }

@@ -1,5 +1,5 @@
-//! SOSD-style adversarial key distributions for the backend-selection
-//! gauntlet.
+//! SOSD-style adversarial key distributions: the gauntlet every learned
+//! shard is oracle-checked over.
 //!
 //! "SOSD: A Benchmark for Learned Indexes" (PAPERS.md) showed that the
 //! real-world datasets which break naive learned indexes share a few
@@ -193,9 +193,9 @@ fn thin_to_exact(keys: Vec<u64>, n: usize) -> KeySet {
     KeySet::from_sorted(thinned)
 }
 
-/// The gauntlet distributions, by name — the selector's adversarial
-/// coverage matrix, mirrored by `repro gauntlet` and
-/// `tests/prop_gauntlet.rs`.
+/// The gauntlet distributions, by name — the adversarial coverage
+/// matrix `tests/prop_gauntlet.rs` runs the sharded index and the store
+/// over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Gauntlet {
     /// Pareto-gap cumulative keys (`books` signature).
@@ -345,7 +345,7 @@ mod tests {
     /// differ, and a fingerprint of the canonical `(n=4096, seed=42)`
     /// row is pinned so any drift in the generation algorithm (or a
     /// sneaky ambient-RNG regression) fails this test rather than
-    /// silently changing every EXPERIMENTS.md gauntlet row.
+    /// silently changing every gauntlet measurement in EXPERIMENTS.md.
     #[test]
     fn generation_is_deterministic_and_pinned() {
         fn fingerprint(keys: &[u64]) -> u64 {

@@ -28,7 +28,7 @@
 //!
 //! Beyond the paper, [`gauntlet`] generates the SOSD-style adversarial
 //! distributions (books/osm/fb-like, stepped, heavy-duplicate) that
-//! drive `li-serve`'s adaptive backend selection gauntlet. Every
+//! `li-serve`'s sharded index and store are oracle-checked over. Every
 //! generator in this crate — including those — is a pure function of
 //! an explicit `u64` seed; there is no ambient RNG state anywhere
 //! (regression-pinned in `gauntlet::tests`).

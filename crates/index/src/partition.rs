@@ -13,8 +13,8 @@
 //! * [`route_binary`] — the reference routing rule. For a globally
 //!   sorted array the lower-bound position of `q` always falls inside
 //!   shard `partition_point(boundaries, |b| b < q)` (proof in the
-//!   function docs), so a learned router only has to *approximate* this
-//!   and verify in O(1).
+//!   function docs); `li-serve`'s router is exactly that one
+//!   `partition_point`.
 //! * [`route_owner_binary`] — the *ownership* routing rule for writable
 //!   sharding: shard `i` owns the half-open key range
 //!   `[boundaries[i-1], boundaries[i])`, so a key has exactly one home

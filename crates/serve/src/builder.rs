@@ -24,14 +24,12 @@ pub trait ShardBuilder: Send + Sync {
     fn name(&self) -> String;
 }
 
-/// Per-shard retuning policy: rebuild a shard at doubled leaf density
+/// Per-shard retuning policy: rebuild a shard at doubled segment budget
 /// while its error statistics stay hot.
 ///
-/// The policy means the same for both leaf layouts: a round doubles the
-/// leaf count while `RmiStats::mean_abs_err` (an RMS) is above
-/// `max_mean_err`. For a cascade that is twice the leaves; for an
-/// ε-corridor it is twice the segment budget, so the build may take a
-/// smaller ε.
+/// A round doubles the ε-corridor's segment budget while
+/// `RmiStats::mean_abs_err` (an RMS) is above `max_mean_err`, so the
+/// build may take a smaller ε.
 ///
 /// # Examples
 /// ```
@@ -111,29 +109,22 @@ impl RmiShardBuilder {
 
     /// Build the concrete RMI for one shard, applying the retune loop.
     fn build_rmi(&self, shard: KeyStore) -> Rmi {
-        retune_rmi(
-            &shard,
-            self.leaf_fraction,
-            self.retune.as_ref(),
-            RmiConfig::corridor,
-        )
-        .0
+        retune_rmi(&shard, self.leaf_fraction, self.retune.as_ref()).0
     }
 }
 
 /// The one retune loop both the read path ([`RmiShardBuilder`]) and the
-/// write path (`ShardedWritable` shard rebuilds) share: train an RMI
-/// over `keys` with the configuration `layout` gives for a leaf count
-/// of `leaf_fraction` per key, doubling the density while the trained
-/// mean (RMS) error exceeds the policy's threshold (up to `max_rounds`
-/// retries; leaf count saturates at one per key). Returns the trained
-/// RMI and the configuration it was built with, so callers that
-/// retrain later (delta merges) reuse the chosen density.
+/// write path (`ShardedWritable` shard rebuilds) share: train an
+/// ε-corridor ([`RmiConfig::corridor`]) over `keys` with a budget of
+/// `leaf_fraction` segments per key, doubling the density while the
+/// trained mean (RMS) error exceeds the policy's threshold (up to
+/// `max_rounds` retries; the budget saturates at one per key). Returns
+/// the trained RMI and the configuration it was built with, so callers
+/// that retrain later (delta merges) reuse the chosen density.
 pub(crate) fn retune_rmi(
     keys: &KeyStore,
     leaf_fraction: f64,
     policy: Option<&RetunePolicy>,
-    layout: impl Fn(usize) -> RmiConfig,
 ) -> (Rmi, RmiConfig) {
     let rounds = policy.map_or(0, |p| p.max_rounds);
     let mut fraction = leaf_fraction;
@@ -143,7 +134,7 @@ pub(crate) fn retune_rmi(
     let mut round = 0usize;
     loop {
         let leaves = ((keys.len() as f64 * fraction).round() as usize).clamp(1, keys.len().max(1));
-        let cfg = layout(leaves);
+        let cfg = RmiConfig::corridor(leaves);
         let rmi = Rmi::build(keys.clone(), &cfg);
         let hot = policy.is_some_and(|p| rmi.stats().mean_abs_err > p.max_mean_err);
         let saturated = leaves >= keys.len().max(1);

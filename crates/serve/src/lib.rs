@@ -3,12 +3,13 @@
 //! The paper frames learned indexes as read-heavy serving structures;
 //! this crate is the workspace's answer to serving them at scale: one
 //! shared sorted key array, range-partitioned into N zero-copy shards,
-//! each served by whatever index backend fits it best, with concurrent
-//! batched reads and a snapshot-consistent write path.
+//! each served by its own index (in the store, always the ε-corridor
+//! RMI), with concurrent batched reads and a snapshot-consistent write
+//! path.
 //!
 //! * [`ShardedIndex`] — the read-only index: partitions one [`KeyStore`]
 //!   into N `KeyStore::slice` views (no key copied), builds a pluggable
-//!   [`ShardBuilder`] backend per shard (under [`Backend::Rmi`], the
+//!   [`ShardBuilder`] backend per shard ([`RmiShardBuilder`] builds the
 //!   same ε-corridor a store shard's base is), and routes every lookup
 //!   through the [`ShardRouter`]. It implements [`RangeIndex`] itself,
 //!   so every existing harness and property suite works against it
@@ -34,14 +35,8 @@
 //!   ([`ShardedSnapshot`]), and one maintenance pass that
 //!   folds or merges full run stacks, then runs the dynamic rebalancer
 //!   ([`rebalance`]) that splits hot shards, merges cold neighbors,
-//!   and retunes each rebuilt shard's model density to its keys.
-//! * [`select`] — adaptive per-shard backend selection:
-//!   [`Backend::Auto`] probes each shard with a retuned RMI,
-//!   grid-searches backend × tuning over the probe's `RmiStats` under
-//!   a fitted cost model, and builds the winner — so a hard-to-learn
-//!   shard becomes a B-Tree and a smooth one stays an RMI, per shard,
-//!   automatically. Selection builds [`ShardedIndex`] shards; the
-//!   store's every base is the ε-corridor of [`Backend::Rmi`].
+//!   and retunes each rebuilt shard's model density to its keys. Every
+//!   base is the ε-corridor of [`Backend::Rmi`]; no shard selects.
 //! * [`persist`] — the persistence tier: save a [`ShardedWritable`] to
 //!   one page-aligned snapshot file (coefficients + key payload + delta
 //!   buffers and sealed runs, checksummed, published atomically) and load
@@ -82,7 +77,6 @@ pub mod persist;
 pub mod rebalance;
 pub mod rebalance_worker;
 pub mod router;
-pub mod select;
 pub mod sharded;
 pub mod sharded_writable;
 pub mod wal;
@@ -100,10 +94,9 @@ pub use persist::PersistError;
 pub use rebalance::{RebalanceAction, RebalanceConfig};
 pub use rebalance_worker::RebalanceWorker;
 pub use router::ShardRouter;
-pub use select::{choose, choose_multiset, Backend, BackendChoice};
 pub use sharded::ShardedIndex;
 pub use sharded_writable::{
-    RecoveryReport, ShardedSnapshot, ShardedWritable, ShardedWritableConfig,
+    Backend, RecoveryReport, ShardedSnapshot, ShardedWritable, ShardedWritableConfig,
 };
 pub use wal::{Wal, WalError, WalSyncPolicy};
 pub use writable::WritableShard;

@@ -59,8 +59,8 @@
 //! (header `kind` 2; any other kind is a [`PersistError::Format`]).
 //! Every shard persists its [`RmiConfig`] next to its base's
 //! coefficients, plus its delta buffer and sealed run stack. The store
-//! builds one base, so its configuration's backend tag must be
-//! [`crate::Backend::Rmi`]; a file tagged otherwise is a
+//! builds one base, so its configuration's backend tag must be 1
+//! ([`crate::Backend::Rmi`]); any other byte is a
 //! [`PersistError::Format`]. The cascade codec still carries hybrid
 //! B-Tree leaves (offset, length and page size, rebuilt from the mapped
 //! keys) for the files that hold them. A multivariate or MLP top
@@ -86,8 +86,7 @@ use li_index::{KeyStore, MappedFile, RangeIndex};
 
 use crate::builder::RetunePolicy;
 use crate::rebalance::RebalanceConfig;
-use crate::select::Backend;
-use crate::sharded_writable::{ShardedWritable, ShardedWritableConfig};
+use crate::sharded_writable::{Backend, ShardedWritable, ShardedWritableConfig};
 use crate::writable::WritableShard;
 
 /// Header size; also the key payload's file offset. One page, so the
@@ -612,6 +611,11 @@ fn decode_rmi_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
 /// reads no other.
 const RETIRED_MAX_ABS_ERR: u64 = u64::MAX;
 
+/// The store configuration's backend tag: [`Backend::Rmi`], the one
+/// base, is 1, and no other byte is read. Tags 0 and 2–4 named the
+/// retired selector and pinned trees.
+const BACKEND_TAG_RMI: u8 = 1;
+
 fn encode_sw_config(enc: &mut Enc, cfg: &ShardedWritableConfig) {
     enc.usize(cfg.merge_threshold);
     enc.f64(cfg.leaf_fraction);
@@ -633,7 +637,7 @@ fn encode_sw_config(enc: &mut Enc, cfg: &ShardedWritableConfig) {
     }
     enc.usize(cfg.rebalance.max_shards);
     enc.usize(cfg.max_runs);
-    enc.u8(cfg.backend.tag());
+    enc.u8(BACKEND_TAG_RMI);
 }
 
 fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistError> {
@@ -666,11 +670,9 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
     // folds every full buffer with one retrain: the same policy.
     let max_runs = dec.usize()?.max(1);
     let backend_tag = dec.u8()?;
-    let backend = Backend::from_tag(backend_tag)
-        .ok_or_else(|| format_err(format!("bad backend tag {backend_tag}")))?;
-    if backend != Backend::Rmi {
+    if backend_tag != BACKEND_TAG_RMI {
         return Err(format_err(format!(
-            "backend tag {backend_tag} ({backend:?}) is not the store's one base, Rmi"
+            "backend tag {backend_tag} is not the store's one base, Rmi ({BACKEND_TAG_RMI})"
         )));
     }
     let cfg = ShardedWritableConfig {
@@ -679,7 +681,7 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
         retune,
         check_interval,
         max_runs,
-        backend,
+        backend: Backend::Rmi,
         // Runtime-only knob, deliberately not persisted: a reloaded
         // structure observes by default like a fresh one.
         observe: true,

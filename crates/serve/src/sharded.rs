@@ -184,7 +184,7 @@ impl RangeIndex for ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::{BTreeShardBuilder, FastShardBuilder, RmiShardBuilder};
+    use crate::builder::{BTreeShardBuilder, FastShardBuilder, RetunePolicy, RmiShardBuilder};
 
     fn oracle(data: &[u64], q: u64) -> usize {
         data.partition_point(|&k| k < q)
@@ -307,7 +307,8 @@ mod tests {
     #[test]
     fn rmi_backend_shards_are_corridors() {
         let data: Vec<u64> = (0..20_000u64).map(|i| i * i).collect();
-        let idx = ShardedIndex::build(data.clone(), 4, &crate::Backend::Rmi);
+        let builder = RmiShardBuilder::new().with_retune(RetunePolicy::default());
+        let idx = ShardedIndex::build(data.clone(), 4, &builder);
         for s in 0..idx.shard_count() {
             let name = idx.shard(s).name();
             assert!(name.starts_with("rmi(corridor"), "shard {s}: {name}");

@@ -105,9 +105,19 @@ use crate::persist::PersistError;
 use crate::rebalance::{plan, RebalanceAction, RebalanceConfig};
 use crate::rebalance_worker::WorkerLink;
 use crate::router::ShardRouter;
-use crate::select::Backend;
 use crate::wal::{self, Wal, WalOp, WalSyncPolicy};
 use crate::writable::{CachedTiers, WritableShard};
+
+/// The base every [`ShardedWritable`] shard builds, folds, splits,
+/// merges and saves: the retuned ε-corridor RMI
+/// ([`RmiConfig::corridor`]). It has one variant; the store selects
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Backend {
+    /// Retuned ε-corridor RMI on every shard.
+    #[default]
+    Rmi,
+}
 
 /// Configuration of a [`ShardedWritable`].
 ///
@@ -153,11 +163,8 @@ pub struct ShardedWritableConfig {
     /// cycle: every full buffer is folded. The pass runs on the attached
     /// [`crate::RebalanceWorker`] when there is one, inline otherwise.
     pub max_runs: usize,
-    /// Must be [`Backend::Rmi`] (the default), which validation
-    /// enforces: every shard build, split, merge and fold trains the
-    /// same retuned ε-corridor base. Per-shard backend selection
-    /// ([`Backend::Auto`]) belongs to the read-only
-    /// [`crate::ShardedIndex`].
+    /// The shard base, [`Backend::Rmi`]: every shard build, split,
+    /// merge and fold trains the same retuned ε-corridor.
     pub backend: Backend,
     /// Hot-path observability (default `true`): count every insert and
     /// latency-sample 1-in-N of them into the structure's
@@ -197,10 +204,6 @@ impl ShardedWritableConfig {
         assert!(
             self.retune.max_mean_err >= 0.0 && self.retune.max_mean_err.is_finite(),
             "retune.max_mean_err must be finite and >= 0"
-        );
-        assert!(
-            self.backend == Backend::Rmi,
-            "a ShardedWritable builds one base, the ε-corridor: backend must be Rmi"
         );
         self.rebalance.validate();
     }
@@ -1649,12 +1652,7 @@ fn build_retuned_shard(
     config: &ShardedWritableConfig,
     obs: &Arc<ServeMetrics>,
 ) -> WritableShard {
-    let (rmi, cfg) = retune_rmi(
-        &keys.into(),
-        config.leaf_fraction,
-        Some(&config.retune),
-        RmiConfig::corridor,
-    );
+    let (rmi, cfg) = retune_rmi(&keys.into(), config.leaf_fraction, Some(&config.retune));
     let shard = WritableShard::from_delta(
         DeltaIndex::from_trained(rmi, cfg, config.merge_threshold).with_tiering(config.max_runs),
     );
@@ -1810,26 +1808,6 @@ mod tests {
     fn a_zero_run_bound_is_rejected() {
         let config = ShardedWritableConfig {
             max_runs: 0,
-            ..small_cfg()
-        };
-        ShardedWritable::new(vec![1u64], 1, config);
-    }
-
-    #[test]
-    #[should_panic(expected = "backend must be Rmi")]
-    fn an_auto_store_is_rejected() {
-        let config = ShardedWritableConfig {
-            backend: Backend::Auto,
-            ..small_cfg()
-        };
-        ShardedWritable::new(vec![1u64], 1, config);
-    }
-
-    #[test]
-    #[should_panic(expected = "backend must be Rmi")]
-    fn a_btree_store_is_rejected() {
-        let config = ShardedWritableConfig {
-            backend: Backend::BTree,
             ..small_cfg()
         };
         ShardedWritable::new(vec![1u64], 1, config);

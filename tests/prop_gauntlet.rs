@@ -1,14 +1,16 @@
-//! Property suite: the adversarial gauntlet. Whatever backend mix
-//! `Backend::Auto` picks for a `ShardedIndex` — per shard, per
-//! distribution — the index must be observationally identical to a
-//! flat sorted array: selection is an optimization, never a semantics
-//! change. The store (`ShardedWritable`, whose every base is the
-//! ε-corridor) runs the same distributions against a `BTreeSet` oracle
-//! through the merges and splits an insert stream provokes. Runs every
-//! gauntlet distribution (`li_data::gauntlet`) × shard counts {1, 4, 8},
-//! plus the degenerate keysets (empty, single, all-duplicate,
-//! `u64::MAX`). The write-tier tests keep their `auto_` names from when
-//! the store selected backends too.
+//! Property suite: the adversarial gauntlet. A `ShardedIndex` of
+//! retuned ε-corridor shards over a unique keyset — and of B-Tree
+//! shards over a multiset, which the RMI's unique-key contract excludes
+//! — must be observationally identical to a flat sorted array. The
+//! store (`ShardedWritable`, whose every base is the ε-corridor) runs
+//! the same distributions against a `BTreeSet` oracle through the
+//! merges and splits an insert stream provokes. Runs every gauntlet
+//! distribution (`li_data::gauntlet`) × shard counts {1, 4, 8}, plus
+//! the degenerate keysets (empty, single, all-duplicate, `u64::MAX`).
+//! Every test keeps its `auto_` name from when a per-shard selector
+//! (the retired `Auto` backend) picked each shard's backend; the
+//! corridor beat every backend it could pick at benchmark shard scale,
+//! so it went.
 //!
 //! `PROPTEST_CASES` deepens the sweep (CI runs a 256-case pass).
 
@@ -16,11 +18,22 @@ use std::collections::BTreeSet;
 
 use learned_indexes::data::Gauntlet;
 use learned_indexes::serve::{
-    Backend, RangeIndex, RebalanceConfig, ShardedIndex, ShardedWritable, ShardedWritableConfig,
+    BTreeShardBuilder, RangeIndex, RebalanceConfig, RetunePolicy, RmiShardBuilder, ShardBuilder,
+    ShardedIndex, ShardedWritable, ShardedWritableConfig,
 };
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
+
+/// The shard builder for a keyset: the retuned ε-corridor over unique
+/// keys, a page-128 B-Tree over a multiset.
+fn shard_builder(multiset: bool) -> Box<dyn ShardBuilder> {
+    if multiset {
+        Box::new(BTreeShardBuilder::new(128))
+    } else {
+        Box::new(RmiShardBuilder::new().with_retune(RetunePolicy::default()))
+    }
+}
 
 fn oracle_lower_bound(data: &[u64], q: u64) -> usize {
     data.partition_point(|&k| k < q)
@@ -77,9 +90,9 @@ fn write_config() -> ShardedWritableConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Read tier: an auto-selected `ShardedIndex` over every gauntlet
-    /// distribution answers `lower_bound` exactly like the flat sorted
-    /// array, at every shard count.
+    /// Read tier: a `ShardedIndex` over every gauntlet distribution
+    /// answers `lower_bound` exactly like the flat sorted array, at
+    /// every shard count.
     #[test]
     fn auto_sharded_index_matches_the_flat_oracle(
         seed in any::<u64>(),
@@ -87,8 +100,9 @@ proptest! {
     ) {
         for dist in Gauntlet::ALL {
             let data = dist.generate(n, seed);
+            let builder = shard_builder(dist.is_multiset());
             for shards in SHARD_COUNTS {
-                let idx = ShardedIndex::build(data.clone(), shards, &Backend::Auto);
+                let idx = ShardedIndex::build(data.clone(), shards, builder.as_ref());
                 assert_index_matches_oracle(
                     &idx,
                     &data,
@@ -137,8 +151,8 @@ proptest! {
     }
 }
 
-/// Degenerate keysets the selector must survive at every shard count:
-/// empty, single key, all-duplicate, and `u64::MAX`-adjacent.
+/// Degenerate keysets a `ShardedIndex` must survive at every shard
+/// count: empty, single key, all-duplicate, and `u64::MAX`-adjacent.
 #[test]
 fn auto_handles_degenerate_keysets() {
     let cases: Vec<(&str, Vec<u64>)> = vec![
@@ -156,8 +170,9 @@ fn auto_handles_degenerate_keysets() {
         ),
     ];
     for (name, data) in &cases {
+        let builder = shard_builder(data.windows(2).any(|w| w[0] == w[1]));
         for shards in SHARD_COUNTS {
-            let idx = ShardedIndex::build(data.clone(), shards, &Backend::Auto);
+            let idx = ShardedIndex::build(data.clone(), shards, builder.as_ref());
             for q in probes(data) {
                 assert_eq!(
                     idx.lower_bound(q),

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use learned_indexes::rmi::{train_count, RmiParams};
 use learned_indexes::serve::{
-    Backend, PersistError, RebalanceConfig, ShardedWritable, ShardedWritableConfig,
+    PersistError, RebalanceConfig, ShardedWritable, ShardedWritableConfig,
 };
 use proptest::prelude::*;
 
@@ -390,11 +390,12 @@ fn a_kind_1_snapshot_is_a_typed_format_error() {
     }
 }
 
-/// The store builds one base, so a snapshot whose configuration says
-/// `Backend::Auto` (tag 0) or `Backend::BTree` (tag 2) — the store's
-/// retired modes, patched into a fresh save and re-sealed — is refused
-/// with a typed `Format` error, never loaded under a mode that no longer
-/// exists.
+/// The store builds one base, tag 1 (`Backend::Rmi`), so a snapshot
+/// whose configuration carries any other backend byte — the retired
+/// selector (0), the retired pinned trees (2, 3, 4) or a byte no build
+/// ever wrote (5, 255), patched into a fresh save and re-sealed — is
+/// refused with a typed `Format` error, never loaded under a mode that
+/// does not exist.
 #[test]
 fn a_retired_backend_tag_is_a_typed_format_error() {
     let path = tmp_path("retired-backend");
@@ -408,17 +409,20 @@ fn a_retired_backend_tag_is_a_typed_format_error() {
     // `max_runs`, then the backend tag byte.
     let saved = std::fs::read(&path).unwrap();
     let at = 4096 + base.len() * 8 + 8 * 8 + 1 + 8 + 8 + 8;
-    assert_eq!(saved[at], Backend::Rmi.tag());
-    for retired in [Backend::Auto, Backend::BTree] {
+    assert_eq!(saved[at], 1, "the Rmi tag");
+    for retired in [0u8, 2, 3, 4, 5, 255] {
         let mut bytes = saved.clone();
-        bytes[at] = retired.tag();
+        bytes[at] = retired;
         reseal(&mut bytes);
         std::fs::write(&path, &bytes).unwrap();
         match ShardedWritable::load(&path) {
             Err(PersistError::Format(msg)) => {
-                assert!(msg.contains("backend tag"), "{retired:?}: {msg}")
+                assert!(msg.contains("backend tag"), "tag {retired}: {msg}")
             }
-            other => panic!("{retired:?} must be a Format error, got {:?}", other.err()),
+            other => panic!(
+                "tag {retired} must be a Format error, got {:?}",
+                other.err()
+            ),
         }
     }
 }
