@@ -545,66 +545,73 @@ impl ShardedWritable {
         Ok(self.insert_batch_unlogged(keys))
     }
 
-    /// The WAL-free batch body shared by every write path (recovery
-    /// replay uses it directly — replayed records must not re-log).
+    /// The WAL-free batch body shared by every write path: apply the
+    /// batch, then account for it.
     fn insert_batch_unlogged(&self, keys: &[u64]) -> Vec<bool> {
-        let mut flags = vec![false; keys.len()];
-        if keys.is_empty() {
-            return flags;
-        }
-        let (newly, max_owner_len, compaction_due) = {
-            // Same guard discipline as `insert`: hold the read lock
-            // across every shard handoff so no rebalance can swap the
-            // topology mid-batch.
-            let guard = self.topo_guard();
-            let n = guard.shards.len();
-            let mut newly = 0usize;
-            let mut max_owner_len = 0usize;
-            let mut compaction_due = false;
-            if n == 1 {
-                let (shard_flags, obs) = guard.shards[0].insert_batch_observed(keys);
-                flags = shard_flags;
-                newly = flags.iter().filter(|&&f| f).count();
-                if newly > 0 {
-                    max_owner_len = obs.len;
-                }
-                compaction_due = obs.needs_compaction;
-            } else {
-                // Bucket per owner shard, remembering each key's slot
-                // so the flags scatter back in input order.
-                let mut bucket_keys: Vec<Vec<u64>> = vec![Vec::new(); n];
-                let mut bucket_slots: Vec<Vec<usize>> = vec![Vec::new(); n];
-                for (slot, &k) in keys.iter().enumerate() {
-                    let s = guard.router.route_owner(k);
-                    bucket_keys[s].push(k);
-                    bucket_slots[s].push(slot);
-                }
-                for ((bkeys, bslots), shard) in bucket_keys
-                    .iter()
-                    .zip(&bucket_slots)
-                    .zip(guard.shards.iter())
-                {
-                    if bkeys.is_empty() {
-                        continue;
-                    }
-                    let (shard_flags, obs) = shard.insert_batch_observed(bkeys);
-                    let added = shard_flags.iter().filter(|&&f| f).count();
-                    if added > 0 {
-                        newly += added;
-                        max_owner_len = max_owner_len.max(obs.len);
-                    }
-                    compaction_due |= obs.needs_compaction;
-                    for (&slot, &f) in bslots.iter().zip(&shard_flags) {
-                        flags[slot] = f;
-                    }
-                }
-            }
-            (newly, max_owner_len, compaction_due)
-        };
+        let (flags, newly, max_owner_len, compaction_due) = self.apply_batch(keys);
         if newly > 0 || compaction_due {
             self.note_inserts(newly, max_owner_len, compaction_due);
         }
         flags
+    }
+
+    /// Insert `keys` through one `insert_batch` per owner shard, with
+    /// no WAL append and no accounting: no insert is counted and no
+    /// maintenance runs (recovery's replay calls only this). Returns
+    /// the flags in input order, the keys newly inserted, the largest
+    /// receiving owner's length and whether any owner's stack is full.
+    fn apply_batch(&self, keys: &[u64]) -> (Vec<bool>, usize, usize, bool) {
+        let mut flags = vec![false; keys.len()];
+        if keys.is_empty() {
+            return (flags, 0, 0, false);
+        }
+        // Same guard discipline as `insert`: hold the read lock across
+        // every shard handoff so no rebalance can swap the topology
+        // mid-batch.
+        let guard = self.topo_guard();
+        let n = guard.shards.len();
+        let mut newly = 0usize;
+        let mut max_owner_len = 0usize;
+        let mut compaction_due = false;
+        if n == 1 {
+            let (shard_flags, obs) = guard.shards[0].insert_batch_observed(keys);
+            flags = shard_flags;
+            newly = flags.iter().filter(|&&f| f).count();
+            if newly > 0 {
+                max_owner_len = obs.len;
+            }
+            compaction_due = obs.needs_compaction;
+        } else {
+            // Bucket per owner shard, remembering each key's slot so
+            // the flags scatter back in input order.
+            let mut bucket_keys: Vec<Vec<u64>> = vec![Vec::new(); n];
+            let mut bucket_slots: Vec<Vec<usize>> = vec![Vec::new(); n];
+            for (slot, &k) in keys.iter().enumerate() {
+                let s = guard.router.route_owner(k);
+                bucket_keys[s].push(k);
+                bucket_slots[s].push(slot);
+            }
+            for ((bkeys, bslots), shard) in bucket_keys
+                .iter()
+                .zip(&bucket_slots)
+                .zip(guard.shards.iter())
+            {
+                if bkeys.is_empty() {
+                    continue;
+                }
+                let (shard_flags, obs) = shard.insert_batch_observed(bkeys);
+                let added = shard_flags.iter().filter(|&&f| f).count();
+                if added > 0 {
+                    newly += added;
+                    max_owner_len = max_owner_len.max(obs.len);
+                }
+                compaction_due |= obs.needs_compaction;
+                for (&slot, &f) in bslots.iter().zip(&shard_flags) {
+                    flags[slot] = f;
+                }
+            }
+        }
+        (flags, newly, max_owner_len, compaction_due)
     }
 
     /// Shared post-insert accounting for the scalar and batched write
@@ -655,7 +662,7 @@ impl ShardedWritable {
     pub(crate) fn maintenance_pass(&self) -> Pass {
         // Poison-tolerant: the mutex guards no data, only turns.
         let _turn = self.maintenance.lock().unwrap_or_else(|e| e.into_inner());
-        self.compact_pending(Due::FullStacks);
+        self.compact_pending();
         let mut pass = Pass::default();
         // The hysteresis in `plan` prevents oscillation; the bound is a
         // backstop so a policy bug cannot spin forever, four budgets
@@ -673,34 +680,28 @@ impl ShardedWritable {
         pass
     }
 
-    /// Maintain the run stack of every shard `due` selects. A shard
-    /// whose runs hold 1/[`li_core::delta::RUN_TIER_RATIO`] of its base
-    /// ([`WritableShard::fold_due`]), or any shard recovery replayed
-    /// into, is **folded**: its base retrained ONCE over base + runs
-    /// ([`WritableShard::compact`]). Any other shard with a full stack
-    /// gets a **run merge**: its runs become one run, nothing retrained
-    /// ([`WritableShard::merge_runs`]). Both run with no topology lock
-    /// held (only the shard's own brief read/write locks), so
-    /// concurrent inserts and snapshots keep flowing.
+    /// Maintain every full run stack. A shard whose runs hold
+    /// 1/[`li_core::delta::RUN_TIER_RATIO`] of its base
+    /// ([`WritableShard::fold_due`]) is **folded**: its base retrained
+    /// ONCE over base + runs ([`WritableShard::compact`]). Any other
+    /// shard with a full stack gets a **run merge**: its runs become
+    /// one run, nothing retrained ([`WritableShard::merge_runs`]). Both
+    /// run with no topology lock held (only the shard's own brief
+    /// read/write locks), so concurrent inserts and snapshots keep
+    /// flowing.
     ///
-    /// This is the single run-maintenance entry point — every
-    /// maintenance pass passes [`Due::FullStacks`], recovery passes
-    /// [`Due::Replayed`] — so the global [`ShardedWritable::compactions`]
-    /// and [`ShardedWritable::run_merges`] counters account every fold
-    /// and run merge exactly once.
-    pub(crate) fn compact_pending(&self, due: Due) {
+    /// This is the single run-maintenance entry point, so the global
+    /// [`ShardedWritable::compactions`] and
+    /// [`ShardedWritable::run_merges`] counters account every fold and
+    /// run merge exactly once.
+    pub(crate) fn compact_pending(&self) {
         // The Arc (not the guard) suffices: compaction never touches
         // the topology, and a shard orphaned by a concurrent rebalance
         // is merely wasted work, never lost keys. Holding the guard
         // across the retrains would stall every rebalance behind them.
         let topo = Arc::clone(&self.topo_guard());
-        for shard in topo.shards.iter() {
-            let fold = match due {
-                Due::FullStacks if shard.needs_compaction() => shard.fold_due(),
-                Due::Replayed if shard.seals() > 0 => true,
-                _ => continue,
-            };
-            if !fold {
+        for shard in topo.shards.iter().filter(|s| s.needs_compaction()) {
+            if !shard.fold_due() {
                 let runs = shard.merge_runs();
                 if runs > 0 {
                     self.obs.run_merges.incr();
@@ -1412,19 +1413,18 @@ impl ShardedWritable {
     /// 3. **Replay** the keys of every record with `lsn > snapshot_lsn`
     ///    as ONE unlogged batch (replay must not re-append) through the
     ///    routed per-shard batch path: one `insert_batch` per owner
-    ///    shard, so each shard seals at most once. Then every shard
-    ///    whose replayed keys overflowed its buffer — it sealed
-    ///    during replay — folds its whole run stack into its base with
-    ///    one retrain through the ordinary compaction entry point,
-    ///    however small its run tier (a run merge would keep the
-    ///    replayed tail in a run the size of the tail). No
-    ///    shard folds twice; a shard that got less than a buffer keeps
-    ///    the keys buffered and trains nothing. The log holds only
-    ///    inserts, so replay is a set union: batching cannot change the
-    ///    result, and records the snapshot already covers (impossible
-    ///    by the LSN bound) or a previous half-finished recovery
-    ///    already applied (possible — replay mutates only memory) are
-    ///    harmless duplicates.
+    ///    shard, so each shard seals at most once — a shard whose
+    ///    replayed keys overflow its buffer keeps them as one sealed
+    ///    run, any other keeps them buffered. Then replay stops: it
+    ///    counts no insert, runs no maintenance and trains nothing, so
+    ///    every base stays the loaded one. A stack the replay filled to
+    ///    `max_runs`, or a shard it pushed past `max_shard_len`, is
+    ///    maintained by the first insert that lands in that shard, as
+    ///    any full stack is. The log holds only inserts, so replay is a
+    ///    set union: batching cannot change the result, and records the
+    ///    snapshot already covers (impossible by the LSN bound) or a
+    ///    previous half-finished recovery already applied (possible —
+    ///    replay mutates only memory) are harmless duplicates.
     /// 4. **Re-attach** the WAL for appending, positioned after the
     ///    valid prefix, with LSNs continuing from the last valid one.
     ///
@@ -1465,13 +1465,7 @@ impl ShardedWritable {
             }
             replayed += 1;
         }
-        sw.insert_batch_unlogged(&keys);
-        // A loaded or freshly built shard starts with a seal count of
-        // 0, so a non-zero count marks exactly the shards whose
-        // replayed keys overflowed the buffer. Those the batch path
-        // already folded (stack at `max_runs`) have no runs left and
-        // are skipped; those it merged into one run fold here.
-        sw.compact_pending(Due::Replayed);
+        sw.apply_batch(&keys);
 
         let mut wal = Wal::open_after_recovery(wal_path.as_ref(), policy, &found, snapshot_lsn)?;
         wal.set_obs(Arc::clone(&sw.obs));
@@ -1527,23 +1521,9 @@ pub struct RecoveryReport {
     pub last_lsn: u64,
     /// Base models the recovery trained ([`li_core::train_count`]
     /// across it — exact, because recovery runs on the caller's
-    /// thread). 0 when a snapshot loaded and every shard's replayed
-    /// keys fit in its buffer; otherwise the retrains of the shards
-    /// that folded, of any rebalance the replayed keys triggered, and a
-    /// first boot's empty base.
+    /// thread). 0 whenever a snapshot loaded, however long the replayed
+    /// tail; 1 on a first boot, for its empty base.
     pub trained: u64,
-}
-
-/// Which shards one [`ShardedWritable::compact_pending`] pass maintains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Due {
-    /// Shards whose run stack is at `max_runs`: each folds when its
-    /// runs hold 1/16 of its base, and merges its runs otherwise.
-    FullStacks,
-    /// Shards that sealed since they were loaded (recovery's replay):
-    /// each folds, so a restarted store does not keep a replayed tail
-    /// in runs.
-    Replayed,
 }
 
 /// What one [`ShardedWritable::maintenance_pass`] did.
@@ -2243,12 +2223,53 @@ mod tests {
         )
         .unwrap();
         assert!(!report.snapshot_loaded);
-        assert_eq!(report.replayed, 20);
+        assert_eq!((report.replayed, report.trained), (20, 1), "one empty base");
         assert_eq!(rec.len(), 20);
         assert_eq!(
             rec.range_keys(0, u64::MAX),
             (0..20u64).map(|k| k * 3).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn a_stack_the_replay_fills_is_maintained_by_the_next_insert() {
+        let (snap, wal_path) = (tmp("deferred.lidx"), tmp("deferred.wal"));
+        let (_g1, _g2) = (Cleanup(snap.clone()), Cleanup(wal_path.clone()));
+        let cfg = ShardedWritableConfig {
+            max_runs: 2,
+            ..small_cfg()
+        };
+        let keys = |n: u64, d: u64| (0..n).map(|i| i * 100 + d).collect::<Vec<_>>();
+        let sw = ShardedWritable::new(keys(40, 0), 1, cfg.clone());
+        sw.enable_wal(&wal_path, WalSyncPolicy::PerRecord).unwrap();
+        sw.insert_batch(&keys(8, 1)); // seals the first run
+        sw.save(&snap).unwrap();
+        sw.insert_batch(&keys(8, 2)); // only the log holds the second
+        drop(sw);
+
+        let (rec, report) =
+            ShardedWritable::recover_with_config(&snap, &wal_path, WalSyncPolicy::PerRecord, cfg)
+                .unwrap();
+        let shard = Arc::clone(&rec.topo_guard().shards[0]);
+        assert_eq!(
+            (report.trained, rec.compactions(), rec.run_merges()),
+            (0, 0, 0)
+        );
+        assert!(
+            shard.needs_compaction(),
+            "the replay's seal fills the stack"
+        );
+        let fold = shard.fold_due();
+        assert!(rec.insert(3));
+        assert!(shard.run_count() < 2, "the insert maintains the stack");
+        let moved = (rec.compactions(), rec.run_merges());
+        assert_eq!(moved, (usize::from(fold), usize::from(!fold)));
+        let oracle: std::collections::BTreeSet<u64> =
+            [keys(40, 0), keys(8, 1), keys(8, 2), vec![3]]
+                .concat()
+                .into_iter()
+                .collect();
+        assert_eq!(rec.range_keys(0, u64::MAX), Vec::from_iter(oracle));
     }
 
     #[test]

@@ -15,10 +15,12 @@
 //!    (per-record `fsync`: every acknowledged write is durable),
 //!    inserts a first burst, **saves a snapshot** (which truncates the
 //!    log and stamps the snapshot LSN), inserts a second burst that
-//!    only the log protects — then calls `std::process::abort()`;
+//!    only the log protects, as one batch that overflows every shard's
+//!    buffer — then calls `std::process::abort()`;
 //! 3. the parent observes the abnormal exit, runs
 //!    `ShardedWritable::recover` on the dead child's files, and
-//!    verifies every key from both bursts survived.
+//!    verifies every key from both bursts survived, and that replaying
+//!    the overflowing tail trained nothing and folded nothing.
 //!
 //! The smoke-test entry point ([`run`]) exercises the same protocol
 //! in-process (drop instead of abort, plus an injected torn tail), so
@@ -26,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use learned_indexes::data::Dataset;
+use learned_indexes::data::{Dataset, SplitMix64};
 use learned_indexes::serve::{ShardedWritable, ShardedWritableConfig, WalSyncPolicy};
 
 const ROLE_VAR: &str = "LI_CRASH_ROLE";
@@ -34,25 +36,33 @@ const KEYS_VAR: &str = "LI_CRASH_KEYS";
 const DIR_VAR: &str = "LI_CRASH_DIR";
 
 /// The burst sizes around the snapshot: `BURST` acknowledged writes
-/// land before the save (covered by the snapshot) and `BURST` after
-/// (covered only by the log).
+/// land before the save (covered by the snapshot) and `TAIL` after
+/// (covered only by the log): one batch, so `PerRecord` pays one
+/// `fsync`, and twice the four shards' 1 024-key buffers.
 const BURST: usize = 500;
+const TAIL: usize = 8192;
 
 fn paths(dir: &std::path::Path) -> (std::path::PathBuf, std::path::PathBuf) {
     (dir.join("crash.lidx"), dir.join("crash.wal"))
 }
 
-/// The deterministic workload both processes can reconstruct: the base
-/// keyset and the two insert bursts.
+/// The deterministic workload both processes can reconstruct: one
+/// shuffled lognormal keyset, whose first keys are the two insert
+/// bursts (so each spreads over the shards as the base does) and whose
+/// rest, sorted, is the base.
 fn workload(n: usize) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
-    let keyset = Dataset::Lognormal.generate(n, 42);
-    let before = keyset.sample_missing(BURST, 11);
-    let after = keyset.sample_missing(BURST, 13);
-    (keyset.keys().to_vec(), before, after)
+    let all = Dataset::Lognormal.generate(n + BURST + TAIL, 42);
+    let mut keys = all.keys().to_vec();
+    SplitMix64::new(11).shuffle(&mut keys);
+    let mut base = keys.split_off(BURST + TAIL);
+    base.sort_unstable();
+    let after = keys.split_off(BURST);
+    (base, keys, after)
 }
 
-/// Child role: build, write durably, snapshot, write more, crash hard.
-fn child(n: usize, dir: &std::path::Path) -> ! {
+/// Build, write durably, snapshot, write more: the store a crash
+/// kills, and the files it leaves in `dir`.
+fn write_bursts(n: usize, dir: &std::path::Path) -> ShardedWritable {
     let (base, before, after) = workload(n);
     let (snap, wal) = paths(dir);
     let sw = ShardedWritable::new(base, 4, ShardedWritableConfig::default());
@@ -65,9 +75,13 @@ fn child(n: usize, dir: &std::path::Path) -> ! {
     // log is truncated under the same lock — no record is covered
     // twice, none is dropped.
     sw.save(&snap).expect("save");
-    for &k in &after {
-        sw.insert(k);
-    }
+    sw.insert_batch(&after);
+    sw
+}
+
+/// Child role: write both bursts, then crash hard.
+fn child(n: usize, dir: &std::path::Path) -> ! {
+    let _live = write_bursts(n, dir);
     // No shutdown hook gets to run: SIGABRT, the process is gone.
     std::process::abort();
 }
@@ -78,7 +92,7 @@ fn parent(n: usize) {
     std::fs::create_dir_all(&dir).expect("create scratch dir");
 
     let exe = std::env::current_exe().expect("current_exe");
-    println!("spawning child to crash mid-burst ({n} base keys, 2x{BURST} writes)...");
+    println!("spawning child to crash mid-burst ({n} base keys, {BURST}+{TAIL} writes)...");
     let status = std::process::Command::new(exe)
         .env(ROLE_VAR, "child")
         .env(KEYS_VAR, n.to_string())
@@ -128,11 +142,12 @@ fn verify_recovery(
         report.skipped, 0,
         "the checkpoint truncation left covered records in the log"
     );
-    // Each shard's buffer holds its share of both bursts (about 250
-    // keys of 1 024), so the replay seals nothing and trains nothing.
+    // Each shard's share of the tail (about 2 000 keys) overflows its
+    // 1 024-key buffer into one sealed run; replay stops there.
     assert_eq!(
-        report.trained, 0,
-        "a tail under one buffer per shard must not train"
+        (rec.run_count(), report.trained, rec.compactions()),
+        (rec.shard_count(), 0, 0),
+        "every shard seals its tail; replay must not train or fold"
     );
 
     let expected: BTreeSet<u64> = base
@@ -182,20 +197,9 @@ pub fn run(n: usize) {
         std::thread::current().id()
     ));
     std::fs::create_dir_all(&dir).expect("create scratch dir");
+    drop(write_bursts(n, &dir)); // the crash
     let (base, before, after) = workload(n);
     let (snap, wal) = paths(&dir);
-
-    let sw = ShardedWritable::new(base.clone(), 4, ShardedWritableConfig::default());
-    sw.enable_wal(&wal, WalSyncPolicy::PerRecord)
-        .expect("enable_wal");
-    for &k in &before {
-        sw.insert(k);
-    }
-    sw.save(&snap).expect("save");
-    for &k in &after {
-        sw.insert(k);
-    }
-    drop(sw); // the crash
 
     // A torn tail: the first half of a record whose append never
     // finished. Recovery must truncate it, not choke on it.

@@ -3,11 +3,11 @@
 //! corrupts the log at *any* byte, recovery yields precisely the
 //! prefix of appended records up to the damage (BTreeSet oracle
 //! equivalence), never a gap, never a partial record, never a panic.
-//! Recovery loads the snapshot without training a single model
-//! (`train_count` flat), trains only to fold the shards whose buffers
-//! the replayed tail overflowed — each once — and is idempotent:
-//! recovering twice from the same files produces the same state and
-//! the same report.
+//! Recovery loads the snapshot and replays the tail without training a
+//! single model (`train_count` flat) or running any maintenance, even
+//! where the tail overflows buffers, and is idempotent: recovering
+//! twice from the same files produces the same state and the same
+//! report.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -103,8 +103,9 @@ fn roomy_cfg() -> ShardedWritableConfig {
 }
 
 /// A tiered configuration whose 8-key buffers the replayed tails below
-/// overflow, so recovery seals and folds. Rebalancing stays off, so
-/// shard `i` of the snapshot is shard `i` of the recovered store.
+/// overflow, so recovery seals runs, some into a full stack. Rebalancing
+/// stays off, so shard `i` of the snapshot is shard `i` of the
+/// recovered store.
 fn tiered_cfg() -> ShardedWritableConfig {
     ShardedWritableConfig {
         merge_threshold: 8,
@@ -128,19 +129,20 @@ fn write_log(path: &PathBuf, ops: &[Op]) -> Vec<u64> {
     ends
 }
 
-/// The replay-fold rule, shard by shard against what the snapshot
-/// saved (`saved`, holding the keys `at_save`): a shard whose buffer
-/// the replayed keys (`now` minus `at_save`) overflowed has folded its
-/// whole run stack into its base, and every other shard kept its saved
-/// runs and buffers the keys. No shard folds twice: the store counts
-/// exactly one compaction per overflowing shard. Returns that number.
-fn check_fold_rule(
+/// The replay rule, shard by shard against what the snapshot saved
+/// (`saved`, holding the keys `at_save`): every base is the loaded one
+/// (mapped, same key count, same ε). A shard whose buffer the replayed
+/// keys (`now` minus `at_save`) overflowed keeps its saved runs plus
+/// exactly one run and an empty buffer; every other shard keeps its
+/// saved runs and buffers its saved keys plus the replayed ones. Replay
+/// runs no maintenance, so the store counts no fold and no run merge.
+fn check_replay_rule(
     rec: &ShardedWritable,
     saved: &ShardedSnapshot,
     at_save: &BTreeSet<u64>,
     now: &BTreeSet<u64>,
     buffer: usize,
-) -> Result<usize, String> {
+) -> Result<(), String> {
     let bounds = rec.bounds();
     let mut replayed = vec![0usize; bounds.len() + 1];
     for &key in now.difference(at_save) {
@@ -150,37 +152,38 @@ fn check_fold_rule(
     if recovered.shard_snapshots().len() != saved.shard_snapshots().len() {
         return Err("recovery changed the shard count".into());
     }
-    let mut overflowed = 0;
     for (i, (shard, was)) in recovered
         .shard_snapshots()
         .iter()
         .zip(saved.shard_snapshots())
         .enumerate()
     {
+        let same_base = shard.base_store().len() == was.base_store().len()
+            && shard.base_index().stats().eps == was.base_index().stats().eps;
+        if !same_base || !shard.base_store().is_mapped() {
+            return Err(format!("shard {i} replaced its loaded base"));
+        }
         let buffered = was.delta_keys().len() + replayed[i];
-        if buffered >= buffer {
-            overflowed += 1;
-            if !shard.runs().is_empty() {
-                return Err(format!(
-                    "shard {i} overflowed but kept {} runs",
-                    shard.runs().len()
-                ));
-            }
-        } else if shard.runs().len() != was.runs().len() || shard.delta_keys().len() != buffered {
+        let want = if buffered >= buffer {
+            (was.runs().len() + 1, 0)
+        } else {
+            (was.runs().len(), buffered)
+        };
+        let got = (shard.runs().len(), shard.delta_keys().len());
+        if got != want {
+            let n = replayed[i];
             return Err(format!(
-                "shard {i} fit its {} replayed keys but changed tiers",
-                replayed[i]
+                "shard {i} replayed {n} keys: (runs, buffered) {got:?}, want {want:?}"
             ));
         }
     }
-    if rec.compactions() != overflowed || rec.compactions() > rec.shard_count() {
+    let maintained = (rec.compactions(), rec.run_merges());
+    if maintained != (0, 0) {
         return Err(format!(
-            "{} compactions for {overflowed} overflowing shards of {}",
-            rec.compactions(),
-            rec.shard_count()
+            "replay ran maintenance: (folds, run merges) {maintained:?}"
         ));
     }
-    Ok(overflowed)
+    Ok(())
 }
 
 /// Number of ops whose record ends at or before byte `cut`.
@@ -267,10 +270,10 @@ proptest! {
     /// durable writes → crash (truncate the log copy at the cut) →
     /// recover. The recovered structure must equal snapshot state plus
     /// exactly the replayed record prefix; the report must account for
-    /// every record and byte. Under the roomy configuration the
-    /// snapshot load and replay must not train a single model; under
-    /// the tiered one the tails overflow buffers, and every shard must
-    /// obey the replay-fold rule (`check_fold_rule`).
+    /// every record and byte. Under either configuration the snapshot
+    /// load and replay must not train a single model; under the tiered
+    /// one the tails overflow buffers, and under both every shard must
+    /// obey the replay rule (`check_replay_rule`).
     #[test]
     fn recovery_replays_the_exact_durable_prefix(
         initial in prop::collection::vec(any::<u64>(), 1..100),
@@ -343,13 +346,12 @@ proptest! {
                 &snap, &crash_wal, WalSyncPolicy::PerRecord, cfg.clone(),
             ).map_err(|e| TestCaseError::fail(e.to_string()))?;
             prop_assert_eq!(train_count() - trains, report.trained, "cut={}", cut);
-            prop_assert!(tiered || report.trained == 0, "recovery trained at cut={}", cut);
+            prop_assert_eq!(report.trained, 0, "recovery trained at cut={}", cut);
 
             let k = prefix_len(&ends, cut);
             let want = &prefix_oracles[k];
-            let overflowed = check_fold_rule(&rec, &saved, &prefix_oracles[0], want, cfg.merge_threshold)
+            check_replay_rule(&rec, &saved, &prefix_oracles[0], want, cfg.merge_threshold)
                 .map_err(|m| TestCaseError::fail(format!("{m} at cut={cut}")))?;
-            prop_assert_eq!(report.trained, overflowed as u64, "one retrain per fold, cut={}", cut);
             prop_assert_eq!(rec.len(), want.len(), "cut={}", cut);
             for &key in want {
                 prop_assert!(rec.contains(key), "lost key {} at cut={}", key, cut);
@@ -369,8 +371,8 @@ proptest! {
     /// in-memory result is dropped) changes nothing on disk that a
     /// second recovery would miss — same keys, same report, and the
     /// second scan sees zero torn bytes (the first already truncated
-    /// the tail). Under the tiered configuration the replay also seals
-    /// and folds, and must still land on the same state.
+    /// the tail). Under the tiered configuration the replay also seals,
+    /// and must still land on the same state.
     #[test]
     fn recovering_twice_from_the_same_files_is_identical(
         initial in prop::collection::vec(any::<u64>(), 1..60),
