@@ -583,11 +583,9 @@ impl DeltaIndex {
         splice_merge_vec(&tier_slices(self.base.data(), &self.runs, &self.delta))
     }
 
-    /// Error statistics of the trained base RMI (the per-shard retuning
-    /// and split-on-error signals). Buffered and sealed keys are not
-    /// reflected until the next fold — this reports the
-    /// model actually serving the base, which is what retuning
-    /// decisions care about.
+    /// Error statistics of the trained base RMI. Buffered and sealed
+    /// keys are not reflected until the next fold — this reports the
+    /// model actually serving the base.
     pub fn base_stats(&self) -> &crate::rmi::RmiStats {
         self.base.stats()
     }

@@ -43,8 +43,8 @@
 //!   it back with the key array **mapped** and zero models retrained — a
 //!   warm restart.
 //! * [`RebalanceWorker`] — background maintenance: a dedicated thread
-//!   that runs the maintenance pass while attached, so inserts only
-//!   record pressure into lock-free counters and signal over a channel;
+//!   that runs the maintenance pass while attached, so an insert that
+//!   makes a pass due only signals it over a channel;
 //!   rebuilds happen off the insert path and are published with an
 //!   incremental straggler hand-off ([`rebalance_worker`]).
 //! * [`obs`] — the observability surface: every structure owns a

@@ -611,6 +611,12 @@ fn decode_rmi_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
 /// reads no other.
 const RETIRED_MAX_ABS_ERR: u64 = u64::MAX;
 
+/// The store configuration's retired error-split slot: v5 keeps its
+/// flag byte and 8-byte value, written as flag 0 and `0.0` — the bytes
+/// a disabled trigger wrote. A load reads flag 0, or flag 1 with a
+/// finite, non-negative value it discards, and refuses anything else.
+const RETIRED_ERROR_SPLIT_FLAG: u8 = 0;
+
 /// The store configuration's backend tag: [`Backend::Rmi`], the one
 /// base, is 1, and no other byte is read. Tags 0 and 2–4 named the
 /// retired selector and pinned trees.
@@ -625,16 +631,8 @@ fn encode_sw_config(enc: &mut Enc, cfg: &ShardedWritableConfig) {
     enc.usize(cfg.check_interval);
     enc.usize(cfg.rebalance.max_shard_len);
     enc.usize(cfg.rebalance.merge_max_len);
-    match cfg.rebalance.max_mean_err {
-        Some(v) => {
-            enc.u8(1);
-            enc.f64(v);
-        }
-        None => {
-            enc.u8(0);
-            enc.f64(0.0);
-        }
-    }
+    enc.u8(RETIRED_ERROR_SPLIT_FLAG);
+    enc.f64(0.0);
     enc.usize(cfg.rebalance.max_shards);
     enc.usize(cfg.max_runs);
     enc.u8(BACKEND_TAG_RMI);
@@ -657,13 +655,16 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
     let check_interval = dec.usize()?;
     let max_shard_len = dec.usize()?;
     let merge_max_len = dec.usize()?;
-    let has_mme = dec.u8()?;
-    let mme = dec.f64()?;
-    let max_mean_err = match has_mme {
-        0 => None,
-        1 => Some(mme),
-        t => return Err(format_err(format!("bad max_mean_err flag {t}"))),
-    };
+    let (flag, threshold) = (dec.u8()?, dec.f64()?);
+    match flag {
+        RETIRED_ERROR_SPLIT_FLAG => {}
+        1 if threshold >= 0.0 && threshold.is_finite() => {}
+        _ => {
+            return Err(format_err(format!(
+                "retired error-split slot: flag {flag}, threshold {threshold}"
+            )))
+        }
+    }
     let max_shards = dec.usize()?;
     // A file saved when `max_runs = 0` meant "merge every full buffer
     // into the base with a retrain" loads with a one-run stack, which
@@ -688,26 +689,13 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
         rebalance: RebalanceConfig {
             max_shard_len,
             merge_max_len,
-            max_mean_err,
             max_shards,
         },
     };
-    // Mirror `ShardedWritableConfig::validate` as *errors*: a corrupt
-    // file must be rejected, not allowed to panic deep in a
-    // constructor.
-    if cfg.merge_threshold == 0
-        || !(cfg.leaf_fraction > 0.0 && cfg.leaf_fraction.is_finite())
-        || !(cfg.retune.max_mean_err >= 0.0 && cfg.retune.max_mean_err.is_finite())
-        || cfg.rebalance.max_shard_len < 2
-        || cfg.rebalance.merge_max_len >= cfg.rebalance.max_shard_len
-        || cfg.rebalance.max_shards < 1
-        || cfg
-            .rebalance
-            .max_mean_err
-            .is_some_and(|t| !(t >= 0.0 && t.is_finite()))
-    {
-        return Err(format_err("invalid sharded-writable configuration"));
-    }
+    // A corrupt file is refused here, by the rules construction
+    // asserts, rather than panicking deep in a constructor.
+    cfg.validate()
+        .map_err(|rule| format_err(format!("invalid sharded-writable configuration: {rule}")))?;
     Ok(cfg)
 }
 

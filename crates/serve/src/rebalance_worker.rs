@@ -11,37 +11,13 @@
 //! steady-state lookup, is where write-heavy deployments spend their
 //! tail latency.
 //!
-//! [`RebalanceWorker`] runs the **same pass** on a dedicated thread:
-//!
-//! ```text
-//!  insert(k) ──▶ owner shard           (topology READ lock only)
-//!      │
-//!      ├─ record(len watermark, hot)──▶ WorkerLink   (lock-free atomics)
-//!      └─ due? ──────────────────────▶ signal()      (mpsc wake, collapsed
-//!                                          │          to one in-flight msg)
-//!                                          ▼
-//!                                   rebalance worker thread
-//!                                   per wake, one maintenance pass:
-//!                                     0. maintain full run stacks (K
-//!                                        sealed runs → one run, or →
-//!                                        base with ONE retrain once
-//!                                        they hold 1/16 of it; no
-//!                                        topology lock)
-//!                                   then per step, until stable:
-//!                                     1. observe + plan      (read lock)
-//!                                     2. export + retrain    (NO lock —
-//!                                        inserts keep flowing into the
-//!                                        old shards)
-//!                                     3. publish + drain     (brief write
-//!                                        lock: re-route the writes that
-//!                                        raced in by the NEW bounds, swap
-//!                                        the Arc<Topology>)
-//! ```
+//! [`RebalanceWorker`] runs the **same pass** on a dedicated thread, one
+//! pass per wake (`ARCHITECTURE.md`, "Rebalance lifecycle", draws it).
 //!
 //! The worker owns maintenance while attached: inserts never run the
-//! pass inline, they only record pressure into the link's lock-free
-//! counters and (rarely — when a run stack fills, a shard runs hot or
-//! the periodic cadence is crossed) send one wake message. Dropping the
+//! pass inline, they only (rarely — when a run stack fills, a shard
+//! runs hot or the periodic cadence is crossed) send one wake message.
+//! The pass reads the exact shard lengths itself. Dropping the
 //! worker detaches the link, joins the thread, and returns the
 //! structure to inline maintenance.
 //!
@@ -63,28 +39,20 @@ use crate::sharded_writable::ShardedWritable;
 
 /// Wake-channel message from inserters (or the handle) to the worker.
 enum Wake {
-    /// Pressure was recorded; run a rebalance pass.
+    /// A pass is due; run one.
     Work,
     /// The handle is shutting down; exit the loop.
     Shutdown,
 }
 
-/// The lock-free pressure board + wake channel linking a
-/// [`ShardedWritable`]'s inserters to the background worker.
+/// The wake channel linking a [`ShardedWritable`]'s inserters to the
+/// background worker, with the worker's idle and dead state.
 ///
-/// Inserters touch only atomics on the hot path ([`WorkerLink::record`])
-/// and send at most one wake message per worker pass
-/// ([`WorkerLink::signal`] collapses signal storms with a flag swap).
+/// An insert touches it only when a pass is due, and sends at most one
+/// wake message per worker pass ([`WorkerLink::signal`] collapses
+/// signal storms with a flag swap).
 #[derive(Debug)]
 pub(crate) struct WorkerLink {
-    /// Set when an inserter observes its owner shard above the split
-    /// threshold; cleared when the worker begins a pass.
-    hot: AtomicBool,
-    /// Successful (key-adding) inserts since the worker's last pass.
-    since_pass: AtomicUsize,
-    /// Shard-length high-watermark observed by inserters since the
-    /// worker's last pass.
-    max_len_seen: AtomicUsize,
     /// Whether a wake message is already in flight (collapses storms).
     signaled: AtomicBool,
     /// Set once, when the worker thread exits (shutdown or panic).
@@ -105,9 +73,6 @@ pub(crate) struct WorkerLink {
 impl WorkerLink {
     fn new(tx: Sender<Wake>) -> Self {
         Self {
-            hot: AtomicBool::new(false),
-            since_pass: AtomicUsize::new(0),
-            max_len_seen: AtomicUsize::new(0),
             signaled: AtomicBool::new(false),
             dead: AtomicBool::new(false),
             #[cfg(test)]
@@ -115,16 +80,6 @@ impl WorkerLink {
             tx,
             idle: Mutex::new(true),
             idle_cv: Condvar::new(),
-        }
-    }
-
-    /// Record insert pressure — called on every successful insert (or
-    /// batch) while a worker is attached. Lock-free: three atomic ops.
-    pub(crate) fn record(&self, newly: usize, owner_len: usize, owner_hot: bool) {
-        self.since_pass.fetch_add(newly, Ordering::Relaxed);
-        self.max_len_seen.fetch_max(owner_len, Ordering::Relaxed);
-        if owner_hot {
-            self.hot.store(true, Ordering::Relaxed);
         }
     }
 
@@ -138,22 +93,17 @@ impl WorkerLink {
             // while a wake message is queued.
             *self.idle_lock() = false;
             // A send error means the worker already exited (handle
-            // dropped mid-signal); pressure is then simply dropped —
+            // dropped mid-signal); the wake is then simply dropped —
             // future inserts run maintenance inline again.
             let _ = self.tx.send(Wake::Work);
         }
     }
 
-    /// Worker-side: start a pass. Re-arms the signal flag (signals
-    /// arriving from here on send a fresh wake message, so pressure
-    /// recorded *during* the pass is never lost) and drains the board.
-    fn begin_pass(&self) -> Pressure {
+    /// Worker-side: start a pass. Re-arms the signal flag: signals
+    /// arriving from here on send a fresh wake message, so a pass that
+    /// falls due *during* this one is never lost.
+    fn begin_pass(&self) {
         self.signaled.store(false, Ordering::Release);
-        Pressure {
-            hot: self.hot.swap(false, Ordering::Relaxed),
-            inserts: self.since_pass.swap(0, Ordering::Relaxed),
-            max_len_seen: self.max_len_seen.swap(0, Ordering::Relaxed),
-        }
     }
 
     /// Worker-side: end a pass. Marks the link idle unless a new signal
@@ -212,15 +162,6 @@ impl WorkerLink {
     }
 }
 
-/// Pressure drained from the board at the start of a worker pass
-/// (diagnostics; the worker re-observes exact lens itself).
-#[derive(Debug, Clone, Copy)]
-struct Pressure {
-    hot: bool,
-    inserts: usize,
-    max_len_seen: usize,
-}
-
 /// Counters the worker thread publishes for the handle (and tests).
 ///
 /// Structural totals (splits, merges, compactions, runs folded) are
@@ -228,17 +169,11 @@ struct Pressure {
 /// [`ServeMetrics`](crate::ServeMetrics) registry — the single source
 /// of truth — and the handle's accessors read them from there against
 /// an attach-time baseline. Only worker-private bookkeeping (passes,
-/// races, drained pressure) is tracked here.
+/// races) is tracked here.
 #[derive(Debug, Default)]
 struct WorkerStats {
     passes: AtomicUsize,
     races: AtomicUsize,
-    /// Cumulative inserts drained off the pressure board.
-    pressure_inserts: AtomicUsize,
-    /// Passes whose drained pressure included a hot-shard observation.
-    hot_wakes: AtomicUsize,
-    /// High-watermark of shard lengths reported by inserters.
-    max_len_seen: AtomicUsize,
     /// Set if the worker thread panicked (the panic is contained: the
     /// worker detaches itself so the structure returns to inline
     /// maintenance, and waiters are woken instead of hanging).
@@ -247,9 +182,9 @@ struct WorkerStats {
 
 /// A dedicated background rebalance thread for a [`ShardedWritable`].
 ///
-/// While the worker is attached, it **owns** maintenance: inserts only
-/// record pressure into lock-free counters and signal the worker over
-/// a channel; the worker runs the structure's maintenance pass — run
+/// While the worker is attached, it **owns** maintenance: an insert
+/// that makes a pass due only signals the worker over a channel; the
+/// worker runs the structure's maintenance pass — run
 /// merges, folds, and split/merge rebuilds published with an
 /// incremental hand-off (writes that raced into a shard mid-rebuild are
 /// re-routed by the new topology's ownership bounds) — *off* the insert
@@ -271,7 +206,7 @@ struct WorkerStats {
 /// assert!(sw.has_background_worker());
 ///
 /// for k in 256..1024u64 {
-///     sw.insert(k); // records pressure; signals the worker as needed
+///     sw.insert(k); // signals the worker when a pass is due
 /// }
 /// worker.kick(); // force a scan now rather than waiting for a trigger
 /// assert!(worker.wait_until_stable(Duration::from_secs(10)));
@@ -453,29 +388,6 @@ impl RebalanceWorker {
     pub fn races(&self) -> usize {
         self.stats.races.load(Ordering::Relaxed)
     }
-
-    /// Cumulative successful inserts drained off the pressure board
-    /// (how much write traffic the worker has accounted for).
-    pub fn pressure_inserts(&self) -> usize {
-        self.stats.pressure_inserts.load(Ordering::Relaxed)
-    }
-
-    /// Passes that began with a hot-shard observation on the board
-    /// (as opposed to periodic-cadence or manual kicks).
-    pub fn hot_wakes(&self) -> usize {
-        self.stats.hot_wakes.load(Ordering::Relaxed)
-    }
-
-    /// High-watermark of owner-shard lengths reported by inserters
-    /// since the worker started.
-    pub fn max_len_seen(&self) -> usize {
-        self.stats.max_len_seen.load(Ordering::Relaxed)
-    }
-
-    /// The structure this worker rebalances.
-    pub fn target(&self) -> &Arc<ShardedWritable> {
-        &self.sw
-    }
 }
 
 impl Drop for RebalanceWorker {
@@ -504,22 +416,11 @@ impl Drop for RebalanceWorker {
 /// worker is attached.
 fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, stats: &WorkerStats) {
     while let Ok(Wake::Work) = rx.recv() {
-        let pressure = link.begin_pass();
+        link.begin_pass();
         #[cfg(test)]
         if link.fail_next_pass.swap(false, Ordering::Relaxed) {
             panic!("injected rebalance-worker panic (test)");
         }
-        stats
-            .pressure_inserts
-            .fetch_add(pressure.inserts, Ordering::Relaxed);
-        if pressure.hot {
-            stats.hot_wakes.fetch_add(1, Ordering::Relaxed);
-        }
-        // The watermark is diagnostic; the pass re-observes exact lens
-        // under the read lock before planning.
-        stats
-            .max_len_seen
-            .fetch_max(pressure.max_len_seen, Ordering::Relaxed);
         // Inserters never run a pass while we are attached (they only
         // signal); its folds, merges and splits land in the structure's
         // metrics registry, which the handle's accessors read back.
@@ -543,23 +444,7 @@ fn worker_loop(sw: &ShardedWritable, link: &WorkerLink, rx: &Receiver<Wake>, sta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rebalance::RebalanceConfig;
-    use crate::sharded_writable::ShardedWritableConfig;
-
-    fn small_cfg() -> ShardedWritableConfig {
-        ShardedWritableConfig {
-            merge_threshold: 8,
-            leaf_fraction: 1.0 / 16.0,
-            check_interval: 16,
-            rebalance: RebalanceConfig {
-                max_shard_len: 64,
-                merge_max_len: 16,
-                max_mean_err: None,
-                max_shards: 16,
-            },
-            ..ShardedWritableConfig::default()
-        }
-    }
+    use crate::sharded_writable::tests::small_cfg;
 
     #[test]
     fn worker_splits_hot_shards_off_the_insert_path() {
@@ -712,20 +597,5 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "dead flag must short-circuit the wait, not ride out the timeout"
         );
-    }
-
-    #[test]
-    fn pressure_board_records_and_drains() {
-        let (tx, _rx) = mpsc::channel();
-        let link = WorkerLink::new(tx);
-        link.record(3, 100, false);
-        link.record(2, 400, true);
-        let p = link.begin_pass();
-        assert_eq!(p.inserts, 5);
-        assert_eq!(p.max_len_seen, 400);
-        assert!(p.hot);
-        let p2 = link.begin_pass();
-        assert_eq!(p2.inserts, 0);
-        assert!(!p2.hot);
     }
 }

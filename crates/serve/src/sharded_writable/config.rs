@@ -1,12 +1,14 @@
+//! The store's configuration and its validity rules.
+
 use li_core::delta::DEFAULT_MAX_RUNS;
 
 use crate::builder::RetunePolicy;
 use crate::rebalance::RebalanceConfig;
 
-/// The base every [`ShardedWritable`](super::ShardedWritable) shard builds, folds, splits,
-/// merges and saves: the retuned ε-corridor RMI
-/// ([`RmiConfig::corridor`](li_core::rmi::RmiConfig::corridor)). It has one variant; the store selects
-/// nothing.
+/// The base every [`ShardedWritable`](super::ShardedWritable) shard
+/// builds, folds, splits, merges and saves: the retuned ε-corridor RMI
+/// ([`RmiConfig::corridor`](li_core::rmi::RmiConfig::corridor)). It has
+/// one variant; the store selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Retuned ε-corridor RMI on every shard.
@@ -63,11 +65,12 @@ pub struct ShardedWritableConfig {
     pub backend: Backend,
     /// Hot-path observability (default `true`): count every insert and
     /// latency-sample 1-in-N of them into the structure's
-    /// [`ServeMetrics`](crate::ServeMetrics). `false` strips the per-op instrumentation from
-    /// the insert fast path (one branch remains) — the benchmark's
-    /// `obs.insert_overhead_ratio` layer compares the two. Structural metrics (splits,
-    /// merges, compactions, WAL and worker activity) record regardless:
-    /// they are cold-path and double as the structure's own counters.
+    /// [`ServeMetrics`](crate::ServeMetrics). `false` strips the per-op
+    /// instrumentation from the insert fast path (one branch remains) —
+    /// the benchmark's `obs.insert_overhead_ratio` layer compares the
+    /// two. Structural metrics (splits, merges, compactions, WAL and
+    /// worker activity) record regardless: they are cold-path and double
+    /// as the structure's own counters.
     pub observe: bool,
     /// Split/merge thresholds.
     pub rebalance: RebalanceConfig,
@@ -89,18 +92,23 @@ impl Default for ShardedWritableConfig {
 }
 
 impl ShardedWritableConfig {
-    pub(super) fn validate(&self) {
-        assert!(self.merge_threshold > 0, "merge_threshold must be > 0");
-        assert!(self.max_runs >= 1, "max_runs must be >= 1");
-        assert!(
-            self.leaf_fraction > 0.0 && self.leaf_fraction.is_finite(),
-            "leaf_fraction must be positive and finite"
-        );
-        assert!(
-            self.retune.max_mean_err >= 0.0 && self.retune.max_mean_err.is_finite(),
-            "retune.max_mean_err must be finite and >= 0"
-        );
-        self.rebalance.validate();
+    /// The configuration's validity rules, naming the first one broken.
+    /// Construction panics on an `Err`; the snapshot loader turns it
+    /// into a [`PersistError::Format`](crate::PersistError::Format).
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        if self.merge_threshold == 0 {
+            return Err("merge_threshold must be > 0");
+        }
+        if self.max_runs < 1 {
+            return Err("max_runs must be >= 1");
+        }
+        if !(self.leaf_fraction > 0.0 && self.leaf_fraction.is_finite()) {
+            return Err("leaf_fraction must be positive and finite");
+        }
+        if !(self.retune.max_mean_err >= 0.0 && self.retune.max_mean_err.is_finite()) {
+            return Err("retune.max_mean_err must be finite and >= 0");
+        }
+        self.rebalance.validate()
     }
 }
 

@@ -1,3 +1,5 @@
+//! Durability: WAL attachment, sync points and crash recovery.
+
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -365,6 +367,41 @@ mod tests {
                 .into_iter()
                 .collect();
         assert_eq!(rec.range_keys(0, u64::MAX), Vec::from_iter(oracle));
+    }
+
+    /// On a healthy WAL, `try_insert_batch` returns the flags
+    /// `insert_batch` returns, appends one record per non-empty batch
+    /// and none for an empty one, and recovery replays those records.
+    #[test]
+    fn try_insert_batch_logs_one_record_per_batch_and_replays() {
+        let (snap, wal_path) = (tmp("trybatch.lidx"), tmp("trybatch.wal"));
+        let (_g1, _g2) = (Cleanup(snap.clone()), Cleanup(wal_path.clone()));
+        let base = || (0..100u64).map(|i| i * 4).collect::<Vec<_>>();
+        let sw = ShardedWritable::new(base(), 2, small_cfg());
+        let plain = ShardedWritable::new(base(), 2, small_cfg());
+        sw.enable_wal(&wal_path, WalSyncPolicy::PerRecord).unwrap();
+        sw.save(&snap).unwrap();
+        // Duplicates within a batch, and keys already present (0, 8).
+        let batches: [&[u64]; 3] = [&[1001, 0, 1003, 1001, 8], &[], &[1003, 1005, 2001, 2001]];
+        let mut lsn = sw.wal_last_lsn();
+        for batch in batches {
+            let flags = sw.try_insert_batch(batch).unwrap();
+            assert_eq!(flags, plain.insert_batch(batch), "{batch:?}");
+            lsn += u64::from(!batch.is_empty());
+            assert_eq!(sw.wal_last_lsn(), lsn, "{batch:?}");
+        }
+        assert!(sw.wal_failure().is_none());
+        drop(sw);
+
+        let (rec, report) = ShardedWritable::recover_with_config(
+            &snap,
+            &wal_path,
+            WalSyncPolicy::PerRecord,
+            small_cfg(),
+        )
+        .unwrap();
+        assert_eq!((report.replayed, report.skipped), (2, 0));
+        assert_eq!(rec.range_keys(0, u64::MAX), plain.range_keys(0, u64::MAX));
     }
 
     #[test]

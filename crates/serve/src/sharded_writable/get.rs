@@ -1,3 +1,6 @@
+//! Lock-free gets: the thread-local cache of the published topology
+//! and each shard's immutable tiers, and the locked fallback.
+
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;

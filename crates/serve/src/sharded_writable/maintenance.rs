@@ -1,3 +1,6 @@
+//! The maintenance pass: run-stack folds and merges, then rebalance
+//! steps (split or merge, rebuilt off-lock, published atomically).
+
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,7 +67,7 @@ impl ShardedWritable {
     /// [`ShardedWritable::compactions`] and
     /// [`ShardedWritable::run_merges`] counters account every fold and
     /// run merge exactly once.
-    pub(crate) fn compact_pending(&self) {
+    fn compact_pending(&self) {
         // The Arc (not the guard) suffices: compaction never touches
         // the topology, and a shard orphaned by a concurrent rebalance
         // is merely wasted work, never lost keys. Holding the guard
@@ -90,8 +93,8 @@ impl ShardedWritable {
         }
     }
 
-    /// Attach a background worker's link: from now on inserts record
-    /// pressure and signal instead of running maintenance inline.
+    /// Attach a background worker's link: from now on inserts signal
+    /// the worker instead of running maintenance inline.
     /// Panics if a worker is already attached.
     pub(crate) fn attach_worker(&self, link: Arc<WorkerLink>) {
         let mut slot = self.worker.write().unwrap_or_else(|e| e.into_inner());
@@ -112,7 +115,7 @@ impl ShardedWritable {
     }
 
     /// Whether a background rebalance worker currently owns
-    /// maintenance (inserts then only record pressure and signal).
+    /// maintenance (inserts then only signal it).
     pub fn has_background_worker(&self) -> bool {
         self.worker
             .read()
@@ -122,8 +125,8 @@ impl ShardedWritable {
 
     /// Run one maintenance pass on the calling thread: fold or merge
     /// every full run stack, then repeatedly ask [`plan`] for the next
-    /// action (split the hottest overloaded or mispredicting shard /
-    /// merge the coldest adjacent pair), rebuild it off-lock and
+    /// action (split the longest overloaded shard / merge the coldest
+    /// adjacent pair), rebuild it off-lock and
     /// publish the new topology atomically, until the topology is
     /// stable. Returns the topology actions applied (empty when already
     /// stable).
@@ -139,8 +142,8 @@ impl ShardedWritable {
     /// the shard rebuild **off** the topology lock, so concurrent
     /// inserts never wait for it:
     ///
-    /// 1. **Observe** under the read lock: snapshot lens/error stats,
-    ///    ask [`plan`] for the next action, remember the topology
+    /// 1. **Observe** under the read lock: read the shard lengths, ask
+    ///    [`plan`] for the next action, remember the topology
     ///    generation. Inserts keep flowing.
     /// 2. **Rebuild off-lock**: export the affected shard(s) and
     ///    retrain the replacement(s) with *no* topology lock held —
@@ -157,7 +160,7 @@ impl ShardedWritable {
     /// is a pair of O(1) length checks; otherwise it re-exports the
     /// touched shard for a linear diff plus the buffered straggler
     /// re-inserts.
-    pub(crate) fn rebalance_step_background(&self) -> BackgroundStep {
+    fn rebalance_step_background(&self) -> BackgroundStep {
         // Every phase below is timed into its own histogram
         // (`li_pass_*_ns`) unconditionally — this is the cold
         // maintenance path, where a pair of clock reads per phase is
@@ -168,17 +171,17 @@ impl ShardedWritable {
         let t_observe = Instant::now();
         // The Arc, not the guard: phase 3 takes the write lock.
         let topo = Arc::clone(&self.topo_guard());
-        let (lens, err_hot) = self.observe(&topo);
+        let lens: Vec<usize> = topo.shards.iter().map(|s| s.len()).collect();
         self.obs.pass_observe_ns.record_since(t_observe);
         let t_plan = Instant::now();
-        let planned = plan(&lens, &err_hot, &self.config.rebalance);
+        let planned = plan(&lens, &self.config.rebalance);
         self.obs.pass_plan_ns.record_since(t_plan);
         let Some(action) = planned else {
             return BackgroundStep::Stable;
         };
         let gen0 = topo.generation;
 
-        match action {
+        let (t_publish, mut guard, next) = match action {
             RebalanceAction::Split { shard: s } => {
                 // Phase 2 — rebuild off-lock. The export is kept for the
                 // phase-3 straggler diff; each half gets an allocation
@@ -198,7 +201,7 @@ impl ShardedWritable {
 
                 // Phase 3 — publish + drain.
                 let t_publish = Instant::now();
-                let mut guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
+                let guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
                 if guard.generation != gen0 {
                     return BackgroundStep::Raced;
                 }
@@ -218,11 +221,7 @@ impl ShardedWritable {
                     self.obs.pass_drain_ns.record_since(t_drain);
                 }
                 let next = split_topology(&guard, s, boundary, Arc::new(left), Arc::new(right));
-                *guard = Arc::new(next);
-                self.published.store(guard.generation, Ordering::Release);
-                self.note_rebalance(&action, &guard);
-                self.obs.pass_publish_ns.record_since(t_publish);
-                BackgroundStep::Applied(action)
+                (t_publish, guard, next)
             }
             RebalanceAction::Merge { left: l } => {
                 // Phase 2 — rebuild off-lock. Adjacent ownership ranges:
@@ -237,7 +236,7 @@ impl ShardedWritable {
 
                 // Phase 3 — publish + drain.
                 let t_publish = Instant::now();
-                let mut guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
+                let guard = self.topo.write().unwrap_or_else(|e| e.into_inner());
                 if guard.generation != gen0 {
                     return BackgroundStep::Raced;
                 }
@@ -245,66 +244,38 @@ impl ShardedWritable {
                 // shard's (concatenated) ownership range. Same O(1)
                 // unchanged-length skip as the split path, per shard.
                 let (left_exp, right_exp) = exported.as_slice().split_at(left_len);
-                if guard.shards[l].len() > left_exp.len()
-                    || guard.shards[l + 1].len() > right_exp.len()
-                {
+                let pairs = [
+                    (&guard.shards[l], left_exp),
+                    (&guard.shards[l + 1], right_exp),
+                ];
+                if pairs.iter().any(|(shard, exp)| shard.len() > exp.len()) {
                     let t_drain = Instant::now();
-                    if guard.shards[l].len() > left_exp.len() {
-                        for k in straggler_diff(&guard.shards[l].export_keys(), left_exp) {
-                            merged.insert(k);
-                        }
-                    }
-                    if guard.shards[l + 1].len() > right_exp.len() {
-                        for k in straggler_diff(&guard.shards[l + 1].export_keys(), right_exp) {
+                    for (shard, exp) in pairs.into_iter().filter(|(s, e)| s.len() > e.len()) {
+                        for k in straggler_diff(&shard.export_keys(), exp) {
                             merged.insert(k);
                         }
                     }
                     self.obs.pass_drain_ns.record_since(t_drain);
                 }
                 let next = merge_topology(&guard, l, Arc::new(merged));
-                *guard = Arc::new(next);
-                self.published.store(guard.generation, Ordering::Release);
-                self.note_rebalance(&action, &guard);
-                self.obs.pass_publish_ns.record_since(t_publish);
-                BackgroundStep::Applied(action)
+                (t_publish, guard, next)
             }
-        }
-    }
-
-    /// Account a just-published split or merge: bump the registry
-    /// counter (the single source of truth behind
-    /// [`ShardedWritable::splits`] / [`ShardedWritable::shard_merges`])
-    /// and trace the event with the new generation and shard count.
-    /// Called with the topology write guard still held, right after the
-    /// `Arc` swap, so the payload describes exactly the published
-    /// topology.
-    fn note_rebalance(&self, action: &RebalanceAction, topo: &Topology) {
-        let (generation, n) = (topo.generation, topo.shards.len() as u64);
-        match action {
-            RebalanceAction::Split { .. } => {
-                self.obs.splits.incr();
-                self.obs.event(events::SHARD_SPLIT, generation, n);
-            }
-            RebalanceAction::Merge { .. } => {
-                self.obs.shard_merges.incr();
-                self.obs.event(events::SHARD_MERGE, generation, n);
-            }
-        }
-    }
-
-    /// Per-shard observations the planner consumes: current lengths
-    /// and the error-hot flags (when error splits are enabled).
-    fn observe(&self, topo: &Topology) -> (Vec<usize>, Vec<bool>) {
-        let lens: Vec<usize> = topo.shards.iter().map(|s| s.len()).collect();
-        let err_hot: Vec<bool> = match self.config.rebalance.max_mean_err {
-            Some(t) => topo
-                .shards
-                .iter()
-                .map(|s| s.base_stats().mean_abs_err > t)
-                .collect(),
-            None => vec![false; lens.len()],
         };
-        (lens, err_hot)
+        *guard = Arc::new(next);
+        self.published.store(guard.generation, Ordering::Release);
+        // Account the publication with the write guard still held, so the
+        // traced generation and shard count describe exactly the published
+        // topology. The registry counter is the single source of truth
+        // behind [`ShardedWritable::splits`] / [`ShardedWritable::shard_merges`].
+        let (counter, event) = match action {
+            RebalanceAction::Split { .. } => (&self.obs.splits, events::SHARD_SPLIT),
+            RebalanceAction::Merge { .. } => (&self.obs.shard_merges, events::SHARD_MERGE),
+        };
+        counter.incr();
+        self.obs
+            .event(event, guard.generation, guard.shards.len() as u64);
+        self.obs.pass_publish_ns.record_since(t_publish);
+        BackgroundStep::Applied(action)
     }
 
     /// Backstop step bound for one round of a maintenance pass:
@@ -330,7 +301,7 @@ pub(crate) struct Pass {
 
 /// Outcome of one [`ShardedWritable::rebalance_step_background`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BackgroundStep {
+enum BackgroundStep {
     /// An action was applied and a new topology published.
     Applied(RebalanceAction),
     /// The topology generation changed between observe and publish;
@@ -398,7 +369,8 @@ fn merge_topology(topo: &Topology, left_idx: usize, merged: Arc<WritableShard>) 
 
 /// Build a shard over `keys`: the shared [`crate::builder::retune_rmi`]
 /// loop sizes the leaf budget for this shard's actual keys and densifies
-/// it, and the base is an ε-corridor ([`RmiConfig::corridor`](li_core::rmi::RmiConfig::corridor)) whose ε
+/// it, and the base is an ε-corridor
+/// ([`RmiConfig::corridor`](li_core::rmi::RmiConfig::corridor)) whose ε
 /// is the smallest that fits that budget. The shard keeps the
 /// configuration for its future folds.
 pub(super) fn build_retuned_shard(
@@ -418,10 +390,8 @@ pub(super) fn build_retuned_shard(
 mod tests {
     use super::*;
     use crate::builder::RetunePolicy;
-    use crate::rebalance::RebalanceConfig;
     use crate::sharded_writable::tests::small_cfg;
-    use crate::sharded_writable::Backend;
-    use li_core::delta::DEFAULT_MAX_RUNS;
+
     #[test]
     fn tiered_inserts_seal_runs_and_compact_inline_without_a_worker() {
         // Threshold 8, max_runs 2: every 8 fresh keys seal a run, every
@@ -530,42 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn error_triggered_split_fires_on_skewed_regions() {
-        // Two regimes: a dense linear run then huge steps — one linear
-        // leaf models it badly at coarse density.
-        let mut data: Vec<u64> = (0..600u64).collect();
-        data.extend((1..=600u64).map(|i| 1_000_000 + i * i * 1000));
-        let cfg = ShardedWritableConfig {
-            merge_threshold: 64,
-            leaf_fraction: 1.0 / 4096.0, // 1 leaf: forced mispredictions
-            retune: RetunePolicy {
-                max_rounds: 0, // retuning disabled: the error must stay hot
-                ..RetunePolicy::default()
-            },
-            check_interval: 0,
-            max_runs: DEFAULT_MAX_RUNS,
-            backend: Backend::Rmi,
-            observe: true,
-            rebalance: RebalanceConfig {
-                max_shard_len: 1 << 20, // never length-split
-                merge_max_len: 8,
-                max_mean_err: Some(4.0),
-                max_shards: 32,
-            },
-        };
-        let sw = ShardedWritable::new(data.clone(), 1, cfg);
-        assert_eq!(sw.shard_count(), 1);
-        let actions = sw.rebalance();
-        assert!(
-            actions
-                .iter()
-                .any(|a| matches!(a, RebalanceAction::Split { .. })),
-            "error-hot shard must split, got {actions:?}"
-        );
-        assert_eq!(sw.range_keys(0, u64::MAX), data);
-    }
-
-    #[test]
     fn retuning_densifies_skewed_shards() {
         // Step-heavy keys: at the base density the mean error is large;
         // the retune loop must densify until under the threshold (or
@@ -592,14 +526,18 @@ mod tests {
             ..loose.clone()
         };
         let obs = Arc::new(ServeMetrics::new());
-        let coarse = build_retuned_shard(data.clone(), &loose, &obs);
-        let dense = build_retuned_shard(data, &tuned, &obs);
+        let stats = |config| {
+            let shard = build_retuned_shard(data.clone(), config, &obs);
+            let stats = shard.read_lock().base_stats().clone();
+            stats
+        };
+        let (coarse, dense) = (stats(&loose), stats(&tuned));
         assert!(
-            dense.base_stats().mean_abs_err < coarse.base_stats().mean_abs_err,
+            dense.mean_abs_err < coarse.mean_abs_err,
             "retuned {} vs coarse {}",
-            dense.base_stats().mean_abs_err,
-            coarse.base_stats().mean_abs_err
+            dense.mean_abs_err,
+            coarse.mean_abs_err
         );
-        assert!(dense.base_stats().leaves > coarse.base_stats().leaves);
+        assert!(dense.leaves > coarse.leaves);
     }
 }

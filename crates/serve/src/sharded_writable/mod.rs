@@ -70,22 +70,8 @@
 //! [`crate::RebalanceWorker`] attached, the insert that fills a run
 //! stack, runs a shard hot or crosses the periodic scan cadence only
 //! signals, and the worker runs the pass off the insert path; with no
-//! worker, that insert runs the same pass on its own thread. Passes are
-//! serialized on one mutex, whoever drives them.
-//!
-//! # Per-shard retuning
-//!
-//! Every shard (re)build sizes its RMI leaf count from the shard's
-//! actual key count (`leaf_fraction`), then *retunes* through the same
-//! loop the read path's `RmiShardBuilder::with_retune` uses: while the
-//! trained base's mean (RMS) error exceeds the configured
-//! [`RetunePolicy`](crate::RetunePolicy), the build retries with doubled leaf density — so
-//! a skewed key region gets a denser model instead of a permanently
-//! mispredicting one. The leaf count is an ε-corridor's segment
-//! budget: the base takes the smallest ε that fits it, and a fold
-//! starts at the shard's current ε. Between rebuilds, a
-//! shard whose region turned hot anyway is caught by the
-//! error-triggered split in [`crate::rebalance::plan`].
+//! worker, that insert runs the same pass on its own thread and pays
+//! its latency. Passes are serialized on one mutex, whoever drives them.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
@@ -135,19 +121,8 @@ static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
 /// A fully sharded concurrent write path: concurrent inserts routed by
 /// key ownership, lock-free snapshot reads, and dynamic shard
 /// rebalancing with per-shard model retuning. See the module docs (and
-/// `ARCHITECTURE.md` at the repository root) for the architecture.
-///
-/// Maintenance — run merges, folds, splits and shard merges — is one
-/// pass, run in one of two places:
-///
-/// * **Inline** (the default): the insert that fills a run stack, pushes
-///   a shard over its threshold or crosses the periodic scan cadence
-///   runs the pass on its own thread, paying its latency. Other writers
-///   keep going: rebuilds run with no topology lock held, and only the
-///   publish takes the write lock briefly.
-/// * **Background**: with a [`crate::RebalanceWorker`] attached,
-///   inserts only record pressure into lock-free counters and signal
-///   the worker, which runs the same pass off the insert path.
+/// `ARCHITECTURE.md` at the repository root) for the architecture and
+/// for where maintenance runs.
 ///
 /// # Examples
 /// ```
@@ -191,7 +166,7 @@ pub struct ShardedWritable {
     obs: Arc<ServeMetrics>,
     /// Link to an attached background rebalance worker. `None` (the
     /// default) means inserts run maintenance inline; `Some` means
-    /// inserts only record pressure and signal — the worker owns it.
+    /// inserts only signal — the worker owns maintenance.
     worker: RwLock<Option<Arc<WorkerLink>>>,
     /// Serializes maintenance passes: N writers that see the same hot
     /// shard run one split between them, not N rebuilds of which all
@@ -218,7 +193,9 @@ impl ShardedWritable {
     /// arrives). The initial partition is zero-copy: every shard's base
     /// is a [`KeyStore::slice`] of the caller's allocation.
     pub fn new(data: impl Into<KeyStore>, shards: usize, config: ShardedWritableConfig) -> Self {
-        config.validate();
+        config
+            .validate()
+            .unwrap_or_else(|rule| panic!("invalid ShardedWritableConfig: {rule}"));
         let obs = Arc::new(ServeMetrics::new());
         let store: KeyStore = data.into();
         let n = shards.clamp(1, store.len().max(1));
@@ -475,7 +452,9 @@ impl ShardedWritable {
         shards: Vec<Arc<WritableShard>>,
         config: ShardedWritableConfig,
     ) -> Self {
-        config.validate();
+        config
+            .validate()
+            .unwrap_or_else(|rule| panic!("invalid ShardedWritableConfig: {rule}"));
         assert_eq!(bounds.len() + 1, shards.len(), "one bound per extra shard");
         let obs = Arc::new(ServeMetrics::new());
         for shard in &shards {
@@ -521,11 +500,12 @@ fn read_locked(shards: &[Arc<WritableShard>], visit: &mut impl FnMut(&DeltaIndex
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rebalance::RebalanceConfig;
 
-    pub(super) fn small_cfg() -> ShardedWritableConfig {
+    /// A small store: 8-key buffers, splits past 64 keys, merges at 16.
+    pub(crate) fn small_cfg() -> ShardedWritableConfig {
         ShardedWritableConfig {
             merge_threshold: 8,
             leaf_fraction: 1.0 / 16.0,
@@ -533,7 +513,6 @@ mod tests {
             rebalance: RebalanceConfig {
                 max_shard_len: 64,
                 merge_max_len: 16,
-                max_mean_err: None,
                 max_shards: 16,
             },
             ..ShardedWritableConfig::default()

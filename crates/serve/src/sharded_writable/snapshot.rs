@@ -1,3 +1,5 @@
+//! Consistent point-in-time views of the store.
+
 use li_core::delta::DeltaSnapshot;
 
 use crate::router::ShardRouter;

@@ -1,7 +1,12 @@
+//! The write path: scalar and batched inserts, their WAL appends, and
+//! the accounting that decides when a maintenance pass is due.
+
+use std::convert::Infallible;
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use crate::persist::PersistError;
+use crate::wal::{Wal, WalError};
 
 use super::ShardedWritable;
 
@@ -40,18 +45,10 @@ impl ShardedWritable {
 
     /// The WAL-then-memory insert body behind [`ShardedWritable::insert`].
     fn insert_logged(&self, key: u64) -> bool {
-        if self.durable.load(Ordering::Acquire) {
-            let mut slot = self.wal.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(w) = slot.as_mut() {
-                // Failure latched inside the Wal; see the doc above.
-                let _ = w.append_insert(key);
-                if self.config.observe {
-                    self.obs.durable_inserts.incr();
-                }
-                return self.insert_unlogged(key);
-            }
-        }
-        self.insert_unlogged(key)
+        // A failed append is latched inside the Wal; see the doc above.
+        let append = latched(|w| w.append_insert(key));
+        let Ok(inserted) = self.logged(1, append, || self.insert_unlogged(key));
+        inserted
     }
 
     /// [`ShardedWritable::insert`] with WAL errors surfaced instead of
@@ -62,17 +59,30 @@ impl ShardedWritable {
         if self.config.observe {
             self.obs.inserts.incr();
         }
+        Ok(self.logged(1, |w| w.append_insert(key), || self.insert_unlogged(key))?)
+    }
+
+    /// The WAL-then-memory order of every logged write path: with a WAL
+    /// attached, `append` logs the write of `keys` keys and `apply` runs
+    /// under the same WAL mutex, so the log order is the apply order. An
+    /// `Err` from `append` skips `apply`.
+    fn logged<T, E>(
+        &self,
+        keys: usize,
+        append: impl FnOnce(&mut Wal) -> Result<u64, E>,
+        apply: impl FnOnce() -> T,
+    ) -> Result<T, E> {
         if self.durable.load(Ordering::Acquire) {
             let mut slot = self.wal.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(w) = slot.as_mut() {
-                w.append_insert(key)?;
+                append(w)?;
                 if self.config.observe {
-                    self.obs.durable_inserts.incr();
+                    self.obs.durable_inserts.add(keys as u64);
                 }
-                return Ok(self.insert_unlogged(key));
+                return Ok(apply());
             }
         }
-        Ok(self.insert_unlogged(key))
+        Ok(apply())
     }
 
     /// The WAL-free insert body shared by the scalar write paths.
@@ -109,9 +119,8 @@ impl ShardedWritable {
     /// `lower_bound_batch` plan): the topology read lock is taken
     /// **once** for the whole batch, and each touched shard gets **one**
     /// write-lock handoff and at most one seal, instead of one of each
-    /// per key. Maintenance pressure is accounted once at the end, so a
-    /// batch triggers at most one inline maintenance pass (or one
-    /// worker signal).
+    /// per key. The batch is accounted once at the end, so it triggers
+    /// at most one inline maintenance pass (or one worker signal).
     ///
     /// With a WAL attached the whole batch is logged as **one atomic
     /// record** before any key touches the in-memory tiers (same
@@ -144,17 +153,12 @@ impl ShardedWritable {
     /// The WAL-then-memory batch body behind
     /// [`ShardedWritable::insert_batch`].
     fn insert_batch_logged(&self, keys: &[u64]) -> Vec<bool> {
-        if self.durable.load(Ordering::Acquire) && !keys.is_empty() {
-            let mut slot = self.wal.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(w) = slot.as_mut() {
-                let _ = w.append_batch(keys); // failure latched inside
-                if self.config.observe {
-                    self.obs.durable_inserts.add(keys.len() as u64);
-                }
-                return self.insert_batch_unlogged(keys);
-            }
+        if keys.is_empty() {
+            return Vec::new();
         }
-        self.insert_batch_unlogged(keys)
+        let append = latched(|w| w.append_batch(keys));
+        let Ok(flags) = self.logged(keys.len(), append, || self.insert_batch_unlogged(keys));
+        flags
     }
 
     /// [`ShardedWritable::insert_batch`] with WAL errors surfaced
@@ -163,20 +167,14 @@ impl ShardedWritable {
     /// in-memory apply is too). Identical to `insert_batch` when no
     /// WAL is attached.
     pub fn try_insert_batch(&self, keys: &[u64]) -> Result<Vec<bool>, PersistError> {
-        if self.config.observe && !keys.is_empty() {
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        if self.config.observe {
             self.obs.batch_inserts.add(keys.len() as u64);
         }
-        if self.durable.load(Ordering::Acquire) && !keys.is_empty() {
-            let mut slot = self.wal.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(w) = slot.as_mut() {
-                w.append_batch(keys)?;
-                if self.config.observe {
-                    self.obs.durable_inserts.add(keys.len() as u64);
-                }
-                return Ok(self.insert_batch_unlogged(keys));
-            }
-        }
-        Ok(self.insert_batch_unlogged(keys))
+        let append = |w: &mut Wal| w.append_batch(keys);
+        Ok(self.logged(keys.len(), append, || self.insert_batch_unlogged(keys))?)
     }
 
     /// The WAL-free batch body shared by every write path: apply the
@@ -249,18 +247,19 @@ impl ShardedWritable {
     }
 
     /// Shared post-insert accounting for the scalar and batched write
-    /// paths: bump the global insert counter, then either record
-    /// pressure on the attached background worker's lock-free board
-    /// (signaling it when a shard ran hot, a run stack filled, or the
-    /// periodic scan cadence was crossed) or run the maintenance pass
-    /// inline for the same triggers.
+    /// paths: bump the global insert counter, and when a shard ran hot,
+    /// a run stack filled or the periodic scan cadence was crossed,
+    /// either signal the attached background worker or run the
+    /// maintenance pass inline.
     fn note_inserts(&self, newly: usize, max_owner_len: usize, compaction_due: bool) {
         let before = self.inserts.fetch_add(newly, Ordering::Relaxed);
         let after = before + newly;
         let owner_hot = max_owner_len > self.config.rebalance.max_shard_len;
         let periodic = self.config.check_interval > 0
             && before / self.config.check_interval != after / self.config.check_interval;
-        let due = owner_hot || periodic || compaction_due;
+        if !(owner_hot || periodic || compaction_due) {
+            return;
+        }
         // Poison-tolerant: the slot is a plain Option pointer, valid
         // even if a panicking thread died while holding the lock.
         if let Some(link) = self
@@ -269,16 +268,20 @@ impl ShardedWritable {
             .unwrap_or_else(|e| e.into_inner())
             .as_ref()
         {
-            link.record(newly, max_owner_len, owner_hot);
-            if due {
-                link.signal();
-            }
+            link.signal();
             return;
         }
-        if due {
-            self.maintenance_pass();
-        }
+        self.maintenance_pass();
     }
+}
+
+/// An append whose failure is latched inside the [`Wal`] (surfacing at
+/// the next sync or `try_*` write) instead of returned: the write is
+/// applied either way, as [`ShardedWritable::insert`] documents.
+fn latched(
+    append: impl FnOnce(&mut Wal) -> Result<u64, WalError>,
+) -> impl FnOnce(&mut Wal) -> Result<u64, Infallible> {
+    |w| Ok(append(w).unwrap_or(0))
 }
 
 #[cfg(test)]

@@ -289,7 +289,6 @@ fn sharded_writers_through_split_and_merge_cycles_never_tear_snapshots() {
         rebalance: RebalanceConfig {
             max_shard_len: 256,
             merge_max_len: 16,
-            max_mean_err: None,
             max_shards: 24,
         },
         ..ShardedWritableConfig::default()
@@ -448,7 +447,6 @@ fn inline_passes_from_concurrent_writers_take_turns() {
         rebalance: RebalanceConfig {
             max_shard_len: 256,
             merge_max_len: 16,
-            max_mean_err: None,
             max_shards: 24,
         },
         ..ShardedWritableConfig::default()
@@ -515,7 +513,6 @@ fn live_scans_read_one_instant_of_every_shard_they_span() {
         rebalance: RebalanceConfig {
             max_shard_len: 1_000_000,
             merge_max_len: 0,
-            max_mean_err: None,
             max_shards: 8,
         },
         ..ShardedWritableConfig::default()
@@ -576,7 +573,7 @@ fn live_scans_read_one_instant_of_every_shard_they_span() {
 
 /// The writer-storm scenario for **background** rebalancing: with a
 /// `RebalanceWorker` attached, inserting threads never rebalance — they
-/// record pressure and signal. The storm must drive at least one shard
+/// only signal. The storm must drive at least one shard
 /// *merge* and at least one shard *split*, and both must be executed by
 /// the worker thread (asserted by matching the worker's counters
 /// against the structure's — in background mode nobody else may
@@ -598,7 +595,6 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
         rebalance: RebalanceConfig {
             max_shard_len: 256,
             merge_max_len: 16,
-            max_mean_err: None,
             max_shards: 24,
         },
         ..ShardedWritableConfig::default()
@@ -721,7 +717,7 @@ fn writer_storm_is_rebalanced_by_the_background_worker_only() {
     assert!(snapshots_checked.load(Ordering::Relaxed) > 0);
 
     // EVERY topology change was executed by the worker thread: the
-    // inserting threads recorded pressure only. (Any inline pass
+    // inserting threads only signaled. (Any inline pass
     // would make the structure's counters exceed the worker's.)
     assert_eq!(worker.splits(), sw.splits(), "a non-worker thread split");
     assert_eq!(
@@ -778,7 +774,6 @@ fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
         rebalance: RebalanceConfig {
             max_shard_len: 1_000_000,
             merge_max_len: 0,
-            max_mean_err: None,
             max_shards: 8,
         },
         ..ShardedWritableConfig::default()
@@ -895,8 +890,8 @@ fn writer_storm_compactions_run_on_the_worker_and_never_tear_snapshots() {
     );
 
     // EVERY compaction and run merge was executed by the worker thread
-    // — while a worker is attached the inserting threads only record
-    // pressure and signal, so the structure's counters and the
+    // — while a worker is attached the inserting threads only signal,
+    // so the structure's counters and the
     // worker's must match exactly.
     assert_eq!(
         worker.compactions(),
@@ -1104,7 +1099,6 @@ fn writer_storm_splits_and_folds_on_worker_rebuilds() {
         rebalance: RebalanceConfig {
             max_shard_len: 26_000, // shard 0 starts at 24_000: in reach
             merge_max_len: 0,      // merges off — splits only
-            max_mean_err: None,
             max_shards: 16,
         },
         ..ShardedWritableConfig::default()
@@ -1246,7 +1240,6 @@ fn acknowledged_keys_are_never_missed(with_worker: bool) {
             // stacks first and folds them later.
             max_shard_len: 9400,
             merge_max_len: 8500,
-            max_mean_err: None,
             max_shards: 32,
         },
         ..ShardedWritableConfig::default()

@@ -80,7 +80,6 @@ fn write_config() -> ShardedWritableConfig {
         rebalance: RebalanceConfig {
             max_shard_len: 4096,
             merge_max_len: 16,
-            max_mean_err: None,
             max_shards: 12,
         },
         ..ShardedWritableConfig::default()

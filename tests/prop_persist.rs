@@ -83,7 +83,6 @@ fn cfg_with_pending_room() -> ShardedWritableConfig {
         rebalance: RebalanceConfig {
             max_shard_len: 256,
             merge_max_len: 64,
-            max_mean_err: None,
             max_shards: 12,
         },
         ..ShardedWritableConfig::default()
@@ -103,7 +102,6 @@ fn tiered_cfg() -> ShardedWritableConfig {
         rebalance: RebalanceConfig {
             max_shard_len: 4096,
             merge_max_len: 64,
-            max_mean_err: None,
             max_shards: 12,
         },
         ..ShardedWritableConfig::default()
@@ -427,6 +425,58 @@ fn a_retired_backend_tag_is_a_typed_format_error() {
     }
 }
 
+/// The v5 configuration keeps the retired error-split slot, a flag byte
+/// and an 8-byte threshold; a fresh save writes flag 0 and `0.0`. Patched
+/// into a fresh save and re-sealed, flag 1 with a finite, non-negative
+/// threshold (what a store with the trigger on wrote) loads key for key
+/// with the threshold discarded; any other flag, or flag 1 with a
+/// threshold that is negative or not finite, is a typed `Format` error.
+#[test]
+fn the_retired_error_split_slot_loads_flag_1_and_refuses_flag_2() {
+    let path = tmp_path("retired-error-split");
+    let _guard = Cleanup(path.clone());
+    let base: Vec<u64> = (0..1_000u64).map(|i| i * 3).collect();
+    let sw = ShardedWritable::new(base.clone(), 2, tiered_cfg());
+    sw.save(&path).unwrap();
+
+    // The manifest opens with the store's configuration: eight 8-byte
+    // fields, then the slot's flag byte and threshold.
+    let saved = std::fs::read(&path).unwrap();
+    let at = 4096 + base.len() * 8 + 8 * 8;
+    assert_eq!(saved[at..at + 9], [0u8; 9], "flag 0, threshold 0.0");
+    let load_patched = |flag: u8, threshold: f64| {
+        let mut bytes = saved.clone();
+        bytes[at] = flag;
+        bytes[at + 1..at + 9].copy_from_slice(&threshold.to_le_bytes());
+        reseal(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+        ShardedWritable::load(&path)
+    };
+    for threshold in [0.0, 16.0] {
+        let trains = train_count();
+        let loaded = load_patched(1, threshold).expect("flag 1 loads");
+        assert_eq!(train_count(), trains, "load must not train");
+        assert_eq!(loaded.range_keys(0, u64::MAX), base);
+    }
+    for (flag, threshold) in [
+        (2u8, 0.0),
+        (255, 16.0),
+        (1, -1.0),
+        (1, f64::NAN),
+        (1, f64::INFINITY),
+    ] {
+        match load_patched(flag, threshold) {
+            Err(PersistError::Format(msg)) => {
+                assert!(msg.contains("error-split"), "flag {flag}: {msg}")
+            }
+            other => panic!(
+                "flag {flag}, threshold {threshold} must be a Format error, got {:?}",
+                other.err()
+            ),
+        }
+    }
+}
+
 /// XXH64 (seed 0), the snapshot checksum of formats v4 and v5 — this
 /// suite's own copy, pinned by the published vectors in
 /// `xxh64_copy_matches_the_published_vectors`. Used below to re-seal a
@@ -520,7 +570,6 @@ fn v3_fixture_store() -> ShardedWritable {
         rebalance: RebalanceConfig {
             max_shard_len: 1 << 20,
             merge_max_len: 64,
-            max_mean_err: None,
             max_shards: 12,
         },
         ..ShardedWritableConfig::default()

@@ -32,7 +32,6 @@ fn aggressive_cfg() -> ShardedWritableConfig {
         rebalance: RebalanceConfig {
             max_shard_len: 24,
             merge_max_len: 8,
-            max_mean_err: Some(16.0),
             max_shards: 12,
         },
         ..ShardedWritableConfig::default()

@@ -751,7 +751,6 @@ proptest! {
             rebalance: RebalanceConfig {
                 max_shard_len: 64,
                 merge_max_len: 40,
-                max_mean_err: None,
                 max_shards: 16,
             },
             ..ShardedWritableConfig::default()

@@ -95,7 +95,6 @@ fn roomy_cfg() -> ShardedWritableConfig {
         rebalance: RebalanceConfig {
             max_shard_len: usize::MAX,
             merge_max_len: 0,
-            max_mean_err: None,
             max_shards: 8,
         },
         ..ShardedWritableConfig::default()
