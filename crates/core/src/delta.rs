@@ -41,7 +41,7 @@
 
 use std::sync::Arc;
 
-use crate::merge::{count_past, splice_merge_arc, splice_merge_vec};
+use crate::merge::{count_past, splice_merge_arc, splice_merge_slice, splice_merge_vec, total_len};
 use crate::rmi::{Rmi, RmiConfig, RmiParams};
 use crate::run::SortedRun;
 use li_index::{KeyStore, RangeIndex};
@@ -73,16 +73,17 @@ fn tier_slices<'a>(
     slices
 }
 
-/// One merged key array for a new base, written once into the
-/// allocation the returned store owns.
+/// One merged key array for a new base, written once into the array
+/// the returned store owns (a huge-page mapping from 2 MiB up).
 fn merged_store(base: &[u64], runs: &[Arc<SortedRun>], delta: &[u64]) -> KeyStore {
-    let merged = splice_merge_arc(&tier_slices(base, runs, delta));
+    let slices = tier_slices(base, runs, delta);
+    let merged = KeyStore::filled(total_len(&slices), |out| splice_merge_slice(&slices, out));
     // All tiers must be mutually disjoint (the insert-path duplicate
     // probe checks upper tiers first — see `DeltaIndex::insert`); any
     // overlap would double-count in `len`/`rank` and show up here as an
     // equal adjacent pair.
     debug_assert!(increasing(&merged), "tiers must be mutually disjoint");
-    merged.into()
+    merged
 }
 
 /// An updatable learned index: RMI base + sorted delta buffer, plus a
@@ -114,6 +115,11 @@ pub struct DeltaIndex {
     seals: usize,
     compactions: usize,
     run_merges: usize,
+    /// Finished searches of the base on the write paths: scalar inserts
+    /// that missed every upper tier, plus batched membership candidates.
+    /// A scalar insert starts its base lookup before the upper-tier
+    /// probes, but one an upper tier answers is never finished and not
+    /// counted.
     base_probes: u64,
 }
 
@@ -189,10 +195,13 @@ impl DeltaIndex {
     ///
     /// The duplicate check fans across the tiers newest-first: the
     /// O(log pending) sorted-buffer probe runs first and short-circuits,
-    /// then the sealed runs (newest first, fenced windows), and the
-    /// full learned lookup against the base only runs when everything
-    /// above missed. The buffer probe doubles as the insertion position,
-    /// so bulk loads do one buffer search per insert, not two. The
+    /// then the sealed runs (newest first, fenced windows), and the base
+    /// is searched only when everything above missed. The base lookup is
+    /// *started* first ([`Rmi::start`]: the model runs and the key
+    /// array's cache line is requested) and *finished* last, so its DRAM
+    /// fetch overlaps the upper-tier probes. The buffer probe doubles as
+    /// the insertion position, so bulk loads do one buffer search per
+    /// insert, not two. The
     /// tiers-before-base order is safe because all tiers are mutually
     /// disjoint at all times: a key only enters the buffer after missing
     /// *every* probe, sealing moves the whole buffer into a run
@@ -201,12 +210,13 @@ impl DeltaIndex {
     /// has. A fold re-checks the invariant with a strict sortedness
     /// assertion on the merged array in debug builds.
     pub fn insert(&mut self, key: u64) -> bool {
+        let started = self.base.start(key);
         let pos = self.delta.partition_point(|&k| k < key);
         if self.delta.get(pos).is_some_and(|&k| k == key) || self.in_runs(key) {
             return false;
         }
         self.base_probes += 1;
-        if self.base.lookup(key).is_some() {
+        if self.base.finish_lookup(key, started).is_some() {
             return false;
         }
         self.delta.insert(pos, key);
@@ -314,12 +324,17 @@ impl DeltaIndex {
     }
 
     /// Whether `key` exists in any tier. Probes the small sorted buffer
-    /// first, then the sealed runs newest-first; the learned base is
-    /// only consulted when every upper tier misses.
+    /// first, then the sealed runs newest-first, and answers from the
+    /// learned base when every upper tier misses. The base lookup is
+    /// started before the buffer probe and finished after the runs
+    /// ([`Rmi::start`], [`Rmi::finish_lookup`]): the model runs first
+    /// and the fetch of the base's cache line overlaps the upper-tier
+    /// probes. The answer order is unchanged; only the timing moved.
     pub fn contains(&self, key: u64) -> bool {
+        let started = self.base.start(key);
         self.delta.binary_search(&key).is_ok()
             || self.in_runs(key)
-            || self.base.lookup(key).is_some()
+            || self.base.finish_lookup(key, started).is_some()
     }
 
     /// Number of keys `< key` across all tiers — the global lower-bound
@@ -774,11 +789,13 @@ pub struct DeltaSnapshot {
 }
 
 impl DeltaSnapshot {
-    /// Whether `key` existed when the snapshot was taken.
+    /// Whether `key` existed when the snapshot was taken. Same order
+    /// and base start/finish split as [`DeltaIndex::contains`].
     pub fn contains(&self, key: u64) -> bool {
+        let started = self.base.start(key);
         self.delta.binary_search(&key).is_ok()
             || self.runs.iter().rev().any(|r| r.contains(key))
-            || self.base.lookup(key).is_some()
+            || self.base.finish_lookup(key, started).is_some()
     }
 
     /// Number of keys `< key` in the snapshot (lower-bound rank over the

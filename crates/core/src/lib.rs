@@ -54,7 +54,7 @@ pub use lif::{Lif, LifCandidate, LifReport, LifSpec};
 pub use li_index::{KeyStore, Prediction, RangeIndex};
 pub use rmi::{
     train_count, CascadeParams, CorridorParams, Leaf, LeafKind, LeafLayout, LeafModelParams,
-    LeafParams, Rmi, RmiConfig, RmiParams, RmiStats, Segment, TopModel,
+    LeafParams, Rmi, RmiConfig, RmiParams, RmiStats, Segment, Started, TopModel,
 };
 pub use run::SortedRun;
 pub use search::SearchStrategy;

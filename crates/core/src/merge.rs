@@ -15,8 +15,8 @@
 //! read — and the spine keys in between move with one
 //! `copy_from_slice`. The output is written
 //! exactly once, either appended to a vector or into a preallocated
-//! slice, which lets a new base be merged straight into the
-//! `Arc<[u64]>` its `KeyStore` will own.
+//! slice, which lets a new base be merged straight into the array its
+//! `KeyStore` will own (see `KeyStore::filled`).
 //!
 //! The result is the sorted union *as a multiset*: slices that overlap
 //! (which the tier invariant forbids) yield equal adjacent keys rather
@@ -26,8 +26,8 @@ use std::sync::Arc;
 
 /// Where a splice writes, in output order: blocks of spine keys and
 /// single small keys. A vector is appended to (a range scan's hundred
-/// keys are not worth zero-filling first); an `Arc<[u64]>` has to exist
-/// before it can be written, so it is filled front to back.
+/// keys are not worth zero-filling first); a preallocated slice has to
+/// exist before it can be written, so it is filled front to back.
 trait Sink {
     fn block(&mut self, keys: &[u64]);
     fn key(&mut self, key: u64);
@@ -101,7 +101,7 @@ fn splice_merge_into(slices: &[&[u64]], out: &mut impl Sink) {
     out.block(rest);
 }
 
-fn total_len(slices: &[&[u64]]) -> usize {
+pub(crate) fn total_len(slices: &[&[u64]]) -> usize {
     slices.iter().map(|s| s.len()).sum()
 }
 
@@ -134,14 +134,24 @@ pub fn splice_merge_vec(slices: &[&[u64]]) -> Vec<u64> {
 }
 
 /// The sorted union of sorted `slices` as a fresh shared slice — the
-/// allocation a `KeyStore` takes over as is (`Vec<u64>` → `Arc<[u64]>`
+/// allocation a sealed run takes over as is (`Vec<u64>` → `Arc<[u64]>`
 /// would copy the merged keys once more).
 pub fn splice_merge_arc(slices: &[&[u64]]) -> Arc<[u64]> {
     let mut out: Arc<[u64]> = std::iter::repeat_n(0u64, total_len(slices)).collect();
-    let mut unwritten = Unwritten(Arc::get_mut(&mut out).expect("a fresh Arc has one owner"));
-    splice_merge_into(slices, &mut unwritten);
-    debug_assert!(unwritten.0.is_empty());
+    splice_merge_slice(
+        slices,
+        Arc::get_mut(&mut out).expect("a fresh Arc has one owner"),
+    );
     out
+}
+
+/// Write the sorted union of sorted `slices` over `out`, which holds
+/// exactly as many keys as the slices do together: a fold merges its
+/// new base this way straight into the array its `KeyStore` will own.
+pub(crate) fn splice_merge_slice(slices: &[&[u64]], out: &mut [u64]) {
+    let mut unwritten = Unwritten(out);
+    splice_merge_into(slices, &mut unwritten);
+    debug_assert!(unwritten.0.is_empty(), "out is longer than the slices");
 }
 
 #[cfg(test)]

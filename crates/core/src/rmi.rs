@@ -396,6 +396,18 @@ pub struct Rmi {
     stats_cache: RmiStats,
 }
 
+/// A lookup begun by [`Rmi::start`]: the last-mile search plan, with
+/// the fetch of its first cache line already under way. Hand it to
+/// [`Rmi::finish`] or [`Rmi::finish_lookup`] of the same index with the
+/// same key.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Started {
+    pos: usize,
+    lo: usize,
+    hi: usize,
+    sigma: usize,
+}
+
 /// What an [`Rmi`] predicts with, one variant per [`LeafLayout`].
 #[derive(Debug, Clone)]
 enum Stages {
@@ -573,6 +585,58 @@ impl Rmi {
                 (pos, pos, pos, 1)
             }
         }
+    }
+
+    /// Begin a lookup of `key`: run the model phase (what
+    /// [`RangeIndex::predict`] times) and ask the CPU for the cache line
+    /// holding the predicted position, then return without touching the
+    /// key array. A caller with other work to do — the write path's
+    /// buffer and run probes — does it before [`Rmi::finish`], and the
+    /// array's DRAM fetch overlaps that work instead of following it.
+    /// One line only: the last-mile search starts at the prediction,
+    /// and fetching the whole error window costs more than it hides.
+    ///
+    /// `self.finish(key, self.start(key)) == self.lower_bound(key)`.
+    ///
+    /// # Examples
+    /// ```
+    /// use li_core::rmi::{Rmi, RmiConfig};
+    /// use li_core::RangeIndex;
+    ///
+    /// let rmi = Rmi::build((0..1000u64).map(|k| k * 3).collect::<Vec<_>>(), &RmiConfig::default());
+    /// let started = rmi.start(301);
+    /// // ... other probes run here while the line arrives ...
+    /// assert_eq!(rmi.finish(301, started), rmi.lower_bound(301));
+    /// assert_eq!(rmi.finish_lookup(300, rmi.start(300)), Some(100));
+    /// ```
+    #[inline]
+    pub fn start(&self, key: u64) -> Started {
+        if self.data.is_empty() {
+            return Started::default();
+        }
+        let (pos, lo, hi, sigma) = self.plan(key);
+        li_index::prefetch(&self.data, pos);
+        Started { pos, lo, hi, sigma }
+    }
+
+    /// End a lookup begun by [`Rmi::start`] for the same `key`: the
+    /// last-mile search, returning the position of the first key
+    /// `>= key`.
+    #[inline]
+    pub fn finish(&self, key: u64, started: Started) -> usize {
+        if self.data.is_empty() {
+            return 0;
+        }
+        let Started { pos, lo, hi, sigma } = started;
+        search_with_widening(&self.data, key, self.search, pos, sigma, lo, hi)
+    }
+
+    /// [`Rmi::finish`] as a membership test: the position of `key` if
+    /// it is stored (what [`RangeIndex::lookup`] answers).
+    #[inline]
+    pub fn finish_lookup(&self, key: u64, started: Started) -> Option<usize> {
+        let lb = self.finish(key, started);
+        (self.data.get(lb) == Some(&key)).then_some(lb)
     }
 
     /// The cascade leaf a key routes to (for inspection/tests); `None`
@@ -873,11 +937,7 @@ impl RangeIndex for Rmi {
 
     #[inline]
     fn lower_bound(&self, key: u64) -> usize {
-        if self.data.is_empty() {
-            return 0;
-        }
-        let (pos, lo, hi, sigma) = self.plan(key);
-        search_with_widening(&self.data, key, self.search, pos, sigma, lo, hi)
+        self.finish(key, self.start(key))
     }
 
     /// Phase-split batched lookup: run the model cascade for *every*

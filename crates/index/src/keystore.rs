@@ -5,23 +5,31 @@
 //! matter how many candidate indexes are built on it (LIF grid search
 //! builds dozens). SOSD-style benchmarking makes the same demand: fair
 //! comparison requires every structure to read the *same* memory.
-//! [`KeyStore`] delivers that: a shared backing (an `Arc<[T]>`, or a
-//! mapped file region for warm restarts) plus a sub-range, so clones
-//! and slices are O(1) pointer bumps and `ptr_eq` can assert that two
-//! indexes really do share one allocation.
+//! [`KeyStore`] delivers that: a shared backing (an `Arc<[T]>`, a
+//! huge-page mapping for arrays of 2 MiB or more, or a mapped file
+//! region for warm restarts) plus a sub-range, so clones and slices are
+//! O(1) pointer bumps and `ptr_eq` can assert that two indexes really
+//! do share one allocation.
 
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 
-use crate::mapped::{MappedFile, MappedSlice};
+use crate::mapped::{HugeSlice, MappedFile, MappedSlice};
 
-/// The shared storage behind a [`KeyStore`] view: a heap allocation, or
-/// a zero-copy window into a loaded snapshot file. Both are immutable
-/// and refcounted; `KeyStore` never branches on which one it holds
-/// outside this enum.
+/// The shared storage behind a [`KeyStore`] view: a heap allocation, a
+/// huge-page mapping, or a zero-copy window into a loaded snapshot
+/// file. All are immutable and refcounted; `KeyStore` never branches on
+/// which one it holds outside this enum.
 enum Backing<T> {
     /// The in-memory case: one `Arc<[T]>` shared by every clone/slice.
     Owned(Arc<[T]>),
+    /// The in-memory case for arrays of at least [`HUGE_PAGE`] bytes:
+    /// an anonymous mapping of their own, advised onto huge pages, so a
+    /// lookup's access into a large array costs one TLB entry per
+    /// 2 MiB instead of one per 4 KiB. Shared like `Owned`.
+    ///
+    /// [`HUGE_PAGE`]: crate::mapped::HUGE_PAGE
+    Huge(Arc<HugeSlice<T>>),
     /// The warm-restart case: a typed view into an `Arc<MappedFile>`
     /// region (see `KeyStore::from_mapped`). Sharing is witnessed by
     /// the region handle instead of the slice allocation.
@@ -33,6 +41,7 @@ impl<T> Backing<T> {
     fn full_slice(&self) -> &[T] {
         match self {
             Backing::Owned(data) => data,
+            Backing::Huge(data) => data.as_slice(),
             Backing::Mapped(view) => view.as_slice(),
         }
     }
@@ -40,6 +49,7 @@ impl<T> Backing<T> {
     fn ptr_eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Backing::Owned(a), Backing::Owned(b)) => Arc::ptr_eq(a, b),
+            (Backing::Huge(a), Backing::Huge(b)) => Arc::ptr_eq(a, b),
             (Backing::Mapped(a), Backing::Mapped(b)) => Arc::ptr_eq(a.region(), b.region()),
             _ => false,
         }
@@ -48,6 +58,7 @@ impl<T> Backing<T> {
     fn strong_count(&self) -> usize {
         match self {
             Backing::Owned(data) => Arc::strong_count(data),
+            Backing::Huge(data) => Arc::strong_count(data),
             Backing::Mapped(view) => Arc::strong_count(view.region()),
         }
     }
@@ -57,6 +68,7 @@ impl<T> Clone for Backing<T> {
     fn clone(&self) -> Self {
         match self {
             Backing::Owned(data) => Backing::Owned(Arc::clone(data)),
+            Backing::Huge(data) => Backing::Huge(Arc::clone(data)),
             Backing::Mapped(view) => Backing::Mapped(view.clone()),
         }
     }
@@ -68,9 +80,10 @@ impl<T> Clone for Backing<T> {
 /// use `KeyStore<String>`. Cloning never copies key data; [`slice`]
 /// produces a narrowed view over the *same* allocation (used by hybrid
 /// B-Tree leaves, which index a sub-range of the full array). The
-/// backing is either an owned heap allocation or — after a warm restart
-/// via [`KeyStore::from_mapped`] — a window into a mapped snapshot
-/// file; every operation behaves identically over both.
+/// backing is an owned heap allocation, a huge-page mapping (an owned
+/// array of 2 MiB or more, see [`KeyStore::new`]) or — after a warm
+/// restart via [`KeyStore::from_mapped`] — a window into a mapped
+/// snapshot file; every operation behaves identically over all three.
 ///
 /// [`slice`]: KeyStore::slice
 pub struct KeyStore<T = u64> {
@@ -90,13 +103,25 @@ impl<T> Clone for KeyStore<T> {
 }
 
 impl<T> KeyStore<T> {
-    /// Wrap an owned key vector (the one unavoidable allocation; every
+    /// Take over an owned key vector (the one unavoidable copy; every
     /// clone and slice afterwards is free).
+    ///
+    /// An array of at least one huge page (2 MiB: 262 144 `u64`s) moves
+    /// into an anonymous mapping of its own, advised `MADV_HUGEPAGE`
+    /// before the copy writes it, so a lookup into it needs one TLB
+    /// entry per 2 MiB instead of one per 4 KiB: a 128 MB array needs
+    /// 64 instead of 32 768. Smaller arrays, element types that need
+    /// drop (`String`), targets other than x86-64 Linux and a refused
+    /// mapping get an `Arc<[T]>`. The size is the only input: the
+    /// page size is a property of the array, not of a workload.
     pub fn new(data: Vec<T>) -> Self {
-        let data: Arc<[T]> = data.into();
         let end = data.len();
+        let data = match HugeSlice::from_vec(data) {
+            Ok(huge) => Backing::Huge(Arc::new(huge)),
+            Err(data) => Backing::Owned(data.into()),
+        };
         Self {
-            data: Backing::Owned(data),
+            data,
             start: 0,
             end,
         }
@@ -158,13 +183,48 @@ impl<T> KeyStore<T> {
     }
 
     /// Whether this view is backed by a mapped snapshot file rather
-    /// than an owned heap allocation.
+    /// than memory the process owns (a huge-page mapping is owned).
     pub fn is_mapped(&self) -> bool {
         matches!(self.data, Backing::Mapped(_))
     }
 }
 
 impl KeyStore<u64> {
+    /// `len` keys written by `fill` into a zeroed array that the store
+    /// then owns, backed as [`KeyStore::new`] would back it. A huge-page
+    /// mapping arrives zeroed from the kernel, so `fill` is the only
+    /// pass that writes it; a small array is zero-filled first.
+    ///
+    /// # Examples
+    /// ```
+    /// use li_index::KeyStore;
+    ///
+    /// let store = KeyStore::filled(4, |out| {
+    ///     for (i, k) in out.iter_mut().enumerate() {
+    ///         *k = i as u64 * 10;
+    ///     }
+    /// });
+    /// assert_eq!(store.as_slice(), &[0, 10, 20, 30]);
+    /// ```
+    pub fn filled(len: usize, fill: impl FnOnce(&mut [u64])) -> Self {
+        let data = match HugeSlice::zeroed(len) {
+            Some(mut huge) => {
+                fill(huge.as_mut_slice());
+                Backing::Huge(Arc::new(huge))
+            }
+            None => {
+                let mut data: Arc<[u64]> = std::iter::repeat_n(0, len).collect();
+                fill(Arc::get_mut(&mut data).expect("a fresh Arc has one owner"));
+                Backing::Owned(data)
+            }
+        };
+        Self {
+            data,
+            start: 0,
+            end: len,
+        }
+    }
+
     /// A zero-copy view of `len` little-endian `u64` keys starting at
     /// `byte_offset` in a loaded snapshot region — the warm-restart
     /// constructor: no key is copied; the view reads the file's pages
@@ -264,10 +324,11 @@ impl<T: std::fmt::Debug> std::fmt::Debug for KeyStore<T> {
             .field("shared_handles", &self.strong_count())
             .field(
                 "backing",
-                if self.is_mapped() {
-                    &"mapped"
-                } else {
-                    &"owned"
+                match &self.data {
+                    Backing::Owned(_) => &"owned",
+                    Backing::Huge(huge) if huge.advised() => &"huge",
+                    Backing::Huge(_) => &"huge (advice refused)",
+                    Backing::Mapped(_) => &"mapped",
                 },
             )
             .finish_non_exhaustive()
@@ -341,6 +402,65 @@ mod tests {
         assert_eq!(store.partition_point(|&k| k < 4), 2);
         assert!(!store.is_empty());
         assert_eq!(store.len(), 3);
+    }
+
+    /// Whether this machine's kernel takes `MADV_HUGEPAGE` advice on
+    /// anonymous memory (transparent huge pages `always` or `madvise`).
+    fn thp_takes_advice() -> bool {
+        std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled")
+            .is_ok_and(|mode| mode.contains("[always]") || mode.contains("[madvise]"))
+    }
+
+    #[test]
+    fn large_arrays_get_a_huge_page_mapping_that_behaves_like_an_arc() {
+        const PER_HUGE_PAGE: usize = crate::mapped::HUGE_PAGE / 8;
+        let sizes = [
+            PER_HUGE_PAGE - 1,
+            PER_HUGE_PAGE,
+            PER_HUGE_PAGE + 1,
+            3 * PER_HUGE_PAGE + 5,
+        ];
+        for len in sizes {
+            let keys: Vec<u64> = (0..len as u64).map(|k| k * 3 + 1).collect();
+            let arc = KeyStore::from(Arc::<[u64]>::from(keys.as_slice()));
+            let built = KeyStore::new(keys.clone());
+            let folded = KeyStore::filled(len, |out| out.copy_from_slice(&keys));
+            for store in [&built, &folded] {
+                let huge = match &store.data {
+                    Backing::Huge(huge) => Some(huge),
+                    Backing::Owned(_) => None,
+                    Backing::Mapped(_) => panic!("an owned array is never file-mapped"),
+                };
+                if cfg!(all(target_os = "linux", target_arch = "x86_64")) {
+                    assert_eq!(huge.is_some(), len >= PER_HUGE_PAGE, "backing at len {len}");
+                }
+                if let Some(huge) = huge {
+                    // Whether the kernel then grants huge pages depends
+                    // on free memory; only the advice is asserted.
+                    assert!(huge.advised() || !thp_takes_advice(), "advice refused");
+                }
+                assert!(!store.is_mapped());
+                assert_eq!(store.as_slice(), arc.as_slice(), "contents at len {len}");
+                assert_eq!(store.size_bytes(), arc.size_bytes());
+                assert_eq!(store.strong_count(), 1);
+                let mid = store.slice(len / 3..len - 1);
+                let same = arc.slice(len / 3..len - 1);
+                assert_eq!(mid.as_slice(), same.as_slice());
+                assert_eq!(mid.size_bytes(), same.size_bytes());
+                let clone = store.clone();
+                assert!(mid.ptr_eq(store) && clone.ptr_eq(store));
+                assert!(!store.ptr_eq(&arc), "no two allocations alias");
+                assert_eq!(store.strong_count(), 3, "store, slice and clone");
+                drop((mid, clone));
+                assert_eq!(store.strong_count(), 1);
+            }
+            assert!(!built.ptr_eq(&folded));
+        }
+
+        // Element types with drop glue keep the `Arc`, whatever their size.
+        let strings: KeyStore<String> = vec![String::new(); 3 * PER_HUGE_PAGE].into();
+        assert!(matches!(strings.data, Backing::Owned(_)));
+        assert!(strings.clone().ptr_eq(&strings));
     }
 
     fn write_keys(name: &str, keys: &[u64], lead_pad: usize) -> std::path::PathBuf {

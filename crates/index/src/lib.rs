@@ -28,10 +28,12 @@
 //! `li-serve` builds its sharded serving layer on [`partition`].
 
 // `deny` rather than `forbid`: the `mapped` module is the workspace's
-// single, audited `unsafe` island (raw mmap + pointer-to-slice views
-// for warm restarts) and opts out locally. Everything else stays
-// unsafe-free and the lint keeps it that way.
+// single, audited `unsafe` island (file and huge-page mappings,
+// pointer-to-slice views, the prefetch intrinsic) and opts out locally.
+// Everything else stays unsafe-free and the lint keeps it that way; the
+// clippy lint makes every unsafe block there say why it is sound.
 #![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod keystore;
@@ -39,7 +41,7 @@ pub mod mapped;
 pub mod partition;
 
 pub use keystore::KeyStore;
-pub use mapped::MappedFile;
+pub use mapped::{prefetch, MappedFile};
 
 /// A candidate region produced by an index's predict phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

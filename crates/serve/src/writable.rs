@@ -55,7 +55,7 @@ use std::time::Instant;
 use li_core::delta::{DeltaIndex, DeltaSnapshot};
 use li_core::rmi::{Rmi, RmiConfig};
 use li_core::SortedRun;
-use li_index::{KeyStore, RangeIndex};
+use li_index::KeyStore;
 
 use crate::obs::{events, ServeMetrics};
 
@@ -161,11 +161,20 @@ impl CachedTiers {
     }
 
     /// Whether the copied runs or base hold `key` (runs newest-first,
-    /// like [`DeltaIndex::contains`]).
+    /// like [`DeltaIndex::contains`]). The base lookup is started
+    /// before the runs are probed and finished after them, so the fetch
+    /// of its cache line overlaps the run probes; a run hit answers
+    /// first, as before.
     #[inline]
     fn contains(&self, key: u64) -> bool {
+        // A copy is filled with its base and runs together, so no base
+        // means no runs either.
+        let Some(base) = &self.base else {
+            return false;
+        };
+        let started = base.start(key);
         self.runs.iter().rev().any(|r| r.contains(key))
-            || self.base.as_ref().is_some_and(|b| b.lookup(key).is_some())
+            || base.finish_lookup(key, started).is_some()
     }
 }
 
@@ -613,6 +622,7 @@ pub(crate) struct InsertObs {
 mod tests {
     use super::*;
     use li_core::rmi::TopModel;
+    use std::collections::BTreeSet;
 
     fn cfg() -> RmiConfig {
         RmiConfig::two_stage(TopModel::Linear, 32)
@@ -764,6 +774,87 @@ mod tests {
         let loaded = WritableShard::from_delta(delta);
         assert_eq!(loaded.pending(), 3);
         assert_filter_holds_buffer(&loaded, "load");
+    }
+
+    /// Every way of asking a shard whether it holds `key`, against the
+    /// oracle: the lock-free get (where the filter lets it answer), the
+    /// locked get, `DeltaIndex::contains` and `DeltaSnapshot::contains`.
+    fn assert_every_get_agrees(shard: &WritableShard, oracle: &BTreeSet<u64>, queries: &[u64]) {
+        let mut cached = CachedTiers::empty();
+        shard.contains_refreshing(0, &mut cached);
+        let snap = shard.snapshot();
+        let buffered = shard.read_lock().tiers().2.to_vec();
+        let mut lock_free = 0;
+        for &key in queries {
+            let want = oracle.contains(&key);
+            match shard.contains_cached(key, &cached) {
+                Some(found) => {
+                    assert!(!buffered.contains(&key), "buffered {key} skipped the lock");
+                    assert_eq!(found, want, "lock-free get of {key}");
+                    lock_free += 1;
+                }
+                None => assert!(shard.filter.may_hold(key), "{key} left a current copy"),
+            }
+            assert_eq!(
+                shard.contains_refreshing(key, &mut cached).0,
+                want,
+                "locked get of {key}"
+            );
+            assert_eq!(shard.read_lock().contains(key), want, "DeltaIndex {key}");
+            assert_eq!(snap.contains(key), want, "DeltaSnapshot {key}");
+        }
+        assert!(lock_free > queries.len() / 2, "the lock-free path ran");
+    }
+
+    #[test]
+    fn every_probe_agrees_tier_by_tier() {
+        // The base lookup is started before the upper tiers are probed
+        // and finished after them; no answer may change with it, in any
+        // tier, for present keys or absent ones at the array's edges.
+        for config in [cfg(), RmiConfig::corridor(8)] {
+            let base: Vec<u64> = (0..2000u64).map(|k| k * 10 + 100).collect();
+            let shard = WritableShard::tiered(base.clone(), config, 8, 4);
+            let run_keys: Vec<u64> = (0..16u64).map(|k| k * 1000 + 105).collect();
+            let buffer_keys = [3_007u64, 11_013, 19_999];
+            for &key in run_keys.iter().chain(&buffer_keys) {
+                assert!(shard.insert(key));
+            }
+            assert_eq!((shard.run_count(), shard.pending()), (2, 3));
+            let mut oracle: BTreeSet<u64> = base.iter().copied().collect();
+            oracle.extend(run_keys.iter().chain(&buffer_keys));
+
+            let absent = [0, 99, 1_003, 20_091, 1 << 40, u64::MAX];
+            let mut queries: Vec<u64> = oracle.iter().copied().collect();
+            queries.extend(absent);
+            assert_every_get_agrees(&shard, &oracle, &queries);
+
+            // A duplicate in each tier is refused. Only the base
+            // duplicate finishes a base search; the others are answered
+            // by an upper tier and leave `base_probes` alone.
+            let probes = || shard.read_lock().base_probes();
+            for (key, finishes) in [(base[0], 1), (base[1999], 1), (run_keys[0], 0)]
+                .into_iter()
+                .chain([(run_keys[15], 0), (buffer_keys[1], 0)])
+            {
+                let before = probes();
+                assert!(!shard.insert(key), "duplicate {key}");
+                assert_eq!(probes(), before + finishes, "base probes for {key}");
+            }
+            assert_eq!(shard.len(), oracle.len());
+
+            // A new key goes in once, whatever tier the filling buffer
+            // then seals it into.
+            for key in absent {
+                let before = probes();
+                assert!(shard.insert(key), "first insert of {key}");
+                assert_eq!(probes(), before + 1, "a new key finishes one base search");
+                assert!(!shard.insert(key), "second insert of {key}");
+                oracle.insert(key);
+            }
+            assert_eq!(shard.len(), oracle.len());
+            assert_eq!(shard.run_count(), 3, "the fifth new key filled the buffer");
+            assert_every_get_agrees(&shard, &oracle, &queries);
+        }
     }
 
     #[test]

@@ -4,6 +4,8 @@
 use learned_indexes::btree::{
     BTreeIndex, FastTree, InterpBTree, LookupTable, PagedIndex, RangeIndex,
 };
+use learned_indexes::data::Gauntlet;
+use learned_indexes::index::prefetch;
 use learned_indexes::rmi::{learned_sort, Rmi, RmiConfig, SearchStrategy, TopModel};
 use proptest::prelude::*;
 
@@ -16,6 +18,57 @@ fn sorted_unique(keys: Vec<u64>) -> Vec<u64> {
 
 fn oracle(data: &[u64], q: u64) -> usize {
     data.partition_point(|&k| k < q)
+}
+
+/// A lookup split in two — `start` (model plus prefetch), then
+/// `finish` (the last-mile search) — answers what `lower_bound` and the
+/// sorted-array oracle answer, on every key, both its neighbours and
+/// both ends of the domain, whether a cascade or a corridor built it.
+fn assert_start_finish_exact(data: &[u64], leaves: usize) -> Result<(), TestCaseError> {
+    for cfg in [
+        RmiConfig::two_stage(TopModel::Linear, leaves),
+        RmiConfig::corridor(leaves),
+    ] {
+        let rmi = Rmi::build(data.to_vec(), &cfg);
+        let gaps = data
+            .iter()
+            .flat_map(|&k| [k.saturating_sub(1), k, k.saturating_add(1)]);
+        for q in gaps.chain([0, u64::MAX]) {
+            let answer = oracle(data, q);
+            prop_assert_eq!(
+                rmi.finish(q, rmi.start(q)),
+                answer,
+                "{} q {}",
+                rmi.name(),
+                q
+            );
+            prop_assert_eq!(rmi.lower_bound(q), answer, "{} q {}", rmi.name(), q);
+            let stored = data.get(answer) == Some(&q);
+            prop_assert_eq!(rmi.finish_lookup(q, rmi.start(q)), stored.then_some(answer));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn start_finish_on_empty_and_one_key_arrays() {
+    for data in [vec![], vec![0], vec![42], vec![u64::MAX]] {
+        assert_start_finish_exact(&data, 1).unwrap();
+        assert_start_finish_exact(&data, 8).unwrap();
+    }
+}
+
+#[test]
+fn prefetch_at_len_and_beyond_is_a_no_op() {
+    let data: Vec<u64> = Gauntlet::OsmLike.generate(1000, 7);
+    let before = data.clone();
+    for index in [data.len() - 1, data.len(), data.len() + 1, usize::MAX] {
+        prefetch(&data, index);
+    }
+    prefetch::<u64>(&[], 0);
+    prefetch::<u64>(&[], usize::MAX);
+    prefetch::<String>(&[], 3);
+    assert_eq!(data, before);
 }
 
 proptest! {
@@ -139,6 +192,19 @@ proptest! {
         let mut expect = keys.clone();
         expect.sort_unstable();
         prop_assert_eq!(sorted, expect);
+    }
+
+    #[test]
+    fn start_then_finish_matches_lower_bound_on_every_gauntlet(
+        n in 1usize..400,
+        seed in any::<u64>(),
+        leaves in 1usize..32,
+    ) {
+        for dist in Gauntlet::ALL {
+            // The RMI indexes sets: the multiset distribution is deduped.
+            let data = sorted_unique(dist.generate(n, seed));
+            assert_start_finish_exact(&data, leaves)?;
+        }
     }
 
     #[test]
