@@ -42,7 +42,7 @@
 use std::sync::Arc;
 
 use crate::merge::{count_past, splice_merge_arc, splice_merge_slice, splice_merge_vec, total_len};
-use crate::rmi::{Rmi, RmiConfig, RmiParams};
+use crate::rmi::{CorridorParams, Rmi, RmiConfig};
 use crate::run::SortedRun;
 use li_index::{KeyStore, RangeIndex};
 
@@ -616,8 +616,8 @@ impl DeltaIndex {
     }
 
     /// Restore a tiered index from persisted state — the warm-restart
-    /// path: the base's keys plus the parameters it was trained with
-    /// (assembled by [`Rmi::from_params`], never retrained), the sealed
+    /// path: the base's keys plus the ε-corridor parameters it was trained
+    /// with (assembled by [`Rmi::from_params`], never retrained), the sealed
     /// run stack (oldest first, fences rebuilt here in O(run) — **not**
     /// a training event), and the pending buffer verbatim:
     /// [`crate::rmi::train_count`] is flat across this call.
@@ -638,7 +638,7 @@ impl DeltaIndex {
     /// use li_core::rmi::{Rmi, RmiConfig};
     /// use li_core::KeyStore;
     ///
-    /// let cfg = RmiConfig::default();
+    /// let cfg = RmiConfig::corridor(4);
     /// let keys = KeyStore::new((0..100u64).map(|k| k * 10).collect::<Vec<_>>());
     /// let params = Rmi::build(keys.clone(), &cfg).to_params().unwrap();
     /// let ok = DeltaIndex::restore(keys.clone(), &params, cfg.clone(), 8, 4, vec![vec![5, 15]], vec![7]);
@@ -648,7 +648,7 @@ impl DeltaIndex {
     /// ```
     pub fn restore(
         base_keys: KeyStore,
-        params: &RmiParams,
+        params: &CorridorParams,
         config: RmiConfig,
         merge_threshold: usize,
         max_runs: usize,
@@ -1503,12 +1503,13 @@ mod tests {
     #[test]
     fn restore_proves_before_it_assembles() {
         let keys = KeyStore::new((0..300u64).map(|k| k * 2).collect::<Vec<_>>());
-        let params = Rmi::build(keys.clone(), &cfg()).to_params().unwrap();
+        let corridor = RmiConfig::corridor(8);
+        let params = Rmi::build(keys.clone(), &corridor).to_params().unwrap();
         let before = crate::rmi::train_count();
         let idx = DeltaIndex::restore(
             keys.clone(),
             &params,
-            cfg(),
+            corridor.clone(),
             8,
             4,
             vec![vec![1, 3], vec![5]],
@@ -1519,7 +1520,7 @@ mod tests {
         assert_eq!((idx.len(), idx.run_count(), idx.sealed_keys()), (304, 2, 3));
         let unsorted = KeyStore::new(vec![4u64, 2]);
         assert_eq!(
-            DeltaIndex::restore(unsorted, &params, cfg(), 8, 4, vec![], vec![]).unwrap_err(),
+            DeltaIndex::restore(unsorted, &params, corridor, 8, 4, vec![], vec![]).unwrap_err(),
             RestoreError::Unsorted("the base")
         );
     }

@@ -53,8 +53,8 @@ pub use lif::{Lif, LifCandidate, LifReport, LifSpec};
 // li-core no longer reaches through its own baseline for it.
 pub use li_index::{KeyStore, Prediction, RangeIndex};
 pub use rmi::{
-    train_count, CascadeParams, CorridorParams, Leaf, LeafKind, LeafLayout, LeafModelParams,
-    LeafParams, Rmi, RmiConfig, RmiParams, RmiStats, Segment, Started, TopModel,
+    train_count, CorridorParams, Leaf, LeafKind, LeafLayout, Rmi, RmiConfig, RmiStats, Segment,
+    Started, TopModel,
 };
 pub use run::SortedRun;
 pub use search::SearchStrategy;

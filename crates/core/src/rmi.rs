@@ -295,74 +295,6 @@ pub struct RmiStats {
     pub eps: Option<u32>,
 }
 
-/// The serializable parameters of one trained leaf (see [`RmiParams`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeafParams {
-    /// The leaf model.
-    pub model: LeafModelParams,
-    /// Worst under-prediction recorded at training time.
-    pub min_err: i64,
-    /// Worst over-prediction recorded at training time.
-    pub max_err: i64,
-    /// Standard deviation of the prediction error.
-    pub std_err: f64,
-    /// Keys routed to this leaf at training time.
-    pub n_keys: u64,
-}
-
-/// The serializable model of one leaf (see [`RmiParams`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum LeafModelParams {
-    /// A linear leaf: `position ≈ slope · key + intercept`.
-    Linear {
-        /// Fitted slope.
-        slope: f64,
-        /// Fitted intercept.
-        intercept: f64,
-    },
-    /// A hybrid B-Tree leaf over `data[offset .. offset + len]`. The
-    /// tree itself is *structure*, not learned parameters — it is
-    /// rebuilt from the mapped key slice on load (no training).
-    BTree {
-        /// Global position of the first covered key.
-        offset: u64,
-        /// Number of covered keys.
-        len: u64,
-        /// Page size the tree was built with.
-        page_size: u64,
-    },
-}
-
-/// Everything a trained [`Rmi`] knows beyond the key array itself. This
-/// is what the persistence layer writes into a snapshot manifest — warm
-/// restart is "map the key file, deserialize these, rebuild structure"
-/// with **no retraining** ([`Rmi::from_params`] never fits a model;
-/// [`train_count`] witnesses that).
-#[derive(Debug, Clone, PartialEq)]
-pub enum RmiParams {
-    /// A [`LeafLayout::Cascade`] index.
-    Cascade(CascadeParams),
-    /// A [`LeafLayout::Corridor`] index.
-    Corridor(CorridorParams),
-}
-
-/// The parameters of a cascade: the fitted coefficients of every stage
-/// plus per-leaf error envelopes. They cover linear-top RMIs (the
-/// workspace's serving default); [`Rmi::to_params`] returns `None` for
-/// multivariate/MLP tops, which save paths surface as an
-/// unsupported-backend error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CascadeParams {
-    /// Stage-0 linear model as `(slope, intercept)`.
-    pub top: (f64, f64),
-    /// Intermediate linear stages as `(slope, intercept)` lists.
-    pub mids: Vec<Vec<(f64, f64)>>,
-    /// Per-leaf parameters.
-    pub leaves: Vec<LeafParams>,
-    /// Last-mile search strategy.
-    pub search: SearchStrategy,
-}
-
 /// Deployment bytes accounted per linear leaf: two f32 parameters, the
 /// error pair packed as two i16s, and an f32 σ — the compact form a LIF
 /// code generator emits. (10k leaves ≈ 0.16MB, matching Figure 4's
@@ -639,15 +571,6 @@ impl Rmi {
         (self.data.get(lb) == Some(&key)).then_some(lb)
     }
 
-    /// The cascade leaf a key routes to (for inspection/tests); `None`
-    /// for an ε-corridor, whose segments are not [`Leaf`]s.
-    pub fn leaf_for(&self, key: u64) -> Option<&Leaf> {
-        let Stages::Cascade { top, mids, leaves } = &self.stages else {
-            return None;
-        };
-        Some(cascade_leaf(top, mids, leaves, key as f64, self.data.len()))
-    }
-
     /// Summary statistics.
     pub fn stats(&self) -> &RmiStats {
         &self.stats_cache
@@ -658,122 +581,31 @@ impl Rmi {
         self.search
     }
 
-    /// Change the search strategy (no retraining required — §3.4's
-    /// strategies all consume the same stored error envelope).
-    pub fn set_search_strategy(&mut self, s: SearchStrategy) {
-        self.search = s;
-    }
-
     /// Extract the serializable parameters of this trained index (for
-    /// the persistence layer). Returns `None` when the stage-0 model is
-    /// not linear — the format does not encode multivariate/MLP tops.
-    pub fn to_params(&self) -> Option<RmiParams> {
-        let (top, mids, leaves) = match &self.stages {
-            Stages::Corridor(c) => return Some(RmiParams::Corridor(c.to_params(self.search))),
-            Stages::Cascade { top, mids, leaves } => (top, mids, leaves),
-        };
-        let top = match top {
-            TrainedTop::Linear(m) => (m.slope(), m.intercept()),
-            _ => return None,
-        };
-        let mids = mids
-            .iter()
-            .map(|stage| stage.iter().map(|m| (m.slope(), m.intercept())).collect())
-            .collect();
-        let leaves = leaves
-            .iter()
-            .map(|leaf| LeafParams {
-                model: match &leaf.kind {
-                    LeafKind::Linear(m) => LeafModelParams::Linear {
-                        slope: m.slope(),
-                        intercept: m.intercept(),
-                    },
-                    LeafKind::BTree { offset, tree } => LeafModelParams::BTree {
-                        offset: *offset as u64,
-                        len: tree.key_store().len() as u64,
-                        page_size: tree.page_size() as u64,
-                    },
-                },
-                min_err: leaf.min_err,
-                max_err: leaf.max_err,
-                std_err: leaf.std_err,
-                n_keys: leaf.n_keys as u64,
-            })
-            .collect();
-        Some(RmiParams::Cascade(CascadeParams {
-            top,
-            mids,
-            leaves,
-            search: self.search,
-        }))
+    /// the persistence layer): `Some` for an ε-corridor, `None` for a
+    /// cascade, which the snapshot format does not carry.
+    pub fn to_params(&self) -> Option<CorridorParams> {
+        match &self.stages {
+            Stages::Corridor(c) => Some(c.to_params(self.search)),
+            Stages::Cascade { .. } => None,
+        }
     }
 
-    /// Reassemble a trained index from its serialized parameters and
-    /// the key array it was trained over — the warm-restart path. No
-    /// model is fitted (the calling thread's [`train_count`] does not move);
-    /// hybrid B-Tree leaves are rebuilt *structurally* over zero-copy
-    /// slices of `data`, exactly as training left them.
+    /// Reassemble a trained ε-corridor from its serialized parameters
+    /// and the key array it was trained over — the warm-restart path.
+    /// No model is fitted (the calling thread's [`train_count`] does not
+    /// move).
     ///
-    /// Returns `None` when the parameters cannot describe a valid index
-    /// over `data`: no leaves, a B-Tree leaf range out of bounds, or a
-    /// `page_size < 2`; for an ε-corridor, anything its O(segments)
-    /// check refuses — ε = 0, a segment start that does not increase or
-    /// is not below the key count, first keys out of order, a negative
-    /// or non-finite slope.
-    pub fn from_params(data: impl Into<KeyStore>, params: &RmiParams) -> Option<Self> {
+    /// Returns `None` when the parameters cannot describe a corridor
+    /// over `data`, which its O(segments) check refuses: ε = 0, a
+    /// segment start that does not increase or is not below the key
+    /// count, first keys out of order, a negative or non-finite slope.
+    pub fn from_params(data: impl Into<KeyStore>, params: &CorridorParams) -> Option<Self> {
         let data: KeyStore = data.into();
-        let n = data.len();
-        let params = match params {
-            RmiParams::Cascade(p) => p,
-            RmiParams::Corridor(p) => {
-                let corridor = Corridor::from_params(p, n)?;
-                return Some(Self::assemble(data, Stages::Corridor(corridor), p.search));
-            }
-        };
-        if params.leaves.is_empty() {
-            return None;
-        }
-        let mut leaves = Vec::with_capacity(params.leaves.len());
-        for lp in &params.leaves {
-            let kind = match lp.model {
-                LeafModelParams::Linear { slope, intercept } => {
-                    LeafKind::Linear(LinearModel::new(slope, intercept))
-                }
-                LeafModelParams::BTree {
-                    offset,
-                    len,
-                    page_size,
-                } => {
-                    let offset = usize::try_from(offset).ok()?;
-                    let len = usize::try_from(len).ok()?;
-                    let page_size = usize::try_from(page_size).ok()?;
-                    if page_size < 2 || offset.checked_add(len)? > n {
-                        return None;
-                    }
-                    let tree = BTreeIndex::new(data.slice(offset..offset + len), page_size);
-                    LeafKind::BTree {
-                        offset,
-                        tree: Box::new(tree),
-                    }
-                }
-            };
-            leaves.push(Leaf {
-                kind,
-                min_err: lp.min_err,
-                max_err: lp.max_err,
-                std_err: lp.std_err,
-                n_keys: usize::try_from(lp.n_keys).ok()?,
-            });
-        }
-        let mids = params
-            .mids
-            .iter()
-            .map(|stage| stage.iter().map(|&(s, i)| LinearModel::new(s, i)).collect())
-            .collect();
-        let top = TrainedTop::Linear(LinearModel::new(params.top.0, params.top.1));
+        let corridor = Corridor::from_params(params, data.len())?;
         Some(Self::assemble(
             data,
-            Stages::Cascade { top, mids, leaves },
+            Stages::Corridor(corridor),
             params.search,
         ))
     }
@@ -1192,19 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn set_search_strategy_keeps_results_identical() {
-        let data = quadratic_data(3000);
-        let mut rmi = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 64));
-        let base: Vec<usize> = data.iter().map(|&k| rmi.lower_bound(k)).collect();
-        for s in SearchStrategy::ALL {
-            rmi.set_search_strategy(s);
-            for (&k, &expect) in data.iter().zip(&base) {
-                assert_eq!(rmi.lower_bound(k), expect, "{}", s.name());
-            }
-        }
-    }
-
-    #[test]
     fn batched_lookup_matches_scalar_for_all_strategies() {
         let data = quadratic_data(3000);
         let queries: Vec<u64> = (0..4000u64).map(|i| i * i / 2 + 3).collect();
@@ -1269,23 +1088,11 @@ mod tests {
     }
 
     #[test]
-    fn leaf_for_reports_routing() {
-        let data = linear_data(1000);
-        let rmi = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 8));
-        let leaf = rmi.leaf_for(data[0]).expect("a cascade routes to a leaf");
-        assert!(leaf.n_keys > 0);
-        let corridor = Rmi::build(data.clone(), &RmiConfig::corridor(8));
-        assert!(corridor.leaf_for(data[0]).is_none());
-    }
-
-    #[test]
     fn params_round_trip_is_exact_and_trains_nothing() {
-        // Hybrid config so the round trip covers B-Tree leaves too.
         let data = quadratic_data(3000);
-        let cfg = RmiConfig::two_stage(TopModel::Linear, 32).with_hybrid(8);
         let store = KeyStore::new(data.clone());
-        let rmi = Rmi::build(store.clone(), &cfg);
-        let params = rmi.to_params().expect("linear top is serializable");
+        let rmi = Rmi::build(store.clone(), &RmiConfig::corridor(32));
+        let params = rmi.to_params().expect("a corridor is serializable");
 
         let before = crate::rmi::train_count();
         let back = Rmi::from_params(store.clone(), &params).expect("valid params");
@@ -1296,44 +1103,32 @@ mod tests {
         );
         assert!(back.key_store().ptr_eq(&store), "rebuild shares the store");
         assert_eq!(back.to_params().as_ref(), Some(&params), "exact round trip");
-        assert_eq!(back.stats().btree_leaves, rmi.stats().btree_leaves);
+        assert_eq!(back.stats().eps, rmi.stats().eps);
         for q in data.iter().flat_map(|&k| [k - 1, k, k + 1]) {
             assert_eq!(back.lower_bound(q), rmi.lower_bound(q), "q={q}");
         }
     }
 
     #[test]
-    fn params_reject_non_linear_tops_and_bad_ranges() {
+    fn params_cover_corridors_only_and_reject_bad_segments() {
         let data = linear_data(500);
-        let mlp = Rmi::build(
-            data.clone(),
-            &RmiConfig::two_stage(
-                TopModel::Mlp {
-                    hidden: 1,
-                    width: 4,
-                },
-                8,
-            ),
-        );
-        assert!(mlp.to_params().is_none(), "v1 cannot encode an MLP top");
+        let cascade = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 8));
+        assert!(cascade.to_params().is_none(), "a cascade has no params");
 
-        let rmi = Rmi::build(data.clone(), &RmiConfig::two_stage(TopModel::Linear, 8));
-        let Some(RmiParams::Cascade(mut cascade)) = rmi.to_params() else {
-            panic!("a cascade's parameters");
-        };
-        cascade.leaves[0].model = LeafModelParams::BTree {
-            offset: 400,
-            len: 200, // out of bounds for 500 keys
-            page_size: 16,
-        };
-        let rebuilt =
-            |c: &CascadeParams| Rmi::from_params(data.clone(), &RmiParams::Cascade(c.clone()));
-        assert!(rebuilt(&cascade).is_none());
-        cascade.leaves[0].model = LeafModelParams::BTree {
-            offset: 0,
-            len: 10,
-            page_size: 1, // BTreeIndex requires >= 2
-        };
-        assert!(rebuilt(&cascade).is_none());
+        let params = Rmi::build(data.clone(), &RmiConfig::corridor(8))
+            .to_params()
+            .unwrap();
+        let mut bad = params.clone();
+        bad.eps = 0;
+        assert!(Rmi::from_params(data.clone(), &bad).is_none(), "zero ε");
+        let mut bad = params.clone();
+        bad.segments[0].start = 1;
+        assert!(Rmi::from_params(data.clone(), &bad).is_none(), "start ≠ 0");
+        let mut bad = params.clone();
+        bad.segments.clear();
+        assert!(
+            Rmi::from_params(data.clone(), &bad).is_none(),
+            "no segments"
+        );
     }
 }

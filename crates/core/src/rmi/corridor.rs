@@ -47,8 +47,10 @@ pub struct Segment {
     pub slope: f32,
 }
 
-/// The serializable form of an ε-corridor index (see
-/// [`crate::rmi::RmiParams`]).
+/// The serializable form of an ε-corridor index: everything a trained
+/// corridor knows beyond its key array. This is what the persistence
+/// layer writes into a snapshot manifest, and [`crate::rmi::Rmi::from_params`]
+/// reassembles it with no retraining.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorridorParams {
     /// The ladder rung the segments were cut at.

@@ -22,7 +22,7 @@
 //!  └────────────────────────────┘   delta buffer and sealed run stack
 //! ```
 //!
-//! * **Save** serializes coefficients ([`li_core::RmiParams`]) — never
+//! * **Save** serializes coefficients ([`li_core::CorridorParams`]) — never
 //!   pickled objects — and publishes atomically: write to a `.tmp`
 //!   sibling, `fsync` the file, `rename`, then `fsync` the parent
 //!   directory (without the directory sync, a crash *after* the rename
@@ -43,28 +43,22 @@
 //!   the witness.
 //!
 //! Verifying a snapshot reads every byte of it once, so the checksum
-//! sets the load's speed: formats v4 and v5 use XXH64 (four independent
-//! 64-bit lanes, ≈ 10× the throughput of byte-serial FNV-1a), which
-//! makes a load cost about one pass over the key bytes at memory
-//! bandwidth. Format v5 adds the leaf layout: every RMI's parameters
-//! and every write-tier shard's [`RmiConfig`] open with a layout tag,
-//! and an ε-corridor base stores ε, its measured window and its
-//! 16-byte segments. Format v4 files (cascades only) and v3 files
-//! (identical layout to v4, FNV-1a checksums) still load, so a store
-//! checkpointed before an upgrade recovers after it: its cascade bases
-//! serve until their shard's next fold, which builds an ε-corridor at
-//! the same leaf count. `save` always writes v5.
+//! sets the load's speed: XXH64 (four independent 64-bit lanes, ≈ 10×
+//! the throughput of byte-serial FNV-1a) makes a load cost about one
+//! pass over the key bytes at memory bandwidth.
 //!
-//! The store's snapshot is the one kind this module writes and reads
-//! (header `kind` 2; any other kind is a [`PersistError::Format`]).
-//! Every shard persists its [`RmiConfig`] next to its base's
-//! coefficients, plus its delta buffer and sealed run stack. The store
-//! builds one base, so its configuration's backend tag must be 1
-//! ([`crate::Backend::Rmi`]); any other byte is a
-//! [`PersistError::Format`]. The cascade codec still carries hybrid
-//! B-Tree leaves (offset, length and page size, rebuilt from the mapped
-//! keys) for the files that hold them. A multivariate or MLP top
-//! gets a [`PersistError::Unsupported`], never a silently lossy file.
+//! Format v5 is the one version written and read; a file of any other
+//! version is a [`PersistError::Unsupported`]. The store's snapshot is
+//! the one kind (header `kind` 2; any other kind is a
+//! [`PersistError::Format`]). Every shard persists its [`RmiConfig`]
+//! next to its base's coefficients, plus its delta buffer and sealed run
+//! stack. Every shard base is an ε-corridor: its parameters open with
+//! the corridor's leaf-layout tag and store ε, its measured window and
+//! its 16-byte segments. Its configuration is [`RmiConfig::corridor`] at
+//! its leaf count, so every slot but the leaf count holds a fixed value,
+//! and the store configuration's backend tag is 1
+//! ([`crate::Backend::Rmi`]). A load refuses any other byte in those
+//! slots, or another layout tag, with a [`PersistError::Format`].
 //! The header also stamps the **snapshot LSN** —
 //! the last [`crate::wal::Wal`] record the snapshot covers — into the
 //! header, so [`ShardedWritable::recover`] knows exactly which log
@@ -77,10 +71,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use li_core::delta::DeltaIndex;
-use li_core::rmi::{
-    CascadeParams, CorridorParams, LeafLayout, LeafModelParams, LeafParams, RmiConfig, RmiParams,
-    Segment, TopModel,
-};
+use li_core::rmi::{CorridorParams, RmiConfig, Segment};
 use li_core::SearchStrategy;
 use li_index::{KeyStore, MappedFile, RangeIndex};
 
@@ -97,19 +88,14 @@ pub const HEADER_LEN: usize = 4096;
 /// (catches text-mode mangling, like the PNG magic does).
 const MAGIC: [u8; 8] = *b"LIDX\xF0\x01\r\n";
 
-/// Format version written by this module. v2 added the
-/// sharded-writable tiering fields (`max_runs` + per-shard sealed run
-/// stacks); v3 added the snapshot LSN and a header checksum (bytes
-/// 48..64) for WAL-coordinated recovery; v4 changed the three
-/// checksums from FNV-1a to XXH64 and nothing else; v5 added the leaf
-/// layout to RMI parameters and configurations. Versions before [`V3`]
-/// are refused with [`PersistError::Unsupported`] rather than loaded
-/// with silently dropped tiers or a silently ignored WAL tail.
+/// Format version written and read by this module, the only one. v2
+/// added the sharded-writable tiering fields (`max_runs` + per-shard
+/// sealed run stacks); v3 added the snapshot LSN and a header checksum
+/// (bytes 48..64) for WAL-coordinated recovery; v4 changed the three
+/// checksums from FNV-1a to XXH64; v5 added the leaf layout to RMI
+/// parameters and configurations. Every other version is refused with
+/// [`PersistError::Unsupported`].
 const VERSION: u32 = 5;
-
-/// The oldest version still read: v4's layout with FNV-1a checksums.
-/// Never written.
-const V3: u32 = 3;
 
 /// `kind` field: a [`ShardedWritable`] snapshot (bases + delta buffers),
 /// the one kind written and read. Kind 1, a read-only index's snapshot
@@ -168,21 +154,6 @@ fn format_err(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
-/// FNV-1a (64-bit): the v3 snapshot checksum. The WAL's record
-/// checksum is the same function and stays so — a log written before
-/// v4 must still scan.
-use crate::wal::fnv1a;
-
-/// The checksum of a snapshot region in format `version` — the one
-/// place the choice is made. Both are integrity checks against
-/// truncation and bit-rot, not MACs.
-fn checksum(version: u32, bytes: &[u8]) -> u64 {
-    match version {
-        V3 => fnv1a(bytes),
-        _ => xxh64(bytes),
-    }
-}
-
 const XXH_P1: u64 = 0x9E37_79B1_85EB_CA87;
 const XXH_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 const XXH_P3: u64 = 0x1656_67B1_9E37_79F9;
@@ -195,9 +166,11 @@ fn xxh_round(acc: u64, lane: u64) -> u64 {
         .wrapping_mul(XXH_P1)
 }
 
-/// XXH64 with seed 0. Four accumulators consume independent 8-byte
-/// lanes of each 32-byte stripe, so the multiplies overlap instead of
-/// forming FNV-1a's one dependent chain per byte.
+/// XXH64 with seed 0, the checksum of every snapshot region: an
+/// integrity check against truncation and bit-rot, not a MAC. Four
+/// accumulators consume independent 8-byte lanes of each 32-byte
+/// stripe, so the multiplies overlap instead of forming FNV-1a's one
+/// dependent chain per byte.
 fn xxh64(bytes: &[u8]) -> u64 {
     let (stripes, tail) = bytes.as_chunks::<32>();
     let mut h = if stripes.is_empty() {
@@ -273,9 +246,6 @@ impl Enc {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
@@ -297,17 +267,11 @@ impl Enc {
 /// error, never a panic.
 struct Dec<'a> {
     bytes: &'a [u8],
-    /// The file's format version: what a pre-v5 manifest leaves out.
-    version: u32,
 }
 
 impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8], version: u32) -> Self {
-        Self { bytes, version }
-    }
-    /// Whether the manifest carries leaf-layout tags (v5 on).
-    fn has_layouts(&self) -> bool {
-        self.version >= VERSION
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { bytes }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.bytes.len() < n {
@@ -325,9 +289,6 @@ impl<'a> Dec<'a> {
     }
     fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, PersistError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.u64()?))
@@ -370,40 +331,18 @@ impl<'a> Dec<'a> {
 // Component encodings
 // ---------------------------------------------------------------------
 
-/// Leaf-layout tags (v5): [`LeafLayout::Cascade`] and
-/// [`LeafLayout::Corridor`], for RMI parameters and configurations.
-const LAYOUT_CASCADE: u8 = 0;
+/// The leaf-layout tag that opens a base's parameters and closes its
+/// shard's configuration: the ε-corridor
+/// ([`LeafLayout::Corridor`](li_core::rmi::LeafLayout::Corridor)).
+/// Tag 0 named the cascade that formats before v5 carried; a load
+/// refuses it, as any other byte.
 const LAYOUT_CORRIDOR: u8 = 1;
 
-fn encode_rmi_params(enc: &mut Enc, p: &RmiParams) {
-    match p {
-        RmiParams::Cascade(p) => {
-            enc.u8(LAYOUT_CASCADE);
-            encode_cascade_params(enc, p);
-        }
-        RmiParams::Corridor(p) => {
-            enc.u8(LAYOUT_CORRIDOR);
-            encode_corridor_params(enc, p);
-        }
-    }
-}
-
-fn decode_rmi_params(dec: &mut Dec<'_>) -> Result<RmiParams, PersistError> {
-    let layout = if dec.has_layouts() {
-        dec.u8()?
-    } else {
-        LAYOUT_CASCADE
-    };
-    match layout {
-        LAYOUT_CASCADE => decode_cascade_params(dec).map(RmiParams::Cascade),
-        LAYOUT_CORRIDOR => decode_corridor_params(dec).map(RmiParams::Corridor),
-        t => Err(format_err(format!("unknown leaf layout tag {t}"))),
-    }
-}
-
-/// An ε-corridor: its window, search and ε, then the segment count and
-/// the segments as `first · start · slope` (16 bytes each).
+/// An ε-corridor: the layout tag, its window, search and ε, then the
+/// segment count and the segments as `first · start · slope` (16 bytes
+/// each).
 fn encode_corridor_params(enc: &mut Enc, p: &CorridorParams) {
+    enc.u8(LAYOUT_CORRIDOR);
     enc.u64(p.below);
     enc.u64(p.above);
     enc.f64(p.rms);
@@ -419,6 +358,12 @@ fn encode_corridor_params(enc: &mut Enc, p: &CorridorParams) {
 }
 
 fn decode_corridor_params(dec: &mut Dec<'_>) -> Result<CorridorParams, PersistError> {
+    let layout = dec.u8()?;
+    if layout != LAYOUT_CORRIDOR {
+        return Err(format_err(format!(
+            "leaf layout tag {layout}: only the ε-corridor ({LAYOUT_CORRIDOR}) is read"
+        )));
+    }
     let below = dec.u64()?;
     let above = dec.u64()?;
     let rms = dec.f64()?;
@@ -443,167 +388,60 @@ fn decode_corridor_params(dec: &mut Dec<'_>) -> Result<CorridorParams, PersistEr
     })
 }
 
-fn encode_cascade_params(enc: &mut Enc, p: &CascadeParams) {
-    enc.f64(p.top.0);
-    enc.f64(p.top.1);
-    enc.usize(p.mids.len());
-    for stage in &p.mids {
-        enc.usize(stage.len());
-        for &(slope, intercept) in stage {
-            enc.f64(slope);
-            enc.f64(intercept);
-        }
-    }
-    enc.usize(p.leaves.len());
-    for leaf in &p.leaves {
-        match leaf.model {
-            LeafModelParams::Linear { slope, intercept } => {
-                enc.u8(0);
-                enc.f64(slope);
-                enc.f64(intercept);
-            }
-            LeafModelParams::BTree {
-                offset,
-                len,
-                page_size,
-            } => {
-                enc.u8(1);
-                enc.u64(offset);
-                enc.u64(len);
-                enc.u64(page_size);
-            }
-        }
-        enc.i64(leaf.min_err);
-        enc.i64(leaf.max_err);
-        enc.f64(leaf.std_err);
-        enc.u64(leaf.n_keys);
-    }
-    enc.u8(p.search.to_tag());
-}
-
-fn decode_cascade_params(dec: &mut Dec<'_>) -> Result<CascadeParams, PersistError> {
-    let top = (dec.f64()?, dec.f64()?);
-    let n_mids = dec.count(8)?;
-    let mut mids = Vec::with_capacity(n_mids);
-    for _ in 0..n_mids {
-        let n = dec.count(16)?;
-        let mut stage = Vec::with_capacity(n);
-        for _ in 0..n {
-            stage.push((dec.f64()?, dec.f64()?));
-        }
-        mids.push(stage);
-    }
-    let n_leaves = dec.count(1 + 16 + 8 + 8 + 8 + 8)?;
-    let mut leaves = Vec::with_capacity(n_leaves);
-    for _ in 0..n_leaves {
-        let model = match dec.u8()? {
-            0 => LeafModelParams::Linear {
-                slope: dec.f64()?,
-                intercept: dec.f64()?,
-            },
-            1 => LeafModelParams::BTree {
-                offset: dec.u64()?,
-                len: dec.u64()?,
-                page_size: dec.u64()?,
-            },
-            t => return Err(format_err(format!("unknown leaf model tag {t}"))),
-        };
-        leaves.push(LeafParams {
-            model,
-            min_err: dec.i64()?,
-            max_err: dec.i64()?,
-            std_err: dec.f64()?,
-            n_keys: dec.u64()?,
-        });
-    }
-    let search = decode_search(dec)?;
-    Ok(CascadeParams {
-        top,
-        mids,
-        leaves,
-        search,
-    })
-}
-
 fn decode_search(dec: &mut Dec<'_>) -> Result<SearchStrategy, PersistError> {
     let tag = dec.u8()?;
     SearchStrategy::from_tag(tag).ok_or_else(|| format_err(format!("unknown search tag {tag}")))
 }
 
-fn encode_rmi_config(enc: &mut Enc, cfg: &RmiConfig) -> Result<(), PersistError> {
-    match cfg.top {
-        TopModel::Linear => enc.u8(0),
-        _ => {
-            return Err(PersistError::Unsupported(
-                "the snapshot format persists linear-top RMI configurations only".into(),
-            ))
-        }
-    }
-    enc.usize(cfg.stages.len());
-    for &s in &cfg.stages {
-        enc.usize(s);
-    }
-    enc.u8(cfg.search.to_tag());
-    match cfg.hybrid_threshold {
-        Some(t) => {
-            enc.u8(1);
-            enc.u32(t);
-        }
-        None => {
-            enc.u8(0);
-            enc.u32(0);
-        }
-    }
-    enc.usize(cfg.hybrid_page_size);
-    enc.u8(match cfg.layout {
-        LeafLayout::Cascade => LAYOUT_CASCADE,
-        LeafLayout::Corridor => LAYOUT_CORRIDOR,
-    });
-    Ok(())
+/// A store shard's configuration is always [`RmiConfig::corridor`] at
+/// its leaf count. v5 keeps the slots a cascade's configuration filled,
+/// written as the corridor's values: top-model tag (0, linear), stage
+/// count (1), leaf count, search tag, hybrid flag and threshold (0 and
+/// 0), hybrid page size and leaf layout ([`LAYOUT_CORRIDOR`]). A load
+/// reads the leaf count and refuses any other value in the fixed slots.
+fn encode_shard_config(enc: &mut Enc, leaves: usize) {
+    let corridor = RmiConfig::corridor(leaves);
+    enc.u8(0);
+    enc.usize(1);
+    enc.usize(leaves);
+    enc.u8(corridor.search.to_tag());
+    enc.u8(0);
+    enc.u32(0);
+    enc.usize(corridor.hybrid_page_size);
+    enc.u8(LAYOUT_CORRIDOR);
 }
 
-fn decode_rmi_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
-    let top = match dec.u8()? {
-        0 => TopModel::Linear,
-        t => return Err(format_err(format!("unknown top model tag {t}"))),
-    };
-    let n_stages = dec.count(8)?;
-    let mut stages = Vec::with_capacity(n_stages);
-    for _ in 0..n_stages {
-        stages.push(dec.usize()?);
-    }
-    let search = decode_search(dec)?;
-    let has_hybrid = dec.u8()?;
-    let threshold = dec.u32()?;
-    let hybrid_threshold = match has_hybrid {
-        0 => None,
-        1 => Some(threshold),
-        t => return Err(format_err(format!("bad hybrid flag {t}"))),
-    };
-    let hybrid_page_size = dec.usize()?;
-    let layout = if dec.has_layouts() {
-        match dec.u8()? {
-            LAYOUT_CASCADE => LeafLayout::Cascade,
-            LAYOUT_CORRIDOR => LeafLayout::Corridor,
-            t => return Err(format_err(format!("bad leaf layout {t}"))),
+fn decode_shard_config(dec: &mut Dec<'_>) -> Result<RmiConfig, PersistError> {
+    let fixed = |what: &str, got: u64, want: u64| {
+        if got == want {
+            Ok(())
+        } else {
+            Err(format_err(format!(
+                "shard configuration {what} {got}: only {want} is read"
+            )))
         }
-    } else {
-        LeafLayout::Cascade
     };
-    if stages.is_empty() || stages.contains(&0) {
-        return Err(format_err("rmi config stages must be non-empty and > 0"));
+    let corridor = RmiConfig::corridor(1);
+    fixed("top-model tag", dec.u8()?.into(), 0)?;
+    fixed("stage count", dec.u64()?, 1)?;
+    let leaves = dec.usize()?;
+    if leaves == 0 {
+        return Err(format_err("shard configuration leaf count 0"));
     }
-    if hybrid_page_size < 2 {
-        return Err(format_err("hybrid_page_size must be >= 2"));
-    }
-    Ok(RmiConfig {
-        top,
-        stages,
-        layout,
-        search,
-        hybrid_threshold,
-        hybrid_page_size,
-    })
+    fixed(
+        "search tag",
+        dec.u8()?.into(),
+        corridor.search.to_tag().into(),
+    )?;
+    fixed("hybrid flag", dec.u8()?.into(), 0)?;
+    fixed("hybrid threshold", dec.u32()?.into(), 0)?;
+    fixed(
+        "hybrid page size",
+        dec.u64()?,
+        corridor.hybrid_page_size as u64,
+    )?;
+    fixed("leaf layout", dec.u8()?.into(), LAYOUT_CORRIDOR.into())?;
+    Ok(RmiConfig::corridor(leaves))
 }
 
 /// The store configuration's retired retune max-error slot: v5 keeps
@@ -666,10 +504,7 @@ fn decode_sw_config(dec: &mut Dec<'_>) -> Result<ShardedWritableConfig, PersistE
         }
     }
     let max_shards = dec.usize()?;
-    // A file saved when `max_runs = 0` meant "merge every full buffer
-    // into the base with a retrain" loads with a one-run stack, which
-    // folds every full buffer with one retrain: the same policy.
-    let max_runs = dec.usize()?.max(1);
+    let max_runs = dec.usize()?;
     let backend_tag = dec.u8()?;
     if backend_tag != BACKEND_TAG_RMI {
         return Err(format_err(format!(
@@ -735,10 +570,10 @@ fn publish(path: &Path, lsn: u64, key_bytes: &[u8], manifest: &[u8]) -> Result<(
     header[12..16].copy_from_slice(&KIND.to_le_bytes());
     header[16..24].copy_from_slice(&((key_bytes.len() / 8) as u64).to_le_bytes());
     header[24..32].copy_from_slice(&(manifest.len() as u64).to_le_bytes());
-    header[32..40].copy_from_slice(&checksum(VERSION, key_bytes).to_le_bytes());
-    header[40..48].copy_from_slice(&checksum(VERSION, manifest).to_le_bytes());
+    header[32..40].copy_from_slice(&xxh64(key_bytes).to_le_bytes());
+    header[40..48].copy_from_slice(&xxh64(manifest).to_le_bytes());
     header[48..56].copy_from_slice(&lsn.to_le_bytes());
-    let header_sum = checksum(VERSION, &header[0..56]);
+    let header_sum = xxh64(&header[0..56]);
     header[56..64].copy_from_slice(&header_sum.to_le_bytes());
 
     let mut tmp = path.as_os_str().to_owned();
@@ -767,13 +602,12 @@ struct Verified {
     /// The manifest's byte range within the region.
     manifest: std::ops::Range<usize>,
     lsn: u64,
-    version: u32,
 }
 
 impl Verified {
     /// A decoder over the manifest.
     fn manifest(&self) -> Dec<'_> {
-        Dec::new(&self.region.bytes()[self.manifest.clone()], self.version)
+        Dec::new(&self.region.bytes()[self.manifest.clone()])
     }
 }
 
@@ -789,13 +623,13 @@ fn open_verified(path: &Path) -> Result<Verified, PersistError> {
         return Err(format_err("bad magic (not a snapshot file)"));
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if !(V3..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(PersistError::Unsupported(format!(
-            "snapshot format version {version} (this build reads {V3} to {VERSION})"
+            "snapshot format version {version} (this build reads {VERSION} only)"
         )));
     }
     let header_sum = u64::from_le_bytes(bytes[56..64].try_into().unwrap());
-    if checksum(version, &bytes[0..56]) != header_sum {
+    if xxh64(&bytes[0..56]) != header_sum {
         return Err(format_err("header checksum mismatch"));
     }
     let kind = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
@@ -823,10 +657,10 @@ fn open_verified(path: &Path) -> Result<Verified, PersistError> {
             bytes.len()
         )));
     }
-    if checksum(version, &bytes[HEADER_LEN..keys_end]) != keys_sum {
+    if xxh64(&bytes[HEADER_LEN..keys_end]) != keys_sum {
         return Err(format_err("key payload checksum mismatch"));
     }
-    if checksum(version, &bytes[keys_end..total]) != manifest_sum {
+    if xxh64(&bytes[keys_end..total]) != manifest_sum {
         return Err(format_err("manifest checksum mismatch"));
     }
     Ok(Verified {
@@ -834,7 +668,6 @@ fn open_verified(path: &Path) -> Result<Verified, PersistError> {
         n_keys,
         manifest: keys_end..total,
         lsn: snapshot_lsn,
-        version,
     })
 }
 
@@ -898,21 +731,18 @@ impl ShardedWritable {
             let base_keys = base.key_store().as_slice();
             enc.usize(base_offset);
             enc.usize(base_keys.len());
-            encode_rmi_config(&mut enc, cfg)?;
+            encode_shard_config(&mut enc, cfg.leaf_count());
             enc.usize(*threshold);
-            encode_rmi_params(
-                &mut enc,
-                &base.to_params().ok_or_else(|| {
-                    PersistError::Unsupported(
-                    "a shard base uses a multivariate/MLP top; the snapshot format persists linear tops only"
+            let params = base.to_params().ok_or_else(|| {
+                PersistError::Unsupported(
+                    "a shard base is a cascade; the snapshot format persists ε-corridors only"
                         .into(),
                 )
-                })?,
-            );
+            })?;
+            encode_corridor_params(&mut enc, &params);
             enc.keys(snap.delta_keys());
             // Sealed run stack, oldest first. Only the keys go in the
-            // file: run fences are rebuilt on load exactly like hybrid
-            // B-Tree leaf structure.
+            // file: run fences are structure, rebuilt on load.
             let runs = snap.runs();
             enc.usize(runs.len());
             for run in runs {
@@ -967,15 +797,9 @@ impl ShardedWritable {
             if expected_offset > n_keys {
                 return Err(format_err(format!("shard {s} base exceeds the payload")));
             }
-            let mut cfg = decode_rmi_config(&mut dec)?;
-            if !dec.has_layouts() {
-                // Before v5 a store shard was a cascade. Its base serves
-                // until the shard's next fold, which builds the
-                // ε-corridor every shard has now, at the same leaf count.
-                cfg = RmiConfig::corridor(cfg.leaf_count());
-            }
+            let cfg = decode_shard_config(&mut dec)?;
             let threshold = dec.usize()?;
-            let params = decode_rmi_params(&mut dec)?;
+            let params = decode_corridor_params(&mut dec)?;
             let delta = dec.keys()?;
             let n_runs = dec.count(16)?;
             let runs = (0..n_runs)
@@ -1087,7 +911,7 @@ mod tests {
         // merge_threshold, leaf_fraction, retune.max_mean_err, then the slot.
         let slot = 24..32;
         assert_eq!(enc.buf[slot.clone()], u64::MAX.to_le_bytes());
-        let mut dec = Dec::new(&enc.buf, VERSION);
+        let mut dec = Dec::new(&enc.buf);
         let back = decode_sw_config(&mut dec).unwrap();
         dec.finish().unwrap();
         assert_eq!(back.retune.max_rounds, cfg.retune.max_rounds);
@@ -1095,53 +919,13 @@ mod tests {
         for patched in [0u64, 64, u64::MAX - 1] {
             let mut bytes = enc.buf.clone();
             bytes[slot.clone()].copy_from_slice(&patched.to_le_bytes());
-            match decode_sw_config(&mut Dec::new(&bytes, VERSION)) {
+            match decode_sw_config(&mut Dec::new(&bytes)) {
                 Err(PersistError::Format(msg)) => assert!(msg.contains("max_abs_err"), "{msg}"),
                 other => panic!(
                     "slot {patched} must be a Format error, got {:?}",
                     other.err()
                 ),
             }
-        }
-    }
-
-    /// The cascade codec's B-Tree-leaf arm: an all-B-Tree-leaf hybrid
-    /// cascade's parameters come back equal through the v5 codec (and
-    /// through the untagged pre-v5 one), and the index rebuilt from
-    /// them finds every key without training.
-    #[test]
-    fn hybrid_cascade_params_round_trip_through_the_codec() {
-        use li_core::rmi::Rmi;
-
-        let keys = KeyStore::new(li_data::Gauntlet::Stepped.generate(20_000, 7));
-        let cfg = RmiConfig::two_stage(TopModel::Linear, 40).with_hybrid(0);
-        let params = Rmi::build(keys.clone(), &cfg).to_params().unwrap();
-        let RmiParams::Cascade(cascade) = &params else {
-            panic!("a hybrid is a cascade");
-        };
-        assert!(cascade
-            .leaves
-            .iter()
-            .all(|l| matches!(l.model, LeafModelParams::BTree { .. })));
-
-        let mut enc = Enc::default();
-        encode_rmi_params(&mut enc, &params);
-        let mut dec = Dec::new(&enc.buf, VERSION);
-        let back = decode_rmi_params(&mut dec).unwrap();
-        dec.finish().unwrap();
-        assert_eq!(back, params);
-
-        let mut pre_v5 = Enc::default();
-        encode_cascade_params(&mut pre_v5, cascade);
-        let mut dec = Dec::new(&pre_v5.buf, V3);
-        assert_eq!(decode_rmi_params(&mut dec).unwrap(), params);
-        dec.finish().unwrap();
-
-        let before = train_count();
-        let rebuilt = Rmi::from_params(keys.clone(), &back).unwrap();
-        assert_eq!(train_count(), before, "from_params must not train");
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(rebuilt.lower_bound(k), i, "k={k}");
         }
     }
 

@@ -76,9 +76,8 @@ const MAX_PAYLOAD: usize = 64 << 20;
 /// FNV-1a (64-bit): tiny, dependency-free, catches truncation and
 /// bit-rot. The record checksum stays FNV-1a although snapshots moved
 /// to XXH64 in format v4: a log written by an earlier build must still
-/// scan, or an upgrade would drop its acknowledged tail. (v3 snapshots
-/// are checked with it too.)
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+/// scan, or an upgrade would drop its acknowledged tail.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -760,11 +760,12 @@ mod tests {
 
         // A load restores a buffer: the filter starts out holding it.
         let keys = KeyStore::new((0..100u64).map(|k| k * 10).collect::<Vec<_>>());
-        let params = Rmi::build(keys.clone(), &cfg()).to_params().unwrap();
+        let corridor = RmiConfig::corridor(8);
+        let params = Rmi::build(keys.clone(), &corridor).to_params().unwrap();
         let delta = DeltaIndex::restore(
             keys,
             &params,
-            cfg(),
+            corridor,
             8,
             4,
             vec![vec![5, 15]],

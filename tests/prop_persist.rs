@@ -9,7 +9,7 @@
 
 use std::collections::BTreeSet;
 
-use learned_indexes::rmi::{train_count, RmiParams};
+use learned_indexes::rmi::{train_count, CorridorParams};
 use learned_indexes::serve::{
     PersistError, RebalanceConfig, ShardedWritable, ShardedWritableConfig,
 };
@@ -33,21 +33,12 @@ impl Drop for Cleanup {
     }
 }
 
-/// Every shard base's parameters, in shard order.
-fn base_params(sw: &ShardedWritable) -> Vec<Option<RmiParams>> {
+/// Every shard base's parameters (`None` for a cascade), in shard order.
+fn base_params(sw: &ShardedWritable) -> Vec<Option<CorridorParams>> {
     sw.snapshot()
         .shard_snapshots()
         .iter()
         .map(|shard| shard.base_index().to_params())
-        .collect()
-}
-
-/// Every shard base's ε (`None` for a cascade), in shard order.
-fn base_eps(sw: &ShardedWritable) -> Vec<Option<u32>> {
-    sw.snapshot()
-        .shard_snapshots()
-        .iter()
-        .map(|shard| shard.base_index().stats().eps)
         .collect()
 }
 
@@ -131,7 +122,7 @@ proptest! {
         }
         let saved = base_params(&sw);
         prop_assert!(
-            saved.iter().all(|p| matches!(p, Some(RmiParams::Corridor(_)))),
+            saved.iter().all(Option::is_some),
             "every Backend::Rmi base is an ε-corridor"
         );
         sw.save(&path).map_err(|e| TestCaseError::fail(e.to_string()))?;
@@ -338,7 +329,11 @@ fn corrupt_run_payload_is_rejected_with_a_typed_error() {
 }
 
 /// Loading garbage, a file that is not a snapshot, or a missing file is
-/// an error — and the error variants are the documented ones.
+/// an error — and the error variants are the documented ones. So is a
+/// fresh save with one field patched and the file re-sealed: a header
+/// version other than 5 is `Unsupported`; a wrong magic, a `max_runs`
+/// of 0, any value but the ε-corridor's in a shard configuration's fixed
+/// slots, or the cascade's parameter layout tag (0) is a `Format` error.
 #[test]
 fn malformed_files_yield_typed_errors() {
     let path = tmp_path("malformed");
@@ -355,16 +350,80 @@ fn malformed_files_yield_typed_errors() {
         Err(PersistError::Format(_))
     ));
 
-    let sw = ShardedWritable::new((0..128u64).collect::<Vec<_>>(), 2, tiered_cfg());
+    // One shard, so its configuration sits at a fixed manifest offset:
+    // the store configuration (90 bytes, `max_runs` at 81), the shard
+    // count, the base's offset and length, then the shard configuration
+    // (top tag, stage count, leaf count, search tag, hybrid flag and
+    // threshold, page size, layout), the merge threshold and the base's
+    // parameters, which open with their layout tag.
+    let sw = ShardedWritable::new((0..128u64).collect::<Vec<_>>(), 1, tiered_cfg());
     sw.save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    let m = 4096 + 128 * 8;
+    let cfg = m + 90 + 8 + 16;
+    let u64_at = |at: usize| u64::from_le_bytes(saved[at..at + 8].try_into().unwrap());
+    assert_eq!(saved[8..12], 5u32.to_le_bytes(), "format v5");
+    assert_eq!(u64_at(m + 81), 4, "max_runs");
+    assert_eq!(
+        (saved[cfg], u64_at(cfg + 1)),
+        (0, 1),
+        "linear top, one stage"
+    );
+    assert_eq!(saved[cfg + 17], 2, "the gallop's search tag");
+    assert_eq!(saved[cfg + 18..cfg + 23], [0u8; 5], "no hybrid leaves");
+    assert_eq!(u64_at(cfg + 23), 128, "page size");
+    assert_eq!(
+        (saved[cfg + 31], saved[cfg + 40]),
+        (1, 1),
+        "corridor layouts"
+    );
+
+    let load_patched = |at: usize, patch: &[u8], reseal_it: bool| {
+        let mut bytes = saved.clone();
+        bytes[at..at + patch.len()].copy_from_slice(patch);
+        if reseal_it {
+            reseal(&mut bytes);
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        ShardedWritable::load(&path)
+    };
     // A full-size file whose magic is wrong is not a snapshot.
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[0] ^= 0x20;
-    std::fs::write(&path, &bytes).unwrap();
-    match ShardedWritable::load(&path) {
+    match load_patched(0, &[saved[0] ^ 0x20], false) {
         Err(PersistError::Format(msg)) => assert!(msg.contains("magic"), "{msg}"),
         other => panic!("bad magic must be a Format error, got {:?}", other.err()),
     }
+    for v in [2u32, 3, 4, 6] {
+        match load_patched(8, &v.to_le_bytes(), true) {
+            Err(PersistError::Unsupported(msg)) => {
+                assert!(msg.contains(&format!("version {v}")), "{msg}")
+            }
+            other => panic!("version {v} must be Unsupported, got {:?}", other.err()),
+        }
+    }
+    let patches: [(&str, usize, &[u8], &str); 10] = [
+        ("max_runs 0", m + 81, &0u64.to_le_bytes(), "max_runs"),
+        ("MLP top", cfg, &[3], "top-model tag"),
+        ("two stages", cfg + 1, &2u64.to_le_bytes(), "stage count"),
+        ("zero leaves", cfg + 9, &0u64.to_le_bytes(), "leaf count"),
+        ("biased binary search", cfg + 17, &[0], "search tag"),
+        ("hybrid leaves", cfg + 18, &[1], "hybrid flag"),
+        (
+            "hybrid threshold",
+            cfg + 19,
+            &8u32.to_le_bytes(),
+            "threshold",
+        ),
+        ("page size", cfg + 23, &64u64.to_le_bytes(), "page size"),
+        ("cascade config", cfg + 31, &[0], "leaf layout"),
+        ("cascade params", cfg + 40, &[0], "leaf layout tag 0"),
+    ];
+    for (what, at, patch, needle) in patches {
+        match load_patched(at, patch, true) {
+            Err(PersistError::Format(msg)) => assert!(msg.contains(needle), "{what}: {msg}"),
+            other => panic!("{what} must be a Format error, got {:?}", other.err()),
+        }
+    }
+    assert!(load_patched(0, &saved[..0], true).is_ok(), "the file loads");
 }
 
 /// A store snapshot whose header `kind` is set to 1 — the read-only
@@ -477,7 +536,7 @@ fn the_retired_error_split_slot_loads_flag_1_and_refuses_flag_2() {
     }
 }
 
-/// XXH64 (seed 0), the snapshot checksum of formats v4 and v5 — this
+/// XXH64 (seed 0), the snapshot checksum since format v4 — this
 /// suite's own copy, pinned by the published vectors in
 /// `xxh64_copy_matches_the_published_vectors`. Used below to re-seal a
 /// file after a *semantic* corruption, so the load failure proves the
@@ -552,154 +611,6 @@ fn xxh64_copy_matches_the_published_vectors() {
         xxh64(b"Nobody inspects the spammish repetition"),
         0xFBCE_A83C_8A37_8BF1
     );
-}
-
-/// The store behind `tests/fixtures/snapshot_v3_tiered.lidx`: three
-/// shards over 3 000 base keys, 16-key buffers, `max_runs` 4, and 120
-/// inserts (40 per shard: two sealed runs and 8 pending keys each).
-/// The fixture was written once by this function's store with a WAL
-/// attached before the inserts (so its snapshot LSN is 120) and then
-/// `save`d, built at commit 13e7744 — the last commit that wrote format
-/// v3, whose checksums are FNV-1a.
-fn v3_fixture_store() -> ShardedWritable {
-    let cfg = ShardedWritableConfig {
-        merge_threshold: 16,
-        leaf_fraction: 1.0 / 8.0,
-        check_interval: 0,
-        max_runs: 4,
-        rebalance: RebalanceConfig {
-            max_shard_len: 1 << 20,
-            merge_max_len: 64,
-            max_shards: 12,
-        },
-        ..ShardedWritableConfig::default()
-    };
-    let sw = ShardedWritable::new((0..3000u64).map(|i| i * 4).collect::<Vec<_>>(), 3, cfg);
-    for i in 0..120u64 {
-        assert!(sw.insert(i * 100 + 1));
-    }
-    sw
-}
-
-/// A store checkpointed in format v3 still loads — tier for tier and key
-/// for key, training nothing — and recovers from its LSN watermark; a
-/// save from it writes v5. The same file stamped v2 or v6 is refused as
-/// `Unsupported`.
-#[test]
-fn v3_snapshots_load_and_older_versions_are_refused() {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("snapshot_v3_tiered.lidx");
-    let bytes = std::fs::read(&fixture).unwrap();
-    let version = |b: &[u8]| u32::from_le_bytes(b[8..12].try_into().unwrap());
-    assert_eq!(version(&bytes), 3, "the fixture is a format-v3 file");
-    let want = v3_fixture_store();
-
-    let before = train_count();
-    let loaded = ShardedWritable::load(&fixture).unwrap();
-    assert_eq!(train_count(), before, "a v3 load must not train");
-    assert_eq!(loaded.bounds(), want.bounds());
-    assert_eq!(loaded.run_count(), 6);
-    assert_eq!(
-        (loaded.run_count(), loaded.sealed_keys(), loaded.pending()),
-        (want.run_count(), want.sealed_keys(), want.pending())
-    );
-    assert_eq!(loaded.range_keys(0, u64::MAX), want.range_keys(0, u64::MAX));
-    for q in 0..12_100u64 {
-        assert_eq!(loaded.contains(q), want.contains(q), "q={q}");
-        assert_eq!(loaded.rank(q), want.rank(q), "q={q}");
-    }
-
-    let wal = tmp_path("v3-wal");
-    let _wal_guard = Cleanup(wal.clone());
-    let (rec, report) = ShardedWritable::recover_with_config(
-        &fixture,
-        &wal,
-        learned_indexes::serve::WalSyncPolicy::PerRecord,
-        ShardedWritableConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(report.snapshot_lsn, 120);
-    assert_eq!(report.trained, 0);
-    assert_eq!(rec.len(), want.len());
-
-    let resaved = tmp_path("v3-resaved");
-    let _resaved_guard = Cleanup(resaved.clone());
-    loaded.save(&resaved).unwrap();
-    assert_eq!(version(&std::fs::read(&resaved).unwrap()), 5);
-    let reloaded = ShardedWritable::load(&resaved).unwrap();
-    assert_eq!(
-        reloaded.range_keys(0, u64::MAX),
-        want.range_keys(0, u64::MAX)
-    );
-    assert_eq!(reloaded.run_count(), 6);
-
-    let stamped = tmp_path("v3-stamped");
-    let _stamped_guard = Cleanup(stamped.clone());
-    for v in [2u32, 6] {
-        let mut b = bytes.clone();
-        b[8..12].copy_from_slice(&v.to_le_bytes());
-        std::fs::write(&stamped, &b).unwrap();
-        match ShardedWritable::load(&stamped) {
-            Err(PersistError::Unsupported(msg)) => {
-                assert!(msg.contains(&format!("version {v}")), "{msg}")
-            }
-            Err(e) => panic!("version {v}: expected Unsupported, got {e}"),
-            Ok(_) => panic!("version {v} must not load"),
-        }
-    }
-}
-
-/// A file saved when `max_runs = 0` meant "merge every full buffer into
-/// the base with a retrain" — made here by patching the field of a fresh
-/// save and re-sealing it — loads key for key, training nothing, with a
-/// one-run stack: the same policy, so its next full buffer is sealed and
-/// folded exactly once.
-#[test]
-fn a_zero_run_bound_loads_as_one_run_that_folds_every_buffer() {
-    let path = tmp_path("zero-runs");
-    let _guard = Cleanup(path.clone());
-    let base: Vec<u64> = (0..3_000u64).map(|i| i * 4).collect();
-    let sw = ShardedWritable::new(base.clone(), 1, tiered_cfg());
-    for k in 0..8u64 {
-        assert!(sw.insert(k * 40 + 1));
-    }
-    assert_eq!((sw.run_count(), sw.pending()), (0, 8));
-    sw.save(&path).unwrap();
-
-    // The manifest opens with the store's configuration: eight 8-byte
-    // fields, the error-split flag byte and value, `max_shards`, then
-    // `max_runs`.
-    let mut bytes = std::fs::read(&path).unwrap();
-    const HEADER_LEN: usize = 4096;
-    let keys_end = HEADER_LEN + base.len() * 8;
-    let at = keys_end + 8 * 8 + 1 + 8 + 8;
-    assert_eq!(u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()), 4);
-    bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
-    let manifest_sum = xxh64(&bytes[keys_end..]);
-    bytes[40..48].copy_from_slice(&manifest_sum.to_le_bytes());
-    let header_sum = xxh64(&bytes[0..56]);
-    bytes[56..64].copy_from_slice(&header_sum.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-
-    let trains = train_count();
-    let loaded = ShardedWritable::load(&path).unwrap();
-    assert_eq!(train_count(), trains, "load must not train");
-    assert_eq!(loaded.range_keys(0, u64::MAX), sw.range_keys(0, u64::MAX));
-    assert_eq!(loaded.pending(), 8);
-
-    for k in 8..16u64 {
-        assert!(loaded.insert(k * 40 + 1));
-    }
-    assert_eq!(
-        (loaded.compactions(), loaded.run_merges()),
-        (1, 0),
-        "the full buffer folds once"
-    );
-    assert_eq!((loaded.run_count(), loaded.pending()), (0, 0));
-    assert_eq!(train_count(), trains + 1, "one fold, one retrain");
-    assert_eq!(loaded.len(), base.len() + 16);
 }
 
 /// Tiered stores whose base is large enough that full run stacks are
@@ -799,71 +710,6 @@ fn a_run_key_in_the_base_is_a_typed_format_error() {
         }
         Err(e) => panic!("expected a Format error, got {e}"),
         Ok(_) => panic!("a run key that is also a base key must not load"),
-    }
-}
-
-/// Snapshots from before format v5 hold cascade bases. The v3 fixture,
-/// and the same store as v4 wrote it (v3's layout re-sealed with XXH64),
-/// load key for key with zero training and keep their cascades; the
-/// next fold of a shard trains exactly once and leaves an ε-corridor,
-/// while the other shards keep their cascades.
-#[test]
-fn pre_v5_cascades_serve_until_one_fold_turns_them_into_corridors() {
-    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("fixtures")
-        .join("snapshot_v3_tiered.lidx");
-    let v3 = std::fs::read(&fixture).unwrap();
-    let mut v4 = v3.clone();
-    v4[8..12].copy_from_slice(&4u32.to_le_bytes());
-    reseal(&mut v4);
-    let want = v3_fixture_store();
-    let path = tmp_path("pre-v5");
-    let _guard = Cleanup(path.clone());
-    for (version, bytes) in [(3, v3), (4, v4)] {
-        std::fs::write(&path, &bytes).unwrap();
-        let before = train_count();
-        let loaded = ShardedWritable::load(&path).unwrap();
-        assert_eq!(train_count(), before, "v{version}: a load must not train");
-        assert_eq!(
-            base_eps(&loaded),
-            [None; 3],
-            "v{version}: cascades load as cascades"
-        );
-        assert_eq!(loaded.range_keys(0, u64::MAX), want.range_keys(0, u64::MAX));
-        for q in 0..12_100u64 {
-            assert_eq!(loaded.contains(q), want.contains(q), "v{version}: q={q}");
-        }
-
-        // Shard 0 holds two sealed runs and 8 pending keys; 24 fresh
-        // keys fill its stack to four runs, which holds 1/16 of its base.
-        for i in 0..24u64 {
-            assert!(loaded.insert(i * 100 + 3));
-        }
-        assert_eq!(loaded.compactions(), 1, "v{version}: one fold");
-        assert_eq!(
-            train_count(),
-            before + 1,
-            "v{version}: one fold, one training run"
-        );
-        let eps = base_eps(&loaded);
-        assert!(
-            eps[0].is_some(),
-            "v{version}: the folded base is an ε-corridor"
-        );
-        assert_eq!(
-            eps[1..],
-            [None; 2],
-            "v{version}: unfolded shards keep cascades"
-        );
-        for q in 0..12_100u64 {
-            let inserted = q % 100 == 3 && q < 2_400;
-            assert_eq!(
-                loaded.contains(q),
-                want.contains(q) || inserted,
-                "v{version}: q={q}"
-            );
-        }
     }
 }
 
